@@ -33,7 +33,6 @@ from .circuits import (
     StateVector,
     apply_circuit,
     apply_gate,
-    apply_gate_controlled,
     circuit_unitary,
     gate_unitary,
     invert_circuit,
@@ -95,7 +94,6 @@ from .linalg import (
     hermitian_eig,
     is_hermitian,
     is_unitary,
-    nearest_unitary,
     operator_norm,
     tensor,
     unitary_eig,
@@ -106,13 +104,10 @@ from .phase_estimation import (
     PreparedPhaseEstimation,
     SamplingRequest,
     ceil_log2,
-    controlled_power_apply,
     pes_sample,
     phase_estimate,
     prepare_pes,
     prepare_phase_estimation,
-    prepare_phase_estimation_dense,
-    qft_apply,
 )
 from .reductions import (
     ClockPropagator,

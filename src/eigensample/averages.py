@@ -1,9 +1,12 @@
 """Hadamard-test estimation of <psi|U|psi> and average-eigenvalue wrappers.
 
-One ancilla in superposition controls the whole circuit; interference puts
-Re<psi|U|psi> into the ancilla bias.  Inserting S-dagger before the final
-Hadamard rotates the imaginary part into view.  Both components are plus/
-minus-one Bernoulli variables, so Hoeffding fixes the sample budget.
+The Hadamard test puts one ancilla in superposition, controls U on it, and
+measures it after a final Hadamard (x branch) or after S-dagger and a
+Hadamard (y branch).  Its ancilla reads zero with probability
+(1 + Re lam) / 2 on the x branch and (1 + Im lam) / 2 on the y branch, for
+lam = <psi|U|psi>; those biases are computed here from lam directly.  Both
+components are plus/minus-one Bernoulli variables, so Hoeffding fixes the
+sample budget.
 
 Branches alternate deterministically: within each sample pair the x branch
 is drawn first, then the y branch, so a run is reproducible from the seed
@@ -17,16 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import (
-    BasisLabel,
-    Circuit,
-    StateVector,
-    apply_circuit,
-    apply_gate,
-    named_gate,
-)
+from .circuits import BasisLabel, Circuit, StateVector, apply_circuit, named_gate
 from .errors import DimensionMismatch
-from .phase_estimation import SamplingRequest, controlled_power_apply
+from .phase_estimation import SamplingRequest
 
 
 @dataclass(frozen=True)
@@ -70,25 +66,14 @@ def basis_loader(b: BasisLabel) -> Circuit:
 def hadamard_test_probabilities(circuit: Circuit, prep: Circuit) -> tuple[float, float]:
     """Ancilla-zero probabilities of the x and y branch circuits.
 
-    Returns (p_x0, p_y0) with 2*p_x0 - 1 = Re<psi|U|psi> and
-    2*p_y0 - 1 = Im<psi|U|psi> for |psi> = prep|0...0>.
+    Returns (p_x0, p_y0) = ((1 + Re lam) / 2, (1 + Im lam) / 2) for
+    lam = <psi|U|psi> and |psi> = prep|0...0>.
     """
     if prep.qubit_count != circuit.qubit_count:
         raise DimensionMismatch("prep and circuit act on different registers")
-    n = circuit.qubit_count
-    system = apply_circuit(prep, StateVector.basis(n))
-    amps = np.zeros(2 ** (n + 1), dtype=complex)
-    amps[: 2**n] = system.amplitudes
-    state = StateVector(n + 1, 1, amps)
-    state = apply_gate(state, named_gate("h", 0))
-    state = controlled_power_apply(circuit, 0, 1, state)
-
-    x_state = apply_gate(state, named_gate("h", 0))
-    p_x0 = float(np.sum(np.abs(x_state.amplitudes[: 2**n]) ** 2))
-    y_state = apply_gate(state, named_gate("sdg", 0))
-    y_state = apply_gate(y_state, named_gate("h", 0))
-    p_y0 = float(np.sum(np.abs(y_state.amplitudes[: 2**n]) ** 2))
-    return p_x0, p_y0
+    psi = apply_circuit(prep, StateVector.basis(circuit.qubit_count))
+    lam = complex(psi.amplitudes.conj() @ apply_circuit(circuit, psi).amplitudes)
+    return (1.0 + lam.real) / 2.0, (1.0 + lam.imag) / 2.0
 
 
 def hadamard_test_sample(

@@ -25,7 +25,6 @@ from .errors import DimensionMismatch, NotUnitary, ParseError, TooLarge
 
 PARSE_UNITARY_TOL = 1e-8
 NORM_TOL = 1e-10
-CONTROLLED_BLOCK_TOL = 1e-12
 # Magnitude below which an output-branch amplitude is treated as absent.
 BRANCH_ZERO_TOL = 1e-12
 MAX_DENSE_QUBITS = 12
@@ -199,24 +198,6 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
             raise DimensionMismatch(f"gate {gate.name} targets qubit {q} beyond register")
     out = _apply_matrix(state.tensor_view(), gate.matrix, gate.support)
     return StateVector(state.qubit_count, state.clock_dim, out.reshape(-1))
-
-
-def apply_gate_controlled(state: StateVector, gate: Gate, control: int) -> StateVector:
-    """Apply `gate` only on the control=1 slice of the state.
-
-    Equivalent to the block unitary |0><0| (x) I + |1><1| (x) G with the
-    control as the block index.
-    """
-    if control in gate.support:
-        raise ValueError("control qubit overlaps gate support")
-    if control >= state.qubit_count:
-        raise DimensionMismatch("control qubit beyond register")
-    tensor = state.tensor_view().copy()
-    slicer = [slice(None)] * tensor.ndim
-    slicer[control] = slice(1, 2)
-    sub = tensor[tuple(slicer)]
-    tensor[tuple(slicer)] = _apply_matrix(sub, gate.matrix, gate.support)
-    return StateVector(state.qubit_count, state.clock_dim, tensor.reshape(-1))
 
 
 def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:

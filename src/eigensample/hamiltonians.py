@@ -1,9 +1,12 @@
 """Local Hamiltonians, Trotterized evolution, and eigenvalue sampling.
 
-Sampling works by phase-estimating the unitary e^{2 pi i H'} where H' is the
-Hamiltonian rescaled by a cap Lambda chosen so the spectrum sits inside
-(-1/4, 1/4).  Measured phases then unwrap unambiguously to signed
-eigenvalues: phi below 1/2 is positive, phi above wraps to phi - 1.
+Sampling draws from the phase-estimation law of the unitary e^{2 pi i H'},
+where H' is the Hamiltonian rescaled by a cap Lambda chosen so the spectrum
+sits inside (-1/4, 1/4).  That unitary is approximated by `steps` first-order
+Trotter slices; the law is built from the eigenphases of one slice, each
+multiplied by `steps` mod 1, which takes the power exactly.  Measured phases
+unwrap unambiguously to signed eigenvalues: phi below 1/2 is positive, phi
+above wraps to phi - 1.
 
 Text format (UTF-8, line based, '#' starts a comment):
 
@@ -25,12 +28,12 @@ from .errors import (
     ParseError,
     TermTooLarge,
 )
-from .linalg import exp_i_hermitian, nearest_unitary, operator_norm
+from .linalg import exp_i_hermitian, operator_norm
 from .phase_estimation import (
     EstimatorConfig,
     PreparedPhaseEstimation,
     SamplingRequest,
-    prepare_phase_estimation_dense,
+    prepare_phase_estimation,
 )
 
 TERM_HERMITIAN_TOL = 1e-8
@@ -229,7 +232,8 @@ class PreparedEigenvalueSampler:
 
 
 def prepare_lhes(h: LocalHamiltonian, req: SamplingRequest) -> PreparedEigenvalueSampler:
-    """Scale, Trotterize, and run phase estimation up to the measurement.
+    """Scale, Trotterize, and build the phase-estimation law of the
+    Trotterized evolution: one slice, raised to the step count.
 
     The phase estimator gets precision epsilon / lambda_cap and failure
     budget delta / 2; the other delta / 2 covers the Trotter deviation.
@@ -243,25 +247,10 @@ def prepare_lhes(h: LocalHamiltonian, req: SamplingRequest) -> PreparedEigenvalu
     s_norm = sum(operator_norm(t.matrix) for t in scale.scaled.terms)
     steps = trotter_step_count(cfg.t, s_norm, req.delta)
     slice_u = circuit_unitary(trotter_circuit(scale, steps))
-    # millions of slices: binary powering with re-unitarization per doubling
-    step_u = _unitary_power(slice_u, steps)
-    prep = prepare_phase_estimation_dense(
-        step_u, StateVector.from_label(req.b), cfg.t
+    prep = prepare_phase_estimation(
+        slice_u, StateVector.from_label(req.b), cfg.t, power=steps
     )
     return PreparedEigenvalueSampler(scale.lambda_cap, cfg.t, steps, prep)
-
-
-def _unitary_power(u: np.ndarray, exponent: int) -> np.ndarray:
-    out = None
-    factor = u
-    e = exponent
-    while e:
-        if e & 1:
-            out = factor if out is None else nearest_unitary(out @ factor)
-        e >>= 1
-        if e:
-            factor = nearest_unitary(factor @ factor)
-    return out if out is not None else np.eye(u.shape[0], dtype=complex)
 
 
 def lhes_sample(

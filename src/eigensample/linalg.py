@@ -117,14 +117,3 @@ def operator_norm(a: np.ndarray) -> float:
     gram = (gram + gram.conj().T) / 2.0
     vals = hermitian_eig(gram).eigenvalues
     return float(np.sqrt(max(vals[-1], 0.0)))
-
-
-def nearest_unitary(a: np.ndarray) -> np.ndarray:
-    """Polar projection onto the unitary group.
-
-    Repeated matrix products double their unitarity drift at every
-    squaring; projecting after each product keeps long power chains
-    genuinely unitary at a perturbation no larger than the drift itself.
-    """
-    w, _, vh = np.linalg.svd(np.asarray(a, dtype=complex))
-    return w @ vh

@@ -1,36 +1,31 @@
 """Phase estimation and spectral sampling of unitary circuits.
 
-The estimator is textbook: t ancillas put into uniform superposition by
-Hadamards, controlled powers U^(2^j), an exact inverse Fourier transform,
-then measurement of the ancilla register most-significant-qubit-first.
-Feeding an arbitrary basis state |b> instead of an eigenvector makes the
-measured phase a sample from the spectral law sum_j |<b|eta_j>|^2 at the
-eigenphases of the circuit.
+The estimator is the textbook one: t ancillas in uniform superposition,
+controlled powers U^(2^j), an inverse Fourier transform, then measurement of
+the ancilla register most-significant-qubit-first.  Its measured outcome x
+in 0 .. 2^t - 1 follows the law
 
-The pre-measurement state is deterministic, so preparation and sampling are
-split: a PreparedPhaseEstimation holds the ancilla Born distribution and
-hands out cheap i.i.d. draws.  Preparation applies the circuit gate by gate;
-prepare_phase_estimation_dense is the equivalent dense-matrix fast path used
-when the base step is itself a long gate product (Trotterized evolutions).
+    P(x) = sum_k w_k F_t(2^t phi_k - x),   w_k = |<eta_k|b>|^2,
+
+where U eta_k = e^{2 pi i phi_k} eta_k and F_t is the Fejer kernel
+F_t(y) = sin^2(pi y) / (2^2t sin^2(pi y / 2^t)).  Feeding a basis state |b>
+instead of an eigenvector therefore samples the spectral law of U seen from
+|b>, blurred by the kernel.
+
+prepare_phase_estimation builds that law from one eigendecomposition; it is
+the only place a phase-estimation law is made.  Sampling is split from
+preparation: a PreparedPhaseEstimation holds the law and hands out cheap
+i.i.d. draws.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import (
-    BasisLabel,
-    Circuit,
-    Gate,
-    StateVector,
-    apply_gate,
-    apply_gate_controlled,
-    circuit_unitary,
-    named_gate,
-)
+from .circuits import BasisLabel, Circuit, StateVector, circuit_unitary
 from .errors import DimensionMismatch, NotEigenvector
-from .linalg import nearest_unitary
+from .linalg import unitary_eig
 
 EIGENVECTOR_TOL = 1e-8
 
@@ -64,15 +59,13 @@ class SamplingRequest:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Ancilla budget t and the ascending controlled powers 2^0 .. 2^(t-1)."""
+    """Ancilla budget t for a precision epsilon and failure budget delta."""
 
     t: int
-    powers: tuple[int, ...]
 
     @classmethod
     def from_request(cls, epsilon: float, delta: float) -> "EstimatorConfig":
-        t = ceil_log2(1.0 / epsilon) + ceil_log2(2.0 + 1.0 / (2.0 * delta))
-        return cls(t, tuple(2**j for j in range(t)))
+        return cls(ceil_log2(1.0 / epsilon) + ceil_log2(2.0 + 1.0 / (2.0 * delta)))
 
 
 @dataclass(frozen=True)
@@ -83,139 +76,65 @@ class PhaseSample:
     raw: int
 
 
-def qft_apply(state: StateVector, register, inverse: bool = False) -> StateVector:
-    """Exact Fourier transform on the listed qubits, matrix-free via FFT.
-
-    register[0] is the most significant bit of the transformed index.
-    """
-    register = tuple(int(q) for q in register)
-    if len(set(register)) != len(register):
-        raise ValueError("register qubits must be distinct")
-    if any(q < 0 or q >= state.qubit_count for q in register):
-        raise DimensionMismatch("register qubit beyond state")
-    t = len(register)
-    tensor = state.tensor_view()
-    moved = np.moveaxis(tensor, register, tuple(range(t)))
-    shape = moved.shape
-    arr = moved.reshape(2**t, -1)
-    if inverse:
-        out = np.fft.fft(arr, axis=0, norm="ortho")
-    else:
-        out = np.fft.ifft(arr, axis=0, norm="ortho")
-    out = np.moveaxis(out.reshape(shape), tuple(range(t)), register)
-    return StateVector(state.qubit_count, state.clock_dim, out.reshape(-1))
-
-
-def controlled_power_apply(
-    circuit: Circuit, control: int, power: int, state: StateVector
-) -> StateVector:
-    """Apply `circuit` `power` times, gate by gate, conditioned on `control`.
-
-    The circuit targets the LAST circuit.qubit_count qubits of the state;
-    the control must lie outside that window.
-    """
-    if power < 1:
-        raise ValueError("power must be a positive integer")
-    offset = state.qubit_count - circuit.qubit_count
-    if offset < 0:
-        raise DimensionMismatch("state smaller than circuit register")
-    if not (0 <= control < state.qubit_count) or control >= offset:
-        raise ValueError("control qubit must sit outside the circuit's register")
-    shifted = [
-        Gate(g.name, tuple(q + offset for q in g.support), g.matrix)
-        for g in circuit.gates
-    ]
-    for _ in range(power):
-        for gate in shifted:
-            state = apply_gate_controlled(state, gate, control)
-    return state
-
-
 @dataclass
 class PreparedPhaseEstimation:
-    """Frozen pre-measurement state of one phase-estimation run.
+    """Output law of one phase-estimation run over the 2^t ancilla outcomes.
 
     All randomness is in the final ancilla measurement, so draws from the
     same preparation are i.i.d. samples of the estimator's output law.
     """
 
     t: int
-    final_state: StateVector
     raw_probabilities: np.ndarray
+    _cumulative: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._cumulative = np.cumsum(self.raw_probabilities)
+
+    def _outcomes(self, uniforms):
+        cum = self._cumulative
+        raws = np.searchsorted(cum, uniforms * cum[-1], side="right")
+        return np.minimum(raws, len(cum) - 1)
 
     def sample(self, rng: np.random.Generator) -> PhaseSample:
-        cum = np.cumsum(self.raw_probabilities)
-        raw = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        raw = min(raw, len(self.raw_probabilities) - 1)
+        raw = int(self._outcomes(rng.random()))
         return PhaseSample(raw / 2**self.t, raw)
 
     def sample_raw_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        cum = np.cumsum(self.raw_probabilities)
-        raws = np.searchsorted(cum, rng.random(count) * cum[-1], side="right")
-        return np.minimum(raws, len(self.raw_probabilities) - 1)
-
-    def conditional_system_state(self, raw: int) -> StateVector:
-        """Post-measurement system state given ancilla outcome `raw`."""
-        rows = self.final_state.amplitudes.reshape(2**self.t, -1)
-        block = rows[raw]
-        norm = np.linalg.norm(block)
-        if norm == 0:
-            raise ValueError(f"outcome {raw} has zero probability")
-        n_sys = self.final_state.qubit_count - self.t
-        return StateVector(n_sys, self.final_state.clock_dim, block / norm)
-
-
-def _attach_ancillas(system_state: StateVector, t: int) -> StateVector:
-    """|0...0> on t new most-significant qubits, tensored with the system."""
-    dim_rest = system_state.amplitudes.size
-    amps = np.zeros((2**t) * dim_rest, dtype=complex)
-    amps[:dim_rest] = system_state.amplitudes
-    return StateVector(t + system_state.qubit_count, system_state.clock_dim, amps)
-
-
-def _finish_preparation(state: StateVector, t: int) -> PreparedPhaseEstimation:
-    state = qft_apply(state, range(t), inverse=True)
-    probs = np.sum(
-        np.abs(state.amplitudes.reshape(2**t, -1)) ** 2, axis=1
-    )
-    return PreparedPhaseEstimation(t, state, probs)
+        return self._outcomes(rng.random(count))
 
 
 def prepare_phase_estimation(
-    circuit: Circuit, system_state: StateVector, t: int
+    unitary: np.ndarray, system_state: StateVector, t: int, power: int = 1
 ) -> PreparedPhaseEstimation:
-    """Run the estimator circuit up to (not including) the measurement."""
-    if circuit.qubit_count != system_state.qubit_count:
-        raise DimensionMismatch("system state does not match circuit register")
-    state = _attach_ancillas(system_state, t)
-    for q in range(t):
-        state = apply_gate(state, named_gate("h", q))
-    # ancilla j (most significant first) controls the power 2^(t-1-j)
-    for j in range(t):
-        state = controlled_power_apply(circuit, j, 2 ** (t - 1 - j), state)
-    return _finish_preparation(state, t)
-
-
-def prepare_phase_estimation_dense(
-    unitary: np.ndarray, system_state: StateVector, t: int
-) -> PreparedPhaseEstimation:
-    """Same output law as prepare_phase_estimation, with controlled powers
-    taken by repeated squaring of the dense step matrix."""
+    """Output law of t-bit phase estimation of unitary**power seen from
+    system_state (module docs).  The power is taken in phase space: each
+    eigenphase is multiplied by `power` mod 1, exactly.  A clock register on
+    the state is a spectator: U acts as U (x) I on it."""
     n = system_state.qubit_count
-    if np.asarray(unitary).shape != (2**n, 2**n):
+    u = np.asarray(unitary, dtype=complex)
+    if u.shape != (2**n, 2**n):
         raise DimensionMismatch("unitary does not match system register")
-    state = _attach_ancillas(system_state, t)
-    for q in range(t):
-        state = apply_gate(state, named_gate("h", q))
-    w = np.asarray(unitary, dtype=complex)
-    targets = tuple(range(t, t + n))
-    for j in range(t):
-        gate = Gate("dense", targets, w)
-        state = apply_gate_controlled(state, gate, t - 1 - j)
-        if j + 1 < t:
-            # drift doubles per squaring; project back to the unitary group
-            w = nearest_unitary(w @ w)
-    return _finish_preparation(state, t)
+    dec = unitary_eig(u)
+    amps = system_state.amplitudes.reshape(2**n, -1)
+    weights = np.sum(np.abs(dec.eigenvectors.conj().T @ amps) ** 2, axis=1)
+    dim = 2**t
+    outcomes = np.arange(dim)
+    law = np.zeros(dim)
+    for phi, w in zip(dec.phases() * power % 1.0, weights):
+        # 2^t phi = nearest + frac exactly (dim is a power of two); the
+        # kernel's numerator is sin^2(pi frac) for every outcome, and the
+        # offset nearest - x wrapped into [-dim/2, dim/2) keeps the
+        # denominator's sine argument small and accurate.
+        scaled = phi * dim
+        nearest = round(scaled)
+        frac = scaled - nearest
+        if frac == 0.0:
+            law[nearest % dim] += w
+            continue
+        offset = (nearest - outcomes + dim // 2) % dim - dim // 2
+        law += w * (np.sin(np.pi * frac) / (dim * np.sin(np.pi * (offset + frac) / dim))) ** 2
+    return PreparedPhaseEstimation(t, law)
 
 
 def phase_estimate(
@@ -243,18 +162,23 @@ def phase_estimate(
     if residual > EIGENVECTOR_TOL:
         raise NotEigenvector(f"residual {residual:.3e} exceeds {EIGENVECTOR_TOL}")
     t = n_bits + ceil_log2(2.0 + 1.0 / (2.0 * delta))
-    prep = prepare_phase_estimation(circuit, eigenvector, t)
-    return prep.sample(rng)
+    return prepare_phase_estimation(u, eigenvector, t).sample(rng)
 
 
 def prepare_pes(circuit: Circuit, req: SamplingRequest) -> PreparedPhaseEstimation:
-    """Preparation for spectral sampling of a circuit from basis state b."""
+    """Preparation for spectral sampling of a circuit from basis state b.
+
+    The law comes from the circuit's dense unitary, so circuits wider than
+    circuits.MAX_DENSE_QUBITS raise TooLarge.
+    """
     if len(req.b.bits) != circuit.qubit_count:
         raise DimensionMismatch(
             f"b has {len(req.b.bits)} bits, circuit acts on {circuit.qubit_count}"
         )
     cfg = EstimatorConfig.from_request(req.epsilon, req.delta)
-    return prepare_phase_estimation(circuit, StateVector.from_label(req.b), cfg.t)
+    return prepare_phase_estimation(
+        circuit_unitary(circuit), StateVector.from_label(req.b), cfg.t
+    )
 
 
 def pes_sample(

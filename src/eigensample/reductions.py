@@ -17,8 +17,9 @@ reveals whether the computation accepts.  The clock can also be written in
 unary (one-hot) form, which makes every term act on at most four qubits.
 
 The deciders consume sampling oracles through small factory callables so
-the exact diagonalization-based oracle and the genuine simulated estimators
-are interchangeable.
+the exact diagonalization-based oracle and the quantum estimators (draws
+from the phase-estimation and Hadamard-test output laws) are
+interchangeable.  A factory prepares once; its draws reuse the preparation.
 """
 from __future__ import annotations
 
@@ -37,16 +38,10 @@ from .circuits import (
     invert_circuit,
     named_gate,
     output_split,
-    serialize_circuit,
 )
 from .distributions import exact_distribution, exact_sampler
 from .errors import DimensionMismatch, EmptyCircuit, OracleFailure, TooLarge
-from .hamiltonians import (
-    LocalHamiltonian,
-    LocalTerm,
-    prepare_lhes,
-    serialize_hamiltonian,
-)
+from .hamiltonians import LocalHamiltonian, LocalTerm, prepare_lhes
 from .phase_estimation import SamplingRequest, prepare_pes
 
 # Largest compact system-times-clock dimension we assemble densely.
@@ -413,7 +408,7 @@ def decide_via_luae(
 
 
 # ---------------------------------------------------------------------------
-# oracle factories (exact diagonalization vs simulated estimators)
+# oracle factories (exact diagonalization vs quantum estimator laws)
 
 def exact_lhes_oracle(instance: LhesInstance):
     dist = exact_distribution(
@@ -422,20 +417,8 @@ def exact_lhes_oracle(instance: LhesInstance):
     return lambda rng: exact_sampler(dist, rng)
 
 
-_LHES_PREP_CACHE: dict = {}
-
-
 def quantum_lhes_oracle(instance: LhesInstance):
-    req = instance.unary_request
-    key = (
-        serialize_hamiltonian(instance.unary.hamiltonian),
-        req.epsilon,
-        req.delta,
-        req.b,
-    )
-    if key not in _LHES_PREP_CACHE:
-        _LHES_PREP_CACHE[key] = prepare_lhes(instance.unary.hamiltonian, req)
-    prep = _LHES_PREP_CACHE[key]
+    prep = prepare_lhes(instance.unary.hamiltonian, instance.unary_request)
     return lambda rng: prep.sample(rng).lambda_est
 
 
@@ -444,14 +427,8 @@ def exact_pes_oracle(circuit: Circuit, req: SamplingRequest):
     return lambda rng: exact_sampler(dist, rng)
 
 
-_PES_PREP_CACHE: dict = {}
-
-
 def quantum_pes_oracle(circuit: Circuit, req: SamplingRequest):
-    key = (serialize_circuit(circuit), req.epsilon, req.delta, req.b)
-    if key not in _PES_PREP_CACHE:
-        _PES_PREP_CACHE[key] = prepare_pes(circuit, req)
-    prep = _PES_PREP_CACHE[key]
+    prep = prepare_pes(circuit, req)
     return lambda rng: prep.sample(rng).phi
 
 

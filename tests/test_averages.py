@@ -185,7 +185,7 @@ class TestPhaseAveragingPitfall:
         true = np.exp(2j * np.pi * phase)
 
         eigvec = StateVector(1, 1, np.array([0.0, 1.0], dtype=complex))
-        prep = prepare_phase_estimation(circ, eigvec, 4)
+        prep = prepare_phase_estimation(circuit_unitary(circ), eigvec, 4)
         grid = np.arange(16) / 16.0
         qpe_mean = np.sum(prep.raw_probabilities * np.exp(2j * np.pi * grid))
         # the kernel mean contracts by exactly 1/8 at this phase offset

@@ -13,7 +13,6 @@ from eigensample import (
     TooLarge,
     apply_circuit,
     apply_gate,
-    apply_gate_controlled,
     circuit_unitary,
     gate_unitary,
     invert_circuit,
@@ -24,6 +23,7 @@ from eigensample import (
     serialize_circuit,
     tensor,
 )
+from _gate_level import apply_gate_controlled
 from _helpers import haar_unitary, random_circuit, random_state
 
 EXACT_TOL = 1e-12

@@ -174,6 +174,13 @@ class TestSamplingCommands:
         assert first == second
         assert first.endswith("\n")
 
+    def test_pes_above_dense_cap_fails_fast(self, files, capsys):
+        argv = ["pes", files["wide"], "--epsilon", "0.25", "--delta", "0.1", "--b", "0" * 13]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "TooLarge"
+
     def test_out_flag_redirects_report(self, files, capsys):
         argv = [
             "pes", files["x"],

@@ -20,6 +20,7 @@ from eigensample import (
     hermitian_eig,
     parse_hamiltonian,
     prepare_lhes,
+    prepare_phase_estimation,
     scale_hamiltonian,
     serialize_hamiltonian,
     trotter_circuit,
@@ -27,8 +28,12 @@ from eigensample import (
     trotter_step_count,
     unitary_eig,
 )
-from eigensample.hamiltonians import _unitary_power
-from _helpers import haar_unitary, random_local_hamiltonian
+from _helpers import (
+    geometric_phase_law,
+    haar_unitary,
+    random_local_hamiltonian,
+    random_state,
+)
 
 DENSE_TOL = 1e-12
 MASS_TOL = 1e-9
@@ -270,23 +275,84 @@ class TestAverage:
 
 
 class TestUnitaryPower:
+    """prepare_phase_estimation raises the step unitary to `power` by
+    multiplying its eigenphases, never by forming the matrix power."""
+
+    def law(self, u, power=1):
+        b = random_state(2, np.random.default_rng(60))
+        return prepare_phase_estimation(u, b, 8, power=power).raw_probabilities
+
     def test_zero_exponent_is_identity(self):
         u = haar_unitary(4, np.random.default_rng(57))
-        assert np.allclose(_unitary_power(u, 0), np.eye(4), atol=DENSE_TOL)
+        law = self.law(u, power=0)
+        assert np.allclose(law, self.law(np.eye(4)), atol=DENSE_TOL)
+        assert abs(law[0] - 1.0) < DENSE_TOL
 
     def test_small_exponents_match_direct_products(self):
         u = haar_unitary(4, np.random.default_rng(58))
         for e in (1, 2, 3, 7, 12):
-            assert np.allclose(
-                _unitary_power(u, e), np.linalg.matrix_power(u, e), atol=POWER_TOL
-            )
+            direct = self.law(np.linalg.matrix_power(u, e))
+            assert np.max(np.abs(self.law(u, power=e) - direct)) < POWER_TOL
 
     def test_huge_exponent_stays_unitary_and_matches_spectrum(self):
+        # the powered law is still a probability law, and matches the law of
+        # the power assembled from the spectrum
         u = haar_unitary(4, np.random.default_rng(59))
         e = 12634
-        powered = _unitary_power(u, e)
-        assert np.max(np.abs(powered.conj().T @ powered - np.eye(4))) < 1e-12
+        law = self.law(u, power=e)
+        assert abs(law.sum() - 1.0) < DENSE_TOL
         dec = unitary_eig(u)
         v = dec.eigenvectors
         spectral = v @ np.diag(dec.eigenvalues**e) @ v.conj().T
-        assert np.max(np.abs(powered - spectral)) < 1e-9
+        assert np.max(np.abs(law - self.law(spectral))) < 1e-9
+
+
+def _embed(mp, matrix, support, qubits):
+    """Dense 2^n embedding of a gate on `support` (qubit 0 most significant)."""
+    dim = 2**qubits
+    rest = [q for q in range(qubits) if q not in support]
+    out = mp.zeros(dim, dim)
+    for r in range(dim):
+        for c in range(dim):
+            bits_r = [(r >> (qubits - 1 - q)) & 1 for q in range(qubits)]
+            bits_c = [(c >> (qubits - 1 - q)) & 1 for q in range(qubits)]
+            if any(bits_r[q] != bits_c[q] for q in rest):
+                continue
+            i = int("".join(str(bits_r[q]) for q in support), 2)
+            j = int("".join(str(bits_c[q]) for q in support), 2)
+            out[r, c] = matrix[i, j]
+    return out
+
+
+class TestLhesLawReference:
+    """prepare_lhes against the same Trotter slice built and diagonalized at
+    40 digits, with its eigenphases multiplied by the step count mod 1."""
+
+    @pytest.mark.parametrize("seed, qubits", [(31, 2), (32, 3)])
+    def test_law_matches_forty_digit_slice(self, seed, qubits):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        h = random_local_hamiltonian(qubits, 3, np.random.default_rng(seed))
+        scale = scale_hamiltonian(h)
+        b = BasisLabel("0" * qubits)
+        sampler = prepare_lhes(h, SamplingRequest(2.0**-12 * scale.lambda_cap, 0.1, b))
+        assert sampler.t == 16
+        steps = sampler.trotter_steps
+        with mp.workdps(40):
+            slice_u = mp.eye(2**qubits)
+            for term in scale.scaled.terms:  # trotter_circuit order
+                k = 2 ** len(term.support)
+                generator = mp.matrix(
+                    [[mp.mpc(complex(term.matrix[i, j])) for j in range(k)] for i in range(k)]
+                )
+                factor = mp.expm(generator * (2j * mp.pi / steps))
+                slice_u = _embed(mp, factor, term.support, qubits) * slice_u
+            values, vectors = mp.eig(slice_u)
+            phases, weights = [], []
+            for col, value in enumerate(values):
+                norm2 = sum(abs(vectors[r, col]) ** 2 for r in range(2**qubits))
+                weights.append(float(abs(vectors[b.basis_index(), col]) ** 2 / norm2))
+                phases.append(float(mp.arg(value) / (2 * mp.pi) * steps % 1))
+        reference = geometric_phase_law(16, phases, weights)
+        tv = 0.5 * np.sum(np.abs(sampler.prepared.raw_probabilities - reference))
+        assert tv <= 1e-4

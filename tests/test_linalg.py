@@ -1,4 +1,4 @@
-"""Dense linear algebra: eigensolvers, tensor products, norms, projections."""
+"""Dense linear algebra: eigensolvers, tensor products, norms."""
 import numpy as np
 import pytest
 
@@ -9,7 +9,6 @@ from eigensample import (
     hermitian_eig,
     is_hermitian,
     is_unitary,
-    nearest_unitary,
     operator_norm,
     tensor,
     unitary_eig,
@@ -183,21 +182,6 @@ class TestDegenerateWeights:
         weight = float(np.sum(np.abs(dec.eigenvectors[0, mask]) ** 2))
         projector = v[:, :2] @ v[:, :2].conj().T
         assert abs(weight - float((b.conj() @ projector @ b).real)) < WEIGHT_TOL
-
-
-class TestNearestUnitary:
-    def test_projects_back_after_drift(self):
-        rng = np.random.default_rng(9)
-        u = haar_unitary(8, rng)
-        noise = 1e-8 * (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-        out = nearest_unitary(u + noise)
-        assert is_unitary(out, 1e-13)
-        assert operator_norm(out - u) < 1e-6
-
-    def test_fixes_unitaries(self):
-        rng = np.random.default_rng(10)
-        u = haar_unitary(4, rng)
-        assert operator_norm(nearest_unitary(u) - u) < 1e-13
 
 
 def test_hermiticity_and_unitarity_predicates():

@@ -1,8 +1,9 @@
-"""Quantum Fourier transform, controlled powers, and eigenphase sampling."""
+"""Phase-estimation law and sampling, checked against closed forms and the
+gate-level reference estimator (Fourier transform, controlled powers)."""
 import numpy as np
 import pytest
 
-import eigensample.phase_estimation as pe_module
+import _gate_level as gate_level
 from eigensample import (
     BasisLabel,
     Circuit,
@@ -13,15 +14,13 @@ from eigensample import (
     StateVector,
     ceil_log2,
     circuit_unitary,
-    controlled_power_apply,
     named_gate,
     pes_sample,
     phase_estimate,
     prepare_pes,
     prepare_phase_estimation,
-    prepare_phase_estimation_dense,
-    qft_apply,
 )
+from _gate_level import ancilla_law, controlled_power_apply, qft_apply
 from _helpers import (
     circular_distance,
     geometric_phase_law,
@@ -59,7 +58,6 @@ class TestRequestAndConfig:
         # ceil_log2(32) + ceil_log2(2 + 1/0.2) = 5 + 3
         cfg = EstimatorConfig.from_request(1.0 / 32.0, 0.1)
         assert cfg.t == 8
-        assert cfg.powers == tuple(2**k for k in range(8))
 
     def test_epsilon_above_one_is_legal(self):
         # eigenvalue sampling rescales by the spectral cap, so the raw
@@ -164,84 +162,95 @@ class TestControlledPower:
             controlled_power_apply(circ, 0, 0, state)
 
 
+def prepare(circuit, system_state, t):
+    return prepare_phase_estimation(circuit_unitary(circuit), system_state, t)
+
+
 class TestPreparedDistribution:
-    def test_gate_and_dense_routes_agree(self):
+    def test_gate_level_reference_matches_core(self):
         rng = np.random.default_rng(43)
-        circ = random_circuit(2, 8, rng)
-        system = random_state(2, rng)
-        a = prepare_phase_estimation(circ, system, 5)
-        b = prepare_phase_estimation_dense(circuit_unitary(circ), system, 5)
-        assert a.t == b.t == 5
-        assert np.allclose(a.final_state.amplitudes, b.final_state.amplitudes, atol=1e-9)
-        assert np.allclose(a.raw_probabilities, b.raw_probabilities, atol=1e-9)
+        for qubits in (2, 3):
+            for t in (3, 5, 6):
+                circ = random_circuit(qubits, 6, rng)
+                system = random_state(qubits, rng, clock_dim=2)
+                law = prepare(circ, system, t).raw_probabilities
+                reference = ancilla_law(circ, system, t)
+                assert np.max(np.abs(law - reference)) <= LAW_TOL
 
     def test_isolated_phase_follows_geometric_law(self):
         eigvec = StateVector(1, 1, np.array([0.0, 1.0], dtype=complex))
-        prep = prepare_phase_estimation(phase_circuit(0.3), eigvec, 6)
+        prep = prepare(phase_circuit(0.3), eigvec, 6)
         law = geometric_phase_law(6, [0.3], [1.0])
         assert np.max(np.abs(prep.raw_probabilities - law)) < LAW_TOL
 
     def test_mixture_weights_add_linearly(self):
         plus = StateVector(1, 1, np.array([1.0, 1.0]) / np.sqrt(2))
         circ = phase_circuit(0.3, 0.55)
-        mixed = prepare_phase_estimation(circ, plus, 6).raw_probabilities
+        mixed = prepare(circ, plus, 6).raw_probabilities
         law = geometric_phase_law(6, [0.3, 0.55], [0.5, 0.5])
         assert np.max(np.abs(mixed - law)) < LAW_TOL
         # same thing computed from the two eigenvector runs directly
         e0 = StateVector.basis(1, 0)
         e1 = StateVector.basis(1, 1)
         per_phase = (
-            prepare_phase_estimation(circ, e0, 6).raw_probabilities
-            + prepare_phase_estimation(circ, e1, 6).raw_probabilities
+            prepare(circ, e0, 6).raw_probabilities
+            + prepare(circ, e1, 6).raw_probabilities
         ) / 2.0
         assert np.max(np.abs(mixed - per_phase)) < PROB_TOL
 
     def test_exactly_representable_phases_are_sharp(self):
         circ = Circuit(2, [named_gate("x", 0), named_gate("x", 1)])
         zero = StateVector.basis(2, 0)
-        prep = prepare_phase_estimation(circ, zero, 4)
+        prep = prepare(circ, zero, 4)
         probs = prep.raw_probabilities
         # X(x)X from |00>: phases 0 and 1/2, each with weight 1/2
         assert abs(probs[0] - 0.5) < PROB_TOL
         assert abs(probs[8] - 0.5) < PROB_TOL
         assert np.sum(np.abs(probs) > PROB_TOL) == 2
 
+    def test_phases_near_the_seam_keep_full_precision(self):
+        # phi and 1 - phi give mirrored laws, P_phi(x) = P_(1-phi)(-x); the
+        # law for a phase just below 1 must not lose digits to the wrap
+        t = 16
+        one = StateVector.basis(1, 1)
+        below = prepare(phase_circuit(-1e-7), one, t).raw_probabilities
+        above = prepare(phase_circuit(1e-7), one, t).raw_probabilities
+        mirrored = above[(-np.arange(2**t)) % 2**t]
+        assert np.max(np.abs(below - mirrored)) < 1e-11
+
     def test_conditioning_recovers_the_eigenvector(self):
+        # post-measurement system state of the gate-level reference
         plus = StateVector(1, 1, np.array([1.0, 1.0]) / np.sqrt(2))
-        prep = prepare_phase_estimation(phase_circuit(0.3, 0.7), plus, 6)
-        cond = prep.conditional_system_state(19)
+        final = gate_level.final_state(phase_circuit(0.3, 0.7), plus, 6)
+        block = final.amplitudes.reshape(2**6, -1)[19]
+        cond = block / np.linalg.norm(block)
         # raw 19 sits nearest 0.3; the competing kernel at 0.7 is tiny
         k_near = geometric_phase_law(6, [0.3], [1.0])[19]
         k_far = geometric_phase_law(6, [0.7], [1.0])[19]
         predicted = k_near / (k_near + k_far)
-        fidelity = abs(cond.amplitudes[0]) ** 2
+        fidelity = abs(cond[0]) ** 2
         assert abs(fidelity - predicted) < 1e-12
         assert fidelity > 0.999
 
-    def test_conditioning_on_zero_mass_rejected(self):
-        eigvec = StateVector.basis(1, 0)
-        prep = prepare_phase_estimation(phase_circuit(0.25), eigvec, 4)
-        with pytest.raises(ValueError):
-            prep.conditional_system_state(1)
-
     def test_work_is_two_to_t_minus_one(self, monkeypatch):
+        # the reference is the literal estimator: one controlled power per
+        # ancilla, 1 + 2 + ... + 2^(t-1) circuit passes in all
         calls = []
-        original = pe_module.controlled_power_apply
+        original = gate_level.controlled_power_apply
 
         def spy(circuit, control, power, state):
             calls.append(power)
             return original(circuit, control, power, state)
 
-        monkeypatch.setattr(pe_module, "controlled_power_apply", spy)
+        monkeypatch.setattr(gate_level, "controlled_power_apply", spy)
         eigvec = StateVector.basis(1, 0)
-        prepare_phase_estimation(phase_circuit(0.3), eigvec, 6)
-        # one controlled power per ancilla: 1 + 2 + ... + 2^(t-1)
+        gate_level.final_state(phase_circuit(0.3), eigvec, 6)
         assert sorted(calls) == [2**k for k in range(6)]
         assert sum(calls) == 2**6 - 1
 
     def test_batch_matches_sequential_stream(self):
         plus = StateVector(1, 1, np.array([1.0, 1.0]) / np.sqrt(2))
-        prep = prepare_phase_estimation(phase_circuit(0.3), plus, 6)
+        prep = prepare(phase_circuit(0.3), plus, 6)
         batch = prep.sample_raw_batch(7, np.random.default_rng(5))
         rng = np.random.default_rng(5)
         sequential = [prep.sample(rng).raw for _ in range(7)]

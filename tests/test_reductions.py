@@ -424,7 +424,8 @@ class TestDeciders:
         with pytest.raises(OracleFailure):
             decide_via_lhes(ACCEPT_BASE, X0, broken, np.random.default_rng(88), votes=3)
 
-    def test_quantum_preparation_is_cached(self, monkeypatch):
+    def test_quantum_oracle_prepares_once(self, monkeypatch):
+        # the oracle holds its preparation; draws never prepare again
         calls = []
         original = red_module.prepare_lhes
 
@@ -434,11 +435,11 @@ class TestDeciders:
 
         monkeypatch.setattr(red_module, "prepare_lhes", spy)
         inst = build_lhes_instance(rotation_base(0.3), X0)
-        first = quantum_lhes_oracle(inst)
-        second = quantum_lhes_oracle(inst)
-        assert len(calls) == 1
-        draw = float(first(np.random.default_rng(89)))
-        assert abs(draw) <= 2.0 + inst.compact_request.epsilon
+        draw = quantum_lhes_oracle(inst)
+        rng = np.random.default_rng(89)
+        draws = [float(draw(rng)) for _ in range(20)]
+        assert calls == [inst.unary_request]
+        assert all(abs(a) <= 2.0 + inst.compact_request.epsilon for a in draws)
 
 
 class TestGridSeparation:
