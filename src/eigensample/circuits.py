@@ -47,7 +47,6 @@ GATE_MATRICES: dict[str, np.ndarray] = {
 GATE_ARITY = {name: int(np.log2(m.shape[0])) for name, m in GATE_MATRICES.items()}
 # Adjoint renaming used by invert_circuit; everything else keeps its name.
 _ADJOINT_NAME = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
-_CUSTOM_NAMES = ("u1", "u2", "u3", "u4")  # u3/u4 are internal only, never parsed
 
 
 @dataclass

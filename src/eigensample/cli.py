@@ -59,6 +59,7 @@ from .reductions import (
     exact_lhes_oracle,
     exact_luae_oracle,
     exact_pes_oracle,
+    lhes_epsilon,
     mark_circuit,
     quantum_lhes_oracle,
     quantum_luae_oracle,
@@ -176,6 +177,13 @@ def _require_desk_scale(qubit_count: int) -> None:
         )
 
 
+def _exact_law(kind: str, obj, b: BasisLabel):
+    """Exact spectral law of a circuit (phases) or Hamiltonian (values) from b."""
+    if kind == "circuit":
+        return exact_distribution(circuit_unitary(obj), b, "unitary")
+    return exact_distribution(dense_hamiltonian(obj), b, "hermitian")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -195,10 +203,7 @@ def _cmd_spectrum(args) -> int:
     kind, obj = _load_input(args.file, args.kind)
     b = BasisLabel(args.b)
     _require_desk_scale(obj.qubit_count)
-    if kind == "circuit":
-        dist = exact_distribution(circuit_unitary(obj), b, "unitary")
-    else:
-        dist = exact_distribution(dense_hamiltonian(obj), b, "hermitian")
+    dist = _exact_law(kind, obj, b)
     report = _base_report(args.seed, None, None)
     report["kind"] = kind
     report["b"] = args.b
@@ -280,8 +285,7 @@ def _cmd_decide(args) -> int:
     if args.route == "lhes":
         factory = exact_lhes_oracle if exact else quantum_lhes_oracle
         accept = decide_via_lhes(circuit, x, factory, rng)
-        clock_dim = 2 * len(circuit.gates) + 1
-        epsilon, delta = 1.0 / (4.0 * clock_dim), LHES_DELTA
+        epsilon, delta = lhes_epsilon(mark_circuit(circuit, "lhes-copy")), LHES_DELTA
     elif args.route == "pes":
         factory = exact_pes_oracle if exact else quantum_pes_oracle
         accept = decide_via_pes(circuit, x, factory, rng)
@@ -313,11 +317,7 @@ def _cmd_verify(args) -> int:
         raise UsageError(
             'samples file must hold {"samples": [...], "epsilon": e, "delta": d}'
         ) from exc
-    b = BasisLabel(args.b)
-    if kind == "circuit":
-        target = exact_distribution(circuit_unitary(obj), b, "unitary")
-    else:
-        target = exact_distribution(dense_hamiltonian(obj), b, "hermitian")
+    target = _exact_law(kind, obj, BasisLabel(args.b))
     feasible, slack, flow = empirical_feasibility(samples, target, epsilon, delta)
     report = _base_report(args.seed, epsilon, delta)
     report["b"] = args.b

@@ -1,5 +1,8 @@
 """Spectral distributions, exact sampling, and transport-feasibility checks.
 
+spectral_weights is the one eigensolve-and-weights step (exact_distribution
+merges its output, phase_estimation blurs it); inverse_cdf draws for all.
+
 A distribution q (epsilon, delta)-approximates p when q's mass can be split
 so that every target point x_j receives at least (1 - delta) p_j from within
 distance epsilon.  That is a transportation feasibility question, decided
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import BasisLabel
+from .circuits import BasisLabel, StateVector
 from .errors import DimensionMismatch, MetricMismatch
 from .linalg import hermitian_eig, unitary_eig
 
@@ -68,10 +71,8 @@ class SpectralDistribution:
         return [w for _, w in self.points]
 
 
-def make_distribution(
-    values, weights, metric: str, dedup_tol: float = DEDUP_TOL
-) -> SpectralDistribution:
-    """Build a distribution, merging values closer than dedup_tol.
+def make_distribution(values, weights, metric: str) -> SpectralDistribution:
+    """Build a distribution, merging values closer than DEDUP_TOL.
 
     Zero-weight values are dropped.  Under the circular metric the first and
     last clusters merge across the wrap point when they touch.
@@ -82,14 +83,14 @@ def make_distribution(
     pairs.sort()
     clusters: list[list[tuple[float, float]]] = [[pairs[0]]]
     for v, w in pairs[1:]:
-        if v - clusters[-1][-1][0] <= dedup_tol:
+        if v - clusters[-1][-1][0] <= DEDUP_TOL:
             clusters[-1].append((v, w))
         else:
             clusters.append([(v, w)])
     wrapped = False
     if metric == "circular" and len(clusters) > 1:
         gap = (clusters[0][0][0] + 1.0) - clusters[-1][-1][0]
-        if gap <= dedup_tol:
+        if gap <= DEDUP_TOL:
             clusters[0] = [(v - 1.0, w) for v, w in clusters[-1]] + clusters[0]
             clusters.pop()
             wrapped = True
@@ -104,6 +105,23 @@ def make_distribution(
     return SpectralDistribution(points, metric)
 
 
+def spectral_weights(operator, state, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (kind "hermitian") or eigenphases in [0, 1) (kind
+    "unitary") of `operator`, with the weights sum_c |<eta_k|psi_c>|^2 of
+    the state's amplitudes read as (dim, clock) columns: a clock register
+    beyond the operator's dimension is a spectator."""
+    if kind == "hermitian":
+        dec = hermitian_eig(operator)
+        values = dec.eigenvalues
+    elif kind == "unitary":
+        dec = unitary_eig(operator)
+        values = dec.phases()
+    else:
+        raise ValueError("kind must be 'hermitian' or 'unitary'")
+    overlaps = dec.eigenvectors.conj().T @ np.reshape(state, (len(values), -1))
+    return values, np.sum(np.abs(overlaps) ** 2, axis=1)
+
+
 def exact_distribution(matrix: np.ndarray, b: BasisLabel, kind: str) -> SpectralDistribution:
     """Ground-truth spectral law of measuring `matrix` in state |b>.
 
@@ -111,44 +129,32 @@ def exact_distribution(matrix: np.ndarray, b: BasisLabel, kind: str) -> Spectral
     the full projector expectation <b|P|b>.  kind "hermitian" yields values
     on the real line; kind "unitary" yields phases in [0, 1).
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    dim = matrix.shape[0]
+    dim = np.shape(matrix)[0]
     qubit_dim = 2**b.qubit_count
     if dim % qubit_dim != 0:
         raise DimensionMismatch(
             f"matrix dimension {dim} does not contain a {b.qubit_count}-qubit register"
         )
-    clock_dim = dim // qubit_dim
-    if b.clock_index >= clock_dim:
-        raise DimensionMismatch("label clock index outside matrix clock register")
-    row = b.basis_index() * clock_dim + b.clock_index
-    if kind == "hermitian":
-        dec = hermitian_eig(matrix)
-        values = dec.eigenvalues
-        metric = "absolute"
-    elif kind == "unitary":
-        dec = unitary_eig(matrix)
-        values = dec.phases()
-        metric = "circular"
-    else:
-        raise ValueError("kind must be 'hermitian' or 'unitary'")
-    weights = np.abs(dec.eigenvectors[row, :]) ** 2
-    return make_distribution(values, weights, metric)
+    state = StateVector.from_label(b, clock_dim=dim // qubit_dim)
+    values, weights = spectral_weights(matrix, state.amplitudes, kind)
+    return make_distribution(values, weights, "absolute" if kind == "hermitian" else "circular")
+
+
+def inverse_cdf(cumulative: np.ndarray, uniforms):
+    """Outcome indices that uniforms in [0, 1) select under the running
+    weight sums `cumulative` (need not end at exactly 1)."""
+    idx = np.searchsorted(cumulative, uniforms * cumulative[-1], side="right")
+    return np.minimum(idx, len(cumulative) - 1)
 
 
 def exact_sampler(dist: SpectralDistribution, rng: np.random.Generator) -> float:
     """One inverse-CDF draw from the distribution."""
-    cum = np.cumsum(dist.weights())
-    idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    return dist.points[min(idx, len(dist.points) - 1)][0]
+    return dist.points[int(inverse_cdf(np.cumsum(dist.weights()), rng.random()))][0]
 
 
 def sample_values(dist: SpectralDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized i.i.d. draws; same law as repeated exact_sampler calls."""
-    cum = np.cumsum(dist.weights())
-    idx = np.searchsorted(cum, rng.random(count) * cum[-1], side="right")
-    vals = np.array(dist.values())
-    return vals[np.minimum(idx, len(vals) - 1)]
+    return np.array(dist.values())[inverse_cdf(np.cumsum(dist.weights()), rng.random(count))]
 
 
 def total_variation(p: SpectralDistribution, q: SpectralDistribution) -> float:

@@ -20,7 +20,6 @@ UNITARY_TOL = 1e-10
 # as one eigenspace in unitary_eig.  The Hermitian part of a unitary has
 # spectrum inside [-1, 1], so an absolute gap is the right scale.
 DEGENERACY_GAP = 1e-8
-NORM_TOL = 1e-10
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:

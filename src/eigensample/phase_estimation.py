@@ -12,32 +12,32 @@ F_t(y) = sin^2(pi y) / (2^2t sin^2(pi y / 2^t)).  Feeding a basis state |b>
 instead of an eigenvector therefore samples the spectral law of U seen from
 |b>, blurred by the kernel.
 
-prepare_phase_estimation builds that law from one eigendecomposition; it is
-the only place a phase-estimation law is made.  Sampling is split from
-preparation: a PreparedPhaseEstimation holds the law and hands out cheap
-i.i.d. draws.
+prepare_phase_estimation, the only place such a law is made, blurs the output
+of distributions.spectral_weights; EstimatorConfig is the one rule for t.
+Sampling is split from preparation: a PreparedPhaseEstimation holds the law
+and hands out cheap i.i.d. draws through distributions.inverse_cdf.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuits import BasisLabel, Circuit, StateVector, circuit_unitary
-from .errors import DimensionMismatch, NotEigenvector
-from .linalg import unitary_eig
+from .distributions import inverse_cdf, spectral_weights
+from .errors import DimensionMismatch, NotEigenvector, TooLarge
 
 EIGENVECTOR_TOL = 1e-8
+# Largest ancilla count t: the law holds 2^t float64s, 128 MiB at the cap.
+MAX_ESTIMATOR_BITS = 24
 
 
 def ceil_log2(x: float) -> int:
-    """Smallest integer t with 2**t >= x, evaluated without float log noise."""
-    if x <= 0:
-        raise ValueError("argument must be positive")
-    t = 0
-    while 2**t < x:
-        t += 1
-    return t
+    """Smallest integer t >= 0 with 2**t >= x, exactly: 2**t >= x iff 2**t >= ceil(x)."""
+    if not 0 < x < math.inf:
+        raise ValueError("argument must be positive and finite")
+    return (math.ceil(x) - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,10 @@ class EstimatorConfig:
 
     @classmethod
     def from_request(cls, epsilon: float, delta: float) -> "EstimatorConfig":
-        return cls(ceil_log2(1.0 / epsilon) + ceil_log2(2.0 + 1.0 / (2.0 * delta)))
+        t = ceil_log2(1.0 / epsilon) + ceil_log2(2.0 + 1.0 / (2.0 * delta))
+        if t > MAX_ESTIMATOR_BITS:
+            raise TooLarge(f"{t} ancilla bits exceed the cap of {MAX_ESTIMATOR_BITS}")
+        return cls(t)
 
 
 @dataclass(frozen=True)
@@ -91,17 +94,12 @@ class PreparedPhaseEstimation:
     def __post_init__(self):
         self._cumulative = np.cumsum(self.raw_probabilities)
 
-    def _outcomes(self, uniforms):
-        cum = self._cumulative
-        raws = np.searchsorted(cum, uniforms * cum[-1], side="right")
-        return np.minimum(raws, len(cum) - 1)
-
     def sample(self, rng: np.random.Generator) -> PhaseSample:
-        raw = int(self._outcomes(rng.random()))
+        raw = int(inverse_cdf(self._cumulative, rng.random()))
         return PhaseSample(raw / 2**self.t, raw)
 
     def sample_raw_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return self._outcomes(rng.random(count))
+        return inverse_cdf(self._cumulative, rng.random(count))
 
 
 def prepare_phase_estimation(
@@ -112,16 +110,13 @@ def prepare_phase_estimation(
     eigenphase is multiplied by `power` mod 1, exactly.  A clock register on
     the state is a spectator: U acts as U (x) I on it."""
     n = system_state.qubit_count
-    u = np.asarray(unitary, dtype=complex)
-    if u.shape != (2**n, 2**n):
+    if np.shape(unitary) != (2**n, 2**n):
         raise DimensionMismatch("unitary does not match system register")
-    dec = unitary_eig(u)
-    amps = system_state.amplitudes.reshape(2**n, -1)
-    weights = np.sum(np.abs(dec.eigenvectors.conj().T @ amps) ** 2, axis=1)
+    phases, weights = spectral_weights(unitary, system_state.amplitudes, "unitary")
     dim = 2**t
     outcomes = np.arange(dim)
     law = np.zeros(dim)
-    for phi, w in zip(dec.phases() * power % 1.0, weights):
+    for phi, w in zip(phases * power % 1.0, weights):
         # 2^t phi = nearest + frac exactly (dim is a power of two); the
         # kernel's numerator is sin^2(pi frac) for every outcome, and the
         # offset nearest - x wrapped into [-dim/2, dim/2) keeps the
@@ -155,14 +150,14 @@ def phase_estimate(
         raise ValueError("delta must lie in (0, 1)")
     if eigenvector.clock_dim != 1:
         raise DimensionMismatch("eigenvector must not carry a clock register")
+    cfg = EstimatorConfig.from_request(2.0**-n_bits, delta)
     u = circuit_unitary(circuit)
     v = eigenvector.amplitudes
     lam = complex(v.conj() @ (u @ v))
     residual = float(np.linalg.norm(u @ v - lam * v))
     if residual > EIGENVECTOR_TOL:
         raise NotEigenvector(f"residual {residual:.3e} exceeds {EIGENVECTOR_TOL}")
-    t = n_bits + ceil_log2(2.0 + 1.0 / (2.0 * delta))
-    return prepare_phase_estimation(u, eigenvector, t).sample(rng)
+    return prepare_phase_estimation(u, eigenvector, cfg.t).sample(rng)
 
 
 def prepare_pes(circuit: Circuit, req: SamplingRequest) -> PreparedPhaseEstimation:

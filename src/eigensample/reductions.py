@@ -147,8 +147,6 @@ class HistoryAnalysis:
     overlaps: np.ndarray
     plus_basis: list[StateVector]
     minus_basis: list[StateVector]
-    integer_phase_grid: np.ndarray
-    half_phase_grid: np.ndarray
     weight_plus: float
     weight_minus: float
     alpha0: complex
@@ -223,8 +221,6 @@ def analyze_history(marked: MarkedCircuit, x: BasisLabel) -> HistoryAnalysis:
         overlaps=overlaps,
         plus_basis=plus_basis,
         minus_basis=minus_basis,
-        integer_phase_grid=np.arange(clock_dim) / clock_dim,
-        half_phase_grid=(np.arange(clock_dim) + 0.5) / clock_dim,
         weight_plus=(1.0 + alpha0_sq) / (2.0 * clock_dim),
         weight_minus=(abs(split.alpha1) ** 2) / (2.0 * clock_dim),
         alpha0=split.alpha0,
@@ -309,7 +305,6 @@ def eigenvalue_grids(clock_dim: int) -> tuple[np.ndarray, np.ndarray]:
 class LhesInstance:
     """Everything an eigenvalue-sampling oracle needs for one decision."""
 
-    marked: MarkedCircuit
     clock_dim: int
     compact_matrix: np.ndarray
     compact_request: SamplingRequest
@@ -325,17 +320,21 @@ def _padded_input_bits(base: Circuit, x: BasisLabel) -> str:
     return x.bits + "0" * (base.qubit_count - len(x.bits))
 
 
+def lhes_epsilon(marked: MarkedCircuit) -> float:
+    """LHES decider precision 1/(4 clock_dim); the clock has one step per gate."""
+    return 1.0 / (4.0 * len(marked.full.gates))
+
+
 def build_lhes_instance(base: Circuit, x: BasisLabel) -> LhesInstance:
     bits = _padded_input_bits(base, x)
     marked = mark_circuit(base, "lhes-copy")
     propagator = build_clock_propagator(marked)
     clock_dim = propagator.clock_dim
-    epsilon = 1.0 / (4.0 * clock_dim)
+    epsilon = lhes_epsilon(marked)
     compact_b = BasisLabel("0" + bits, 0)
     unary_b = BasisLabel("0" + bits + "1" + "0" * (clock_dim - 1), 0)
     unary = build_unary_clock(marked)
     return LhesInstance(
-        marked=marked,
         clock_dim=clock_dim,
         compact_matrix=build_clock_hamiltonian(propagator),
         compact_request=SamplingRequest(epsilon, LHES_DELTA, compact_b),

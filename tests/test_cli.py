@@ -181,6 +181,17 @@ class TestSamplingCommands:
         assert out == ""
         assert json.loads(err)["error"] == "TooLarge"
 
+    def test_pes_above_ancilla_cap_fails_fast(self, files, capsys):
+        # epsilon 1e-9 asks for t = 33: a 2^33-entry law, refused before any
+        # dense unitary is built
+        argv = ["pes", files["bell"], "--epsilon", "1e-9", "--delta", "0.1", "--b", "00"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "TooLarge"
+        assert payload["exit_code"] == 2
+
     def test_out_flag_redirects_report(self, files, capsys):
         argv = [
             "pes", files["x"],

@@ -11,6 +11,7 @@ from eigensample import (
     DimensionMismatch,
     FlowNetwork,
     MetricMismatch,
+    PreparedPhaseEstimation,
     SpectralDistribution,
     approx_check,
     empirical_approx_check,
@@ -160,11 +161,16 @@ class TestSampler:
         assert p > 1e-4
 
     def test_batch_matches_sequential(self):
-        d = SpectralDistribution([(0.0, 0.2), (0.5, 0.3), (0.9, 0.5)], "circular")
+        # one law on the 2-bit phase grid, three samplers, one seed
+        weights = [0.2, 0.3, 0.0, 0.5]
+        d = SpectralDistribution(list(zip(np.arange(4) / 4.0, weights)), "circular")
         batch = sample_values(d, 5, np.random.default_rng(26))
         rng = np.random.default_rng(26)
         single = [exact_sampler(d, rng) for _ in range(5)]
+        prepared = PreparedPhaseEstimation(2, np.array(weights))
+        raws = prepared.sample_raw_batch(5, np.random.default_rng(26))
         assert np.array_equal(batch, single)
+        assert np.array_equal(raws / 4.0, batch)
 
 
 class TestTotalVariation:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import _gate_level as gate_level
+import eigensample.phase_estimation as phase_estimation
 from eigensample import (
     BasisLabel,
     Circuit,
@@ -12,6 +13,7 @@ from eigensample import (
     NotEigenvector,
     SamplingRequest,
     StateVector,
+    TooLarge,
     ceil_log2,
     circuit_unitary,
     named_gate,
@@ -20,6 +22,7 @@ from eigensample import (
     prepare_pes,
     prepare_phase_estimation,
 )
+from eigensample.phase_estimation import MAX_ESTIMATOR_BITS
 from _gate_level import ancilla_law, controlled_power_apply, qft_apply
 from _helpers import (
     circular_distance,
@@ -52,6 +55,23 @@ class TestCeilLog2:
         with pytest.raises(ValueError):
             ceil_log2(-1.0)
 
+    def test_matches_doubling_loop(self):
+        def doubling(x):
+            t = 0
+            while 2**t < x:
+                t += 1
+            return t
+
+        rng = np.random.default_rng(3)
+        edges = [2.0**k * f for k in range(-3, 70) for f in (1.0, 1 + 2**-52, 1 - 2**-53)]
+        for x in edges + list(rng.uniform(0.0, 1e6, 1000)):
+            assert ceil_log2(x) == doubling(x)
+
+    def test_rejects_infinity(self):
+        # 1 / epsilon overflows for epsilon below about 5.6e-309
+        with pytest.raises(ValueError):
+            ceil_log2(1.0 / 1e-310)
+
 
 class TestRequestAndConfig:
     def test_ancilla_budget(self):
@@ -66,6 +86,24 @@ class TestRequestAndConfig:
         assert req.epsilon == 2.5
         cfg = EstimatorConfig.from_request(2.5, 0.1)
         assert cfg.t == ceil_log2(2 + 1.0 / 0.2)
+
+    def test_ancilla_cap(self):
+        # 2^-21 and delta 0.1 give 21 + 3 = 24 bits, the cap; 2^-22 gives 25
+        assert EstimatorConfig.from_request(2.0**-21, 0.1).t == MAX_ESTIMATOR_BITS
+        with pytest.raises(TooLarge):
+            EstimatorConfig.from_request(2.0**-22, 0.1)
+
+    def test_phase_estimate_shares_the_cap(self, monkeypatch):
+        # the cap fires before the circuit's dense unitary is built
+        def unreachable(circuit):
+            raise AssertionError("dense work before the size check")
+
+        monkeypatch.setattr(phase_estimation, "circuit_unitary", unreachable)
+        circ = Circuit(1, [named_gate("z", 0)])
+        with pytest.raises(TooLarge):
+            phase_estimate(circ, StateVector.basis(1, 1), 22, 0.1, np.random.default_rng(0))
+        with pytest.raises(TooLarge):
+            prepare_pes(circ, SamplingRequest(2.0**-22, 0.1, BasisLabel("1")))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
