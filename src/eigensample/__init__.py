@@ -33,6 +33,7 @@ from .circuits import (
     StateVector,
     apply_circuit,
     apply_gate,
+    circuit_diagonal,
     circuit_unitary,
     gate_unitary,
     invert_circuit,

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import BasisLabel, Circuit, StateVector, apply_circuit, named_gate
+from .circuits import (
+    BasisLabel,
+    Circuit,
+    StateVector,
+    apply_circuit,
+    circuit_diagonal,
+    named_gate,
+)
 from .errors import DimensionMismatch
 from .phase_estimation import SamplingRequest
 
@@ -117,20 +124,20 @@ def luae_unguided(
     uniform basis state b, then runs one Hadamard-test pair on it.
 
     The plus/minus-one bound covers the mixture, so the same Hoeffding
-    budget applies.
+    budget applies.  Draws come in b, x, y order per sample; the branch
+    biases of every distinct b come from one circuits.circuit_diagonal pass.
     """
     m = samples_per_component(epsilon, delta)
     n = circuit.qubit_count
-    cache: dict[int, tuple[float, float]] = {}
-    x_total = 0.0
-    y_total = 0.0
-    for _ in range(m):
-        index = int(rng.integers(0, 2**n))
-        if index not in cache:
-            bits = format(index, f"0{n}b")
-            cache[index] = hadamard_test_probabilities(circuit, basis_loader(BasisLabel(bits)))
-        p_x0, p_y0 = cache[index]
-        x_total += 1.0 if rng.random() < p_x0 else -1.0
-        y_total += 1.0 if rng.random() < p_y0 else -1.0
+    indices = np.empty(m, dtype=np.int64)
+    us = np.empty((m, 2))
+    for s in range(m):
+        indices[s] = rng.integers(0, 2**n)
+        us[s, 0] = rng.random()
+        us[s, 1] = rng.random()
+    distinct, where = np.unique(indices, return_inverse=True)
+    lam = circuit_diagonal(circuit, distinct)[where]
+    x_total = float(np.sum(np.where(us[:, 0] < (1.0 + lam.real) / 2.0, 1.0, -1.0)))
+    y_total = float(np.sum(np.where(us[:, 1] < (1.0 + lam.imag) / 2.0, 1.0, -1.0)))
     lam = complex(x_total / m + 1j * y_total / m)
     return AverageEstimate(lam, m, epsilon, delta)

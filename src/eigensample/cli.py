@@ -184,6 +184,12 @@ def _exact_law(kind: str, obj, b: BasisLabel):
     return exact_distribution(dense_hamiltonian(obj), b, "hermitian")
 
 
+def _substream_uniforms(args) -> np.ndarray:
+    """The one uniform of each sample's substream, in sample order; the
+    draws of pes and lhes map them through the law in one call."""
+    return np.array([substream(args.seed, i).random() for i in range(args.samples)])
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -216,13 +222,11 @@ def _cmd_pes(args) -> int:
     circuit = _load_circuit(args.file)
     req = SamplingRequest(args.epsilon, args.delta, BasisLabel(args.b))
     prep = prepare_pes(circuit, req)
-    phis = [
-        prep.sample(substream(args.seed, i)).phi for i in range(args.samples)
-    ]
+    phis = prep.raw_outcomes(_substream_uniforms(args)) / 2**prep.t
     report = _base_report(args.seed, args.epsilon, args.delta)
     report["b"] = args.b
     report["t"] = prep.t
-    report["samples"] = phis
+    report["samples"] = phis.tolist()
     return _emit_report(report, args.out)
 
 
@@ -230,16 +234,13 @@ def _cmd_lhes(args) -> int:
     h = _load_hamiltonian(args.file)
     req = SamplingRequest(args.epsilon, args.delta, BasisLabel(args.b))
     prep = prepare_lhes(h, req)
-    values = [
-        prep.sample(substream(args.seed, i)).lambda_est
-        for i in range(args.samples)
-    ]
+    values = prep.eigenvalues(_substream_uniforms(args))
     report = _base_report(args.seed, args.epsilon, args.delta)
     report["b"] = args.b
     report["lambda_cap"] = prep.lambda_cap
     report["t"] = prep.t
     report["trotter_steps"] = prep.trotter_steps
-    report["samples"] = values
+    report["samples"] = values.tolist()
     return _emit_report(report, args.out)
 
 

@@ -99,9 +99,14 @@ def make_distribution(values, weights, metric: str) -> SpectralDistribution:
         mass = sum(w for _, w in cluster)
         value = sum(v * w for v, w in cluster) / mass
         if wrapped:
+            # a mean just below 0 maps to the top of [0, 1), or rounds to 1
             value %= 1.0
+            if value == 1.0:
+                value = 0.0
             wrapped = False
         points.append((value, mass))
+    # the wrapped cluster belongs last when its mean fell below 0
+    points.sort()
     return SpectralDistribution(points, metric)
 
 

@@ -225,10 +225,14 @@ class PreparedEigenvalueSampler:
     trotter_steps: int
     prepared: PreparedPhaseEstimation
 
+    def eigenvalues(self, uniforms) -> np.ndarray:
+        """Eigenvalue estimates that uniforms in [0, 1) select: the phase
+        outcome unwrapped to [-1/2, 1/2) and scaled back by lambda_cap."""
+        phi = self.prepared.raw_outcomes(uniforms) / 2**self.t
+        return np.where(phi < 0.5, phi, phi - 1.0) * self.lambda_cap
+
     def sample(self, rng: np.random.Generator) -> EigenvalueSample:
-        phase = self.prepared.sample(rng)
-        lam_scaled = phase.phi if phase.phi < 0.5 else phase.phi - 1.0
-        return EigenvalueSample(lam_scaled * self.lambda_cap)
+        return EigenvalueSample(float(self.eigenvalues(rng.random())))
 
 
 def prepare_lhes(h: LocalHamiltonian, req: SamplingRequest) -> PreparedEigenvalueSampler:

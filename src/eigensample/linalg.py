@@ -71,17 +71,17 @@ def unitary_eig(u: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a unitary matrix with orthonormal eigenvectors.
 
     Stage one diagonalizes the Hermitian part (U + U†)/2.  Stage two
-    rediagonalizes each near-degenerate eigenspace under the restriction of
-    (U - U†)/(2i); the two commute for normal U, so the joint eigenbasis is
-    exact and stays orthonormal under degeneracy.
+    rediagonalizes each near-degenerate eigenspace B under the restriction
+    B†(U - U†)B/(2i) = (M - M†)/(2i) with M = B†UB, read from one product
+    U·V of stage one's basis; the two parts commute for normal U, so the
+    joint eigenbasis is exact and stays orthonormal under degeneracy.
     """
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u):
         raise NotUnitary("matrix is not unitary within tolerance")
     dim = u.shape[0]
-    re_part = (u + u.conj().T) / 2.0
-    im_part = (u - u.conj().T) / (2.0j)
-    re_vals, re_vecs = np.linalg.eigh(re_part)
+    re_vals, re_vecs = np.linalg.eigh((u + u.conj().T) / 2.0)
+    u_vecs = u @ re_vecs
 
     values = np.empty(dim, dtype=complex)
     vectors = np.empty((dim, dim), dtype=complex)
@@ -91,9 +91,8 @@ def unitary_eig(u: np.ndarray) -> SpectralDecomposition:
         while stop < dim and re_vals[stop] - re_vals[stop - 1] <= DEGENERACY_GAP:
             stop += 1
         block = re_vecs[:, start:stop]
-        im_block = block.conj().T @ im_part @ block
-        im_block = (im_block + im_block.conj().T) / 2.0
-        b_vals, b_vecs = np.linalg.eigh(im_block)
+        m = block.conj().T @ u_vecs[:, start:stop]
+        b_vals, b_vecs = np.linalg.eigh((m - m.conj().T) / (2.0j))
         vectors[:, start:stop] = block @ b_vecs
         values[start:stop] = re_vals[start:stop].mean() + 1j * b_vals
         start = stop

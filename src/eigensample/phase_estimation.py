@@ -65,7 +65,12 @@ class EstimatorConfig:
 
     @classmethod
     def from_request(cls, epsilon: float, delta: float) -> "EstimatorConfig":
-        t = ceil_log2(1.0 / epsilon) + ceil_log2(2.0 + 1.0 / (2.0 * delta))
+        return cls.from_bits(ceil_log2(1.0 / epsilon), delta)
+
+    @classmethod
+    def from_bits(cls, precision_bits: int, delta: float) -> "EstimatorConfig":
+        """t for precision 2^-precision_bits: those bits plus the delta bits."""
+        t = precision_bits + ceil_log2(2.0 + 1.0 / (2.0 * delta))
         if t > MAX_ESTIMATOR_BITS:
             raise TooLarge(f"{t} ancilla bits exceed the cap of {MAX_ESTIMATOR_BITS}")
         return cls(t)
@@ -94,12 +99,16 @@ class PreparedPhaseEstimation:
     def __post_init__(self):
         self._cumulative = np.cumsum(self.raw_probabilities)
 
+    def raw_outcomes(self, uniforms):
+        """Ancilla outcomes that uniforms in [0, 1) select under the law."""
+        return inverse_cdf(self._cumulative, uniforms)
+
     def sample(self, rng: np.random.Generator) -> PhaseSample:
-        raw = int(inverse_cdf(self._cumulative, rng.random()))
+        raw = int(self.raw_outcomes(rng.random()))
         return PhaseSample(raw / 2**self.t, raw)
 
     def sample_raw_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return inverse_cdf(self._cumulative, rng.random(count))
+        return self.raw_outcomes(rng.random(count))
 
 
 def prepare_phase_estimation(
@@ -150,7 +159,7 @@ def phase_estimate(
         raise ValueError("delta must lie in (0, 1)")
     if eigenvector.clock_dim != 1:
         raise DimensionMismatch("eigenvector must not carry a clock register")
-    cfg = EstimatorConfig.from_request(2.0**-n_bits, delta)
+    cfg = EstimatorConfig.from_bits(n_bits, delta)
     u = circuit_unitary(circuit)
     v = eigenvector.amplitudes
     lam = complex(v.conj() @ (u @ v))

@@ -20,6 +20,7 @@ from eigensample import (
     samples_per_component,
 )
 from _helpers import phase_circuit, random_circuit
+from _per_b_luae import luae_unguided_per_b
 
 PROB_TOL = 1e-10
 
@@ -173,6 +174,16 @@ class TestUnguided:
         normalized_trace = np.trace(circuit_unitary(circ)) / 16.0
         est = luae_unguided(circ, 0.1, 0.01, np.random.default_rng(63))
         assert abs(est.lambda_hat - normalized_trace) <= 0.1
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_matches_per_b_reference(self, n):
+        # same draws in the same order, so the estimate is bit-identical
+        for seed in (64, 65, 66):
+            circ = random_circuit(n, 4 * n, np.random.default_rng(seed))
+            est = luae_unguided(circ, 0.2, 0.05, np.random.default_rng(seed + 10))
+            ref = luae_unguided_per_b(circ, 0.2, 0.05, np.random.default_rng(seed + 10))
+            assert est.lambda_hat == ref.lambda_hat
+            assert est.m_samples == ref.m_samples
 
 
 class TestPhaseAveragingPitfall:

@@ -13,6 +13,7 @@ from eigensample import (
     TooLarge,
     apply_circuit,
     apply_gate,
+    circuit_diagonal,
     circuit_unitary,
     gate_unitary,
     invert_circuit,
@@ -23,6 +24,7 @@ from eigensample import (
     serialize_circuit,
     tensor,
 )
+from eigensample.circuits import DIAGONAL_BLOCK_AMPLITUDES
 from _gate_level import apply_gate_controlled
 from _helpers import haar_unitary, random_circuit, random_state
 
@@ -172,6 +174,24 @@ class TestApply:
             circuit_unitary(Circuit(13))
         with pytest.raises(TooLarge):
             gate_unitary(named_gate("x", 0), 13)
+
+
+class TestDiagonal:
+    def test_matches_dense_diagonal(self):
+        n = 12
+        circ = random_circuit(n, 6, np.random.default_rng(17))
+        idx = np.random.default_rng(18).choice(2**n, 200, replace=False)
+        # more indices than three column blocks hold
+        assert idx.size > 3 * (DIAGONAL_BLOCK_AMPLITUDES >> n)
+        expected = np.diag(circuit_unitary(circ))[idx]
+        assert np.max(np.abs(circuit_diagonal(circ, idx) - expected)) <= 1e-12
+
+    def test_repeated_unsorted_and_empty_indices(self):
+        circ = random_circuit(3, 10, np.random.default_rng(19))
+        idx = [5, 0, 5, 7, 2]
+        expected = np.diag(circuit_unitary(circ))[idx]
+        assert np.max(np.abs(circuit_diagonal(circ, idx) - expected)) <= 1e-12
+        assert circuit_diagonal(circ, []).shape == (0,)
 
 
 class TestControlled:

@@ -174,6 +174,16 @@ class TestSamplingCommands:
         assert first == second
         assert first.endswith("\n")
 
+    def test_pes_zero_samples(self, files, capsys):
+        argv = [
+            "pes", files["x"],
+            "--epsilon", "0.25", "--delta", "0.1", "--b", "0", "--samples", "0",
+        ]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert '"samples": []' in out
+        assert json.loads(out)["samples"] == []
+
     def test_pes_above_dense_cap_fails_fast(self, files, capsys):
         argv = ["pes", files["wide"], "--epsilon", "0.25", "--delta", "0.1", "--b", "0" * 13]
         code, out, err = run_cli(argv, capsys)

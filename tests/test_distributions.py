@@ -80,6 +80,17 @@ class TestMakeDistribution:
         assert len(d.points) == 1
         assert circular_distance(d.points[0][0], 0.0) < 1e-9
 
+    def test_wrapped_cluster_below_zero_sorts_last(self):
+        d = make_distribution([0.125, 1e-10, 1.0 - 2e-10], [0.5, 0.2, 0.3], "circular")
+        assert d.values() == sorted(d.values())
+        assert d.values()[0] == 0.125
+        assert circular_distance(d.values()[1], 0.0) < 1e-9
+
+    def test_wrapped_mean_at_zero_stays_in_unit_interval(self):
+        # the shifted mean is -1e-26 or so, which % 1.0 rounds to 1.0
+        d = make_distribution([2e-10, 1.0 - 2e-10], [0.5, 0.5], "circular")
+        assert 0.0 <= d.values()[0] < 1.0
+
     def test_drops_zero_weights(self):
         d = make_distribution([0.1, 0.9], [1.0, 0.0], "absolute")
         assert d.points == [(0.1, 1.0)]

@@ -5,6 +5,7 @@ import pytest
 from eigensample import (
     NotHermitian,
     NotUnitary,
+    circuit_unitary,
     exp_i_hermitian,
     hermitian_eig,
     is_hermitian,
@@ -18,6 +19,7 @@ from _helpers import (
     cyclic_shift,
     haar_unitary,
     max_circular_mismatch,
+    random_circuit,
     random_hermitian,
 )
 
@@ -122,6 +124,29 @@ class TestUnitaryEig:
         assert np.max(np.abs(recon - u)) < RESIDUAL_TOL
         phases = dec.phases()
         assert np.all(np.diff(phases) >= 0)
+
+    def test_conjugate_pair_is_separated(self):
+        # e^{+-2 pi i phi} share the Hermitian-part eigenvalue cos(2 pi phi),
+        # so only stage two can tell them apart
+        rng = np.random.default_rng(8)
+        phases = np.array([0.2, 0.8, 0.45, 0.0])
+        w = haar_unitary(4, rng)
+        u = (w * np.exp(2j * np.pi * phases)) @ w.conj().T
+        dec = unitary_eig(u)
+        assert max_circular_mismatch(dec.phases(), phases) < PHASE_TOL
+        vecs = dec.eigenvectors
+        assert np.max(np.abs(u @ vecs - vecs * dec.eigenvalues)) < RESIDUAL_TOL
+        # each eigenvector of the pair is the matching column of w, up to phase
+        for k in (0, 1):
+            j = int(np.argmin(np.abs(dec.phases() - phases[k])))
+            assert abs(abs(np.vdot(w[:, k], vecs[:, j])) - 1.0) < RESIDUAL_TOL
+
+    def test_random_circuit_residuals(self):
+        u = circuit_unitary(random_circuit(8, 40, np.random.default_rng(9)))
+        dec = unitary_eig(u)
+        vecs = dec.eigenvectors
+        assert np.linalg.norm(u @ vecs - vecs * dec.eigenvalues) <= 1e-10
+        assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(256)) <= 1e-10
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):

@@ -100,10 +100,23 @@ class TestRequestAndConfig:
 
         monkeypatch.setattr(phase_estimation, "circuit_unitary", unreachable)
         circ = Circuit(1, [named_gate("z", 0)])
-        with pytest.raises(TooLarge):
-            phase_estimate(circ, StateVector.basis(1, 1), 22, 0.1, np.random.default_rng(0))
+        # 2^-1030 and 2^-1100 underflow as floats; t is counted in bits
+        for n_bits in (22, 1030, 1100):
+            with pytest.raises(TooLarge):
+                phase_estimate(
+                    circ, StateVector.basis(1, 1), n_bits, 0.1, np.random.default_rng(0)
+                )
         with pytest.raises(TooLarge):
             prepare_pes(circ, SamplingRequest(2.0**-22, 0.1, BasisLabel("1")))
+
+    def test_phase_estimate_at_the_cap(self):
+        # 21 precision bits and delta 0.1 give t = 24; Z's phase 1/2 on |1>
+        # sits on the grid, so the draw is exact
+        circ = Circuit(1, [named_gate("z", 0)])
+        eigvec = StateVector.basis(1, 1)
+        sample = phase_estimate(circ, eigvec, 21, 0.1, np.random.default_rng(0))
+        assert sample.raw == 2**23
+        assert sample.phi == 0.5
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
