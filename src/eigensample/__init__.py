@@ -16,10 +16,7 @@ __version__ = "0.1.0"
 
 from .averages import (
     AverageEstimate,
-    PlusMinusSample,
-    basis_loader,
     hadamard_test_probabilities,
-    hadamard_test_sample,
     luae_estimate,
     luae_unguided,
     samples_per_component,
@@ -51,7 +48,6 @@ from .distributions import (
     empirical_approx_check,
     empirical_feasibility,
     exact_distribution,
-    exact_sampler,
     make_distribution,
     max_flow,
     point_distance,
@@ -73,14 +69,12 @@ from .errors import (
     TooLarge,
 )
 from .hamiltonians import (
-    EigenvalueSample,
     LocalHamiltonian,
     LocalTerm,
     PreparedEigenvalueSampler,
     ScaleInfo,
     dense_hamiltonian,
     exact_average_eigenvalue,
-    lhes_sample,
     parse_hamiltonian,
     prepare_lhes,
     scale_hamiltonian,
@@ -101,11 +95,9 @@ from .linalg import (
 )
 from .phase_estimation import (
     EstimatorConfig,
-    PhaseSample,
     PreparedPhaseEstimation,
     SamplingRequest,
     ceil_log2,
-    pes_sample,
     phase_estimate,
     prepare_pes,
     prepare_phase_estimation,

@@ -8,10 +8,11 @@ lam = <psi|U|psi>; those biases are computed here from lam directly.  Both
 components are plus/minus-one Bernoulli variables, so Hoeffding fixes the
 sample budget.
 
-Branches alternate deterministically: within each sample pair the x branch
-is drawn first, then the y branch, so a run is reproducible from the seed
-alone.  Only the measurement is random; the branch biases are computed once
-per preparation and reused across draws.
+For a basis state psi = |b>, lam is a diagonal entry of U, read from
+circuits.circuit_diagonal; hadamard_test_probabilities serves a general
+preparation circuit.  Only the measurement is random: each sample pair
+takes one uniform for the x branch, then one for the y branch, so a run is
+reproducible from the seed alone.
 """
 from __future__ import annotations
 
@@ -20,28 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import (
-    BasisLabel,
-    Circuit,
-    StateVector,
-    apply_circuit,
-    circuit_diagonal,
-    named_gate,
-)
+from .circuits import Circuit, StateVector, apply_circuit, circuit_diagonal
 from .errors import DimensionMismatch
 from .phase_estimation import SamplingRequest
-
-
-@dataclass(frozen=True)
-class PlusMinusSample:
-    """One Hadamard-test draw: x estimates the real part, y the imaginary."""
-
-    x: int
-    y: int
-
-    def __post_init__(self):
-        if self.x not in (-1, 1) or self.y not in (-1, 1):
-            raise ValueError("branch outcomes must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -62,14 +44,6 @@ def samples_per_component(epsilon: float, delta: float) -> int:
     return math.ceil((8.0 / epsilon**2) * math.log(4.0 / delta))
 
 
-def basis_loader(b: BasisLabel) -> Circuit:
-    """Circuit of X gates preparing |b> from |0...0>."""
-    if not b.bits:
-        raise ValueError("empty label")
-    gates = [named_gate("x", q) for q, bit in enumerate(b.bits) if bit == "1"]
-    return Circuit(len(b.bits), gates)
-
-
 def hadamard_test_probabilities(circuit: Circuit, prep: Circuit) -> tuple[float, float]:
     """Ancilla-zero probabilities of the x and y branch circuits.
 
@@ -83,23 +57,12 @@ def hadamard_test_probabilities(circuit: Circuit, prep: Circuit) -> tuple[float,
     return (1.0 + lam.real) / 2.0, (1.0 + lam.imag) / 2.0
 
 
-def hadamard_test_sample(
-    circuit: Circuit, prep: Circuit, rng: np.random.Generator
-) -> PlusMinusSample:
-    """Run both branches once; x is drawn before y."""
-    p_x0, p_y0 = hadamard_test_probabilities(circuit, prep)
-    x = 1 if rng.random() < p_x0 else -1
-    y = 1 if rng.random() < p_y0 else -1
-    return PlusMinusSample(x, y)
-
-
-def _branch_means(
-    p_x0: float, p_y0: float, m: int, rng: np.random.Generator
-) -> complex:
-    # uniforms are consumed in strict x,y,x,y order, one pair per sample
-    us = rng.random(2 * m)
-    xs = np.where(us[0::2] < p_x0, 1.0, -1.0)
-    ys = np.where(us[1::2] < p_y0, 1.0, -1.0)
+def _plus_minus_mean(lam, uniforms: np.ndarray) -> complex:
+    """Mean Hadamard-test outcome over (m, 2) uniforms, one row per sample
+    pair: the x branch reads +1 where column 0 falls below (1 + Re lam) / 2,
+    the y branch where column 1 falls below (1 + Im lam) / 2."""
+    xs = np.where(uniforms[:, 0] < (1.0 + lam.real) / 2.0, 1.0, -1.0)
+    ys = np.where(uniforms[:, 1] < (1.0 + lam.imag) / 2.0, 1.0, -1.0)
     return complex(xs.mean() + 1j * ys.mean())
 
 
@@ -112,9 +75,12 @@ def luae_estimate(
             f"b has {len(req.b.bits)} bits, circuit acts on {circuit.qubit_count}"
         )
     m = samples_per_component(req.epsilon, req.delta)
-    p_x0, p_y0 = hadamard_test_probabilities(circuit, basis_loader(req.b))
-    lam = _branch_means(p_x0, p_y0, m, rng)
-    return AverageEstimate(lam, m, req.epsilon, req.delta)
+    # b on its own: a one-column pass matches a Hadamard test on |b> bit for
+    # bit, while a block shared with other indices can differ in the last place
+    lam = circuit_diagonal(circuit, [req.b.basis_index()])[0]
+    return AverageEstimate(
+        _plus_minus_mean(lam, rng.random(2 * m).reshape(m, 2)), m, req.epsilon, req.delta
+    )
 
 
 def luae_unguided(
@@ -137,7 +103,4 @@ def luae_unguided(
         us[s, 1] = rng.random()
     distinct, where = np.unique(indices, return_inverse=True)
     lam = circuit_diagonal(circuit, distinct)[where]
-    x_total = float(np.sum(np.where(us[:, 0] < (1.0 + lam.real) / 2.0, 1.0, -1.0)))
-    y_total = float(np.sum(np.where(us[:, 1] < (1.0 + lam.imag) / 2.0, 1.0, -1.0)))
-    lam = complex(x_total / m + 1j * y_total / m)
-    return AverageEstimate(lam, m, epsilon, delta)
+    return AverageEstimate(_plus_minus_mean(lam, us), m, epsilon, delta)

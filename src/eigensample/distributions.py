@@ -152,13 +152,9 @@ def inverse_cdf(cumulative: np.ndarray, uniforms):
     return np.minimum(idx, len(cumulative) - 1)
 
 
-def exact_sampler(dist: SpectralDistribution, rng: np.random.Generator) -> float:
-    """One inverse-CDF draw from the distribution."""
-    return dist.points[int(inverse_cdf(np.cumsum(dist.weights()), rng.random()))][0]
-
-
 def sample_values(dist: SpectralDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized i.i.d. draws; same law as repeated exact_sampler calls."""
+    """`count` i.i.d. inverse-CDF draws, one uniform each in stream order:
+    k calls with count 1 draw the same values as one call with count k."""
     return np.array(dist.values())[inverse_cdf(np.cumsum(dist.weights()), rng.random(count))]
 
 

@@ -20,13 +20,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, StateVector, circuit_unitary, gate_unitary
+from .circuits import (
+    MAX_DENSE_QUBITS,
+    Circuit,
+    Gate,
+    StateVector,
+    circuit_unitary,
+    gate_unitary,
+)
 from .errors import (
     DimensionMismatch,
     EmptyHamiltonian,
     NotHermitian,
     ParseError,
     TermTooLarge,
+    TooLarge,
 )
 from .linalg import exp_i_hermitian, operator_norm
 from .phase_estimation import (
@@ -97,15 +105,13 @@ class ScaleInfo:
     scaled: LocalHamiltonian
 
 
-@dataclass(frozen=True)
-class EigenvalueSample:
-    """One sampled eigenvalue, already unwrapped back to the input scale."""
-
-    lambda_est: float
-
-
 def dense_hamiltonian(h: LocalHamiltonian) -> np.ndarray:
     """Assembled 2^n x 2^n matrix (desk scale only)."""
+    if h.qubit_count > MAX_DENSE_QUBITS:
+        raise TooLarge(
+            f"dense Hamiltonian limited to {MAX_DENSE_QUBITS} qubits, "
+            f"Hamiltonian has {h.qubit_count}"
+        )
     dim = 2**h.qubit_count
     out = np.zeros((dim, dim), dtype=complex)
     for term in h.terms:
@@ -231,8 +237,9 @@ class PreparedEigenvalueSampler:
         phi = self.prepared.raw_outcomes(uniforms) / 2**self.t
         return np.where(phi < 0.5, phi, phi - 1.0) * self.lambda_cap
 
-    def sample(self, rng: np.random.Generator) -> EigenvalueSample:
-        return EigenvalueSample(float(self.eigenvalues(rng.random())))
+    def sample(self, rng: np.random.Generator) -> float:
+        """One eigenvalue estimate at the input scale."""
+        return float(self.eigenvalues(rng.random()))
 
 
 def prepare_lhes(h: LocalHamiltonian, req: SamplingRequest) -> PreparedEigenvalueSampler:
@@ -255,13 +262,6 @@ def prepare_lhes(h: LocalHamiltonian, req: SamplingRequest) -> PreparedEigenvalu
         slice_u, StateVector.from_label(req.b), cfg.t, power=steps
     )
     return PreparedEigenvalueSampler(scale.lambda_cap, cfg.t, steps, prep)
-
-
-def lhes_sample(
-    h: LocalHamiltonian, req: SamplingRequest, rng: np.random.Generator
-) -> EigenvalueSample:
-    """One draw from the eigenvalue distribution of H seen from |b>."""
-    return prepare_lhes(h, req).sample(rng)
 
 
 def exact_average_eigenvalue(h: LocalHamiltonian, b) -> float:

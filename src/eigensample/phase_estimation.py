@@ -76,14 +76,6 @@ class EstimatorConfig:
         return cls(t)
 
 
-@dataclass(frozen=True)
-class PhaseSample:
-    """One measured phase: raw ancilla integer and phi = raw / 2^t."""
-
-    phi: float
-    raw: int
-
-
 @dataclass
 class PreparedPhaseEstimation:
     """Output law of one phase-estimation run over the 2^t ancilla outcomes.
@@ -103,9 +95,9 @@ class PreparedPhaseEstimation:
         """Ancilla outcomes that uniforms in [0, 1) select under the law."""
         return inverse_cdf(self._cumulative, uniforms)
 
-    def sample(self, rng: np.random.Generator) -> PhaseSample:
-        raw = int(self.raw_outcomes(rng.random()))
-        return PhaseSample(raw / 2**self.t, raw)
+    def sample(self, rng: np.random.Generator) -> float:
+        """One measured phase raw / 2^t."""
+        return int(self.raw_outcomes(rng.random())) / 2**self.t
 
     def sample_raw_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return self.raw_outcomes(rng.random(count))
@@ -147,10 +139,10 @@ def phase_estimate(
     n_bits: int,
     delta: float,
     rng: np.random.Generator,
-) -> PhaseSample:
+) -> float:
     """Estimate the eigenphase of `eigenvector` to n_bits of precision.
 
-    The returned phi is circularly within 2^-n_bits of the true phase with
+    The returned phase is circularly within 2^-n_bits of the true phase with
     probability at least 1 - delta.
     """
     if n_bits < 1:
@@ -184,9 +176,3 @@ def prepare_pes(circuit: Circuit, req: SamplingRequest) -> PreparedPhaseEstimati
         circuit_unitary(circuit), StateVector.from_label(req.b), cfg.t
     )
 
-
-def pes_sample(
-    circuit: Circuit, req: SamplingRequest, rng: np.random.Generator
-) -> PhaseSample:
-    """One draw from the eigenphase distribution of `circuit` seen from |b>."""
-    return prepare_pes(circuit, req).sample(rng)

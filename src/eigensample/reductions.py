@@ -32,14 +32,14 @@ from .circuits import (
     Circuit,
     Gate,
     StateVector,
-    apply_circuit,
+    circuit_diagonal,
     circuit_unitary,
     gate_unitary,
     invert_circuit,
     named_gate,
     output_split,
 )
-from .distributions import exact_distribution, exact_sampler
+from .distributions import exact_distribution, sample_values
 from .errors import DimensionMismatch, EmptyCircuit, OracleFailure, TooLarge
 from .hamiltonians import LocalHamiltonian, LocalTerm, prepare_lhes
 from .phase_estimation import SamplingRequest, prepare_pes
@@ -413,27 +413,30 @@ def exact_lhes_oracle(instance: LhesInstance):
     dist = exact_distribution(
         instance.compact_matrix, instance.compact_request.b, "hermitian"
     )
-    return lambda rng: exact_sampler(dist, rng)
+    return lambda rng: sample_values(dist, 1, rng)[0]
 
 
 def quantum_lhes_oracle(instance: LhesInstance):
     prep = prepare_lhes(instance.unary.hamiltonian, instance.unary_request)
-    return lambda rng: prep.sample(rng).lambda_est
+    return prep.sample
 
 
 def exact_pes_oracle(circuit: Circuit, req: SamplingRequest):
     dist = exact_distribution(circuit_unitary(circuit), req.b, "unitary")
-    return lambda rng: exact_sampler(dist, rng)
+    return lambda rng: sample_values(dist, 1, rng)[0]
 
 
 def quantum_pes_oracle(circuit: Circuit, req: SamplingRequest):
     prep = prepare_pes(circuit, req)
-    return lambda rng: prep.sample(rng).phi
+    return prep.sample
 
 
 def exact_luae_oracle(circuit: Circuit, req: SamplingRequest):
-    state = apply_circuit(circuit, StateVector.from_label(req.b))
-    lam = complex(state.amplitudes[req.b.basis_index()])
+    if len(req.b.bits) != circuit.qubit_count:
+        raise DimensionMismatch(
+            f"b has {len(req.b.bits)} bits, circuit acts on {circuit.qubit_count}"
+        )
+    lam = complex(circuit_diagonal(circuit, [req.b.basis_index()])[0])
     return lambda rng: lam
 
 
@@ -447,14 +450,15 @@ def quantum_luae_oracle(circuit: Circuit, req: SamplingRequest):
 # report for the reduce command
 
 def reduction_report(marked: MarkedCircuit) -> dict:
-    propagator = build_clock_propagator(marked)
-    clock_dim = propagator.clock_dim
+    """Clock layout, grids and weight model of a marked circuit; it reads
+    sizes off the gate list and assembles no matrix."""
+    clock_dim = len(marked.full.gates)
     integer_grid, half_grid = eigenvalue_grids(clock_dim)
     report = {
         "kind": marked.kind,
         "base_gate_count": len(marked.base.gates),
         "clock_dim": clock_dim,
-        "system_qubits": propagator.system_qubits,
+        "system_qubits": marked.full.qubit_count,
         "phase_grids": {
             "integer": [k / clock_dim for k in range(clock_dim)],
             "half": [(k + 0.5) / clock_dim for k in range(clock_dim)],

@@ -9,6 +9,7 @@ from eigensample import (
     StateVector,
     named_gate,
 )
+from eigensample.distributions import inverse_cdf
 
 NAMED_ONE = ("h", "x", "y", "z", "s", "t")
 NAMED_TWO = ("cnot", "cz", "swap")
@@ -71,6 +72,20 @@ def phase_circuit(*phases):
     else:
         diag = [np.exp(2j * np.pi * p) for p in phases]
     return Circuit(1, [Gate("u1", (0,), np.diag(diag).astype(complex))])
+
+
+def basis_loader(b):
+    """Circuit of X gates preparing |b> from |0...0>."""
+    if not b.bits:
+        raise ValueError("empty label")
+    gates = [named_gate("x", q) for q, bit in enumerate(b.bits) if bit == "1"]
+    return Circuit(len(b.bits), gates)
+
+
+def per_draw_sample(dist, rng):
+    """One inverse-CDF draw from a SpectralDistribution, cumulative sum
+    rebuilt per call: the exact oracles' former sampler, kept as a reference."""
+    return dist.points[int(inverse_cdf(np.cumsum(dist.weights()), rng.random()))][0]
 
 
 def cyclic_shift(n):

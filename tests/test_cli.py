@@ -16,9 +16,11 @@ from eigensample import (
     parse_hamiltonian,
     prepare_lhes,
     prepare_pes,
+    serialize_circuit,
     substream,
 )
 from eigensample.cli import main, render_json
+from _helpers import random_circuit
 
 FILE_TEXTS = {
     "bell": "qubits 2\nh 0\ncnot 0 1\n",
@@ -27,6 +29,7 @@ FILE_TEXTS = {
     "ident": "qubits 1\nu1 0 1 0 0 0 0 0 1 0\n",
     "wide": "qubits 13\nh 0\n",
     "zham": "qubits 1\nterm 1 0 1 0 0 0 0 0 -1 0\n",
+    "wideham": "qubits 13\nterm 1 0 1 0 0 0 0 0 -1 0\n",
     "zxham": "qubits 1\nterm 1 0 1 0 0 0 0 0 -1 0\nterm 1 0 0 0 1 0 1 0 0 0\n",
     "bad": "qubits 1\nterm 1 0 1 0\n",
 }
@@ -139,6 +142,12 @@ class TestSpectrumCommand:
         assert payload["error"] == "TooLarge"
         assert payload["exit_code"] == 2
 
+    def test_dense_hamiltonian_cap(self, files, capsys):
+        code, out, err = run_cli(["spectrum", files["wideham"], "--b", "0" * 13], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "TooLarge"
+
     def test_reference_point_mismatch(self, files, capsys):
         code, out, err = run_cli(["spectrum", files["zham"], "--b", "11"], capsys)
         assert code == 2
@@ -159,7 +168,7 @@ class TestSamplingCommands:
             parse_circuit(FILE_TEXTS["x"]),
             SamplingRequest(0.25, 0.1, BasisLabel("0")),
         )
-        expected = [prep.sample(substream(3, i)).phi for i in range(5)]
+        expected = [prep.sample(substream(3, i)) for i in range(5)]
         assert report["t"] == prep.t
         assert report["samples"] == expected
 
@@ -228,7 +237,7 @@ class TestSamplingCommands:
             parse_hamiltonian(FILE_TEXTS["zham"]),
             SamplingRequest(1.0, 0.25, BasisLabel("1")),
         )
-        expected = [prep.sample(substream(1, i)).lambda_est for i in range(3)]
+        expected = [prep.sample(substream(1, i)) for i in range(3)]
         assert report["lambda_cap"] == prep.lambda_cap
         assert report["t"] == prep.t
         assert report["trotter_steps"] == prep.trotter_steps
@@ -300,6 +309,19 @@ class TestReduceCommand:
         report = json.loads(out)
         assert report["kind"] == "pe-reflect"
         assert "flag_qubit" not in report
+
+    def test_wide_base_needs_no_dense_propagator(self, files, capsys):
+        # 8 system qubits x 41 clock steps would be a 10496-dim propagator
+        base = files["dir"] / "base7.txt"
+        base.write_text(serialize_circuit(random_circuit(7, 20, np.random.default_rng(3))))
+        target = files["dir"] / "clock7.txt"
+        code, out, err = run_cli(["reduce", str(base), "--out", str(target)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["clock_dim"] == 41
+        assert report["system_qubits"] == 8
+        assert report["hamiltonian_qubits"] == 49
+        assert parse_hamiltonian(target.read_text()).qubit_count == 49
 
 
 class TestDecideCommand:
@@ -403,6 +425,21 @@ class TestVerifyCommand:
         code, out, err = run_cli(
             ["verify", files["x"], samples, "--b", "0"], capsys
         )
+        assert code == 1
+        assert json.loads(err)["error"] == "UsageError"
+
+    def test_size_checked_after_samples_file(self, files, capsys):
+        # a valid samples file against a too-wide circuit is a size failure;
+        # a broken one fails as usage first, whatever the circuit's width
+        samples = self.write_samples(
+            files, {"samples": [0.0] * 1000, "epsilon": 0, "delta": 0}
+        )
+        code, out, err = run_cli(["verify", files["wide"], samples, "--b", "0" * 13], capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "TooLarge"
+        broken = files["dir"] / "broken.json"
+        broken.write_text("{not json")
+        code, out, err = run_cli(["verify", files["wide"], str(broken), "--b", "0" * 13], capsys)
         assert code == 1
         assert json.loads(err)["error"] == "UsageError"
 

@@ -17,14 +17,13 @@ from eigensample import (
     empirical_approx_check,
     empirical_feasibility,
     exact_distribution,
-    exact_sampler,
     make_distribution,
     max_flow,
     point_distance,
     sample_values,
     total_variation,
 )
-from _helpers import circular_distance
+from _helpers import circular_distance, per_draw_sample
 
 EXACT_TOL = 1e-12
 WITNESS_TOL = 1e-9
@@ -150,7 +149,7 @@ class TestSampler:
     def test_singleton(self):
         d = SpectralDistribution([(0.7, 1.0)], "absolute")
         rng = np.random.default_rng(23)
-        assert all(exact_sampler(d, rng) == 0.7 for _ in range(50))
+        assert all(sample_values(d, 1, rng)[0] == 0.7 for _ in range(50))
 
     def test_fair_coin(self):
         d = SpectralDistribution([(0.0, 0.5), (1.0, 0.5)], "absolute")
@@ -172,15 +171,18 @@ class TestSampler:
         assert p > 1e-4
 
     def test_batch_matches_sequential(self):
-        # one law on the 2-bit phase grid, three samplers, one seed
+        # one law on the 2-bit phase grid, four samplers, one seed
         weights = [0.2, 0.3, 0.0, 0.5]
         d = SpectralDistribution(list(zip(np.arange(4) / 4.0, weights)), "circular")
         batch = sample_values(d, 5, np.random.default_rng(26))
         rng = np.random.default_rng(26)
-        single = [exact_sampler(d, rng) for _ in range(5)]
+        single = [sample_values(d, 1, rng)[0] for _ in range(5)]
+        rng = np.random.default_rng(26)
+        per_draw = [per_draw_sample(d, rng) for _ in range(5)]
         prepared = PreparedPhaseEstimation(2, np.array(weights))
         raws = prepared.sample_raw_batch(5, np.random.default_rng(26))
         assert np.array_equal(batch, single)
+        assert np.array_equal(batch, per_draw)
         assert np.array_equal(raws / 4.0, batch)
 
 

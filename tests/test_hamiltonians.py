@@ -13,6 +13,7 @@ from eigensample import (
     SamplingRequest,
     ScaleInfo,
     TermTooLarge,
+    TooLarge,
     dense_hamiltonian,
     empirical_approx_check,
     exact_average_eigenvalue,
@@ -132,6 +133,12 @@ class TestDense:
         assert np.allclose(
             np.diag(dense_hamiltonian(h)).real, [1.0, 3.0, 2.0, 4.0], atol=DENSE_TOL
         )
+
+    def test_cap_checked_before_allocation(self):
+        # 16 qubits would be a 64 GiB matrix: refused before it is allocated
+        h = LocalHamiltonian(16, [LocalTerm((0,), Z)])
+        with pytest.raises(TooLarge):
+            dense_hamiltonian(h)
 
 
 class TestScaling:

@@ -17,7 +17,6 @@ from eigensample import (
     ceil_log2,
     circuit_unitary,
     named_gate,
-    pes_sample,
     phase_estimate,
     prepare_pes,
     prepare_phase_estimation,
@@ -114,9 +113,7 @@ class TestRequestAndConfig:
         # sits on the grid, so the draw is exact
         circ = Circuit(1, [named_gate("z", 0)])
         eigvec = StateVector.basis(1, 1)
-        sample = phase_estimate(circ, eigvec, 21, 0.1, np.random.default_rng(0))
-        assert sample.raw == 2**23
-        assert sample.phi == 0.5
+        assert phase_estimate(circ, eigvec, 21, 0.1, np.random.default_rng(0)) == 0.5
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -304,10 +301,8 @@ class TestPreparedDistribution:
         prep = prepare(phase_circuit(0.3), plus, 6)
         batch = prep.sample_raw_batch(7, np.random.default_rng(5))
         rng = np.random.default_rng(5)
-        sequential = [prep.sample(rng).raw for _ in range(7)]
-        assert np.array_equal(batch, sequential)
-        sample = prep.sample(np.random.default_rng(6))
-        assert sample.phi == sample.raw / 2**6
+        sequential = [prep.sample(rng) for _ in range(7)]
+        assert np.array_equal(batch / 2**6, sequential)
 
 
 class TestPhaseEstimate:
@@ -316,13 +311,13 @@ class TestPhaseEstimate:
         one = StateVector.basis(1, 1)
         rng = np.random.default_rng(44)
         for _ in range(20):
-            assert phase_estimate(circ, one, 3, 0.1, rng).phi == 0.5
+            assert phase_estimate(circ, one, 3, 0.1, rng) == 0.5
 
     def test_s_eigenvector_is_exact_at_two_bits(self):
         circ = Circuit(1, [named_gate("s", 0)])
         one = StateVector.basis(1, 1)
         rng = np.random.default_rng(45)
-        assert phase_estimate(circ, one, 2, 0.2, rng).phi == 0.25
+        assert phase_estimate(circ, one, 2, 0.2, rng) == 0.25
 
     def test_failure_rate_within_budget(self):
         # n_bits 4 at delta 0.05 allocates t = 8; the geometric law puts
@@ -337,8 +332,8 @@ class TestPhaseEstimate:
         rng = np.random.default_rng(46)
         misses = 0
         for _ in range(2000):
-            sample = phase_estimate(circ, eigvec, 4, 0.05, rng)
-            if circular_distance(sample.phi, 0.3) > 2.0**-4:
+            phi = phase_estimate(circ, eigvec, 4, 0.05, rng)
+            if circular_distance(phi, 0.3) > 2.0**-4:
                 misses += 1
         # mean 8.6 misses, allow 5 sigma of headroom
         assert misses / 2000 < 0.0043 + 5.0 * np.sqrt(0.0043 / 2000)
@@ -366,11 +361,11 @@ class TestPesInterface:
         rng = np.random.default_rng(49)
         circ = random_circuit(2, 6, rng)
         phases = np.angle(np.linalg.eigvals(circuit_unitary(circ))) / (2 * np.pi) % 1.0
-        req = SamplingRequest(1.0 / 32.0, 0.05, BasisLabel("00"))
+        prep = prepare_pes(circ, SamplingRequest(1.0 / 32.0, 0.05, BasisLabel("00")))
         hits = 0
         for _ in range(50):
-            draw = pes_sample(circ, req, rng)
-            if min(circular_distance(draw.phi, p) for p in phases) <= 1.0 / 32.0:
+            phi = prep.sample(rng)
+            if min(circular_distance(phi, p) for p in phases) <= 1.0 / 32.0:
                 hits += 1
         # failure budget 0.05: 50 draws miss more than 9 times with
         # probability under 1e-4

@@ -1,16 +1,38 @@
-"""Property tests: the transport solver against Hall's condition, and the
-merge invariants of make_distribution, on small generated instances.
+"""Property tests on small generated instances: the transport solver and
+approx_check against Hall's condition, the merge invariants of
+make_distribution, and the text round trips of circuits and Hamiltonians.
 
 Runs are derandomized, so the suite stays deterministic."""
 import itertools
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from eigensample import FlowNetwork, make_distribution, max_flow
+from eigensample import (
+    GATE_MATRICES,
+    ApproxCheckInstance,
+    Circuit,
+    FlowNetwork,
+    Gate,
+    LocalHamiltonian,
+    LocalTerm,
+    SpectralDistribution,
+    approx_check,
+    make_distribution,
+    max_flow,
+    parse_circuit,
+    parse_hamiltonian,
+    point_distance,
+    serialize_circuit,
+    serialize_hamiltonian,
+)
+from eigensample.circuits import GATE_ARITY
 from eigensample.distributions import DEDUP_TOL
+from _helpers import haar_unitary, random_hermitian
 
 # Capacities are integers over this denominator, exact at the solver's scale.
 UNIT = 16
@@ -95,3 +117,100 @@ def test_make_distribution_circular_invariants(instance):
 def test_make_distribution_absolute_invariants(instance):
     values, weights, _ = instance
     assert_merge_invariants(make_distribution(values, weights, "absolute"), weights)
+
+
+# Gates and terms get their matrices from a drawn seed, so every matrix is
+# a fixed function of the example.
+seeds = st.integers(0, 2**32 - 1)
+ARITY = {**GATE_ARITY, "u1": 1, "u2": 2}
+
+
+@st.composite
+def circuits(draw):
+    n = draw(st.integers(1, 4))
+    gates = []
+    for _ in range(draw(st.integers(0, 6))):
+        name = draw(st.sampled_from([m for m, k in sorted(ARITY.items()) if k <= n]))
+        arity = ARITY[name]
+        support = tuple(draw(st.permutations(range(n)))[:arity])
+        if name in GATE_MATRICES:
+            matrix = GATE_MATRICES[name]
+        else:
+            matrix = haar_unitary(2**arity, np.random.default_rng(draw(seeds)))
+        gates.append(Gate(name, support, matrix))
+    return Circuit(n, gates)
+
+
+@SETTINGS
+@given(circuits())
+def test_circuit_text_round_trip(circuit):
+    assert parse_circuit(serialize_circuit(circuit)) == circuit
+
+
+@st.composite
+def hamiltonians(draw):
+    n = draw(st.integers(1, 5))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(1, min(n, 3)))
+        support = tuple(draw(st.permutations(range(n)))[:k])
+        matrix = random_hermitian(2**k, np.random.default_rng(draw(seeds)))
+        terms.append(LocalTerm(support, matrix))
+    return LocalHamiltonian(n, terms)
+
+
+@SETTINGS
+@given(hamiltonians())
+def test_hamiltonian_text_round_trip(h):
+    back = parse_hamiltonian(serialize_hamiltonian(h))
+    assert back.qubit_count == h.qubit_count
+    assert [t.support for t in back.terms] == [t.support for t in h.terms]
+    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(back.terms, h.terms))
+
+
+# Points sit on the grid k/8 and masses are multiples of 1/16, so distances,
+# demands and flows are exact and Hall's condition is decided in fractions.
+GRID = 8
+MASS_UNIT = 16
+
+
+@st.composite
+def spectral_laws(draw, max_points):
+    count = draw(st.integers(1, max_points))
+    cuts = sorted(draw(st.lists(st.integers(0, MASS_UNIT), min_size=count - 1,
+                                max_size=count - 1)))
+    masses = [b - a for a, b in zip([0] + cuts, cuts + [MASS_UNIT])]
+    sites = draw(st.lists(st.integers(0, GRID - 1), min_size=count, max_size=count))
+    return [(Fraction(k, GRID), Fraction(m, MASS_UNIT)) for k, m in zip(sites, masses)]
+
+
+def hall_feasible(candidate, target, epsilon, delta, metric) -> bool:
+    """Every target set's demand (1 - delta) p(S) fits the candidate mass
+    within epsilon of S."""
+    for size in range(1, len(target) + 1):
+        for subset in itertools.combinations(range(len(target)), size):
+            near = [q for qv, q in candidate
+                    if any(point_distance(qv, target[j][0], metric) <= epsilon
+                           for j in subset)]
+            if (1 - delta) * sum(target[j][1] for j in subset) > sum(near):
+                return False
+    return True
+
+
+@SETTINGS
+@given(spectral_laws(4), spectral_laws(3), st.sampled_from(["absolute", "circular"]),
+       st.integers(0, 2), st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2)]))
+def test_approx_check_matches_hall(candidate, target, metric, eps_steps, delta):
+    epsilon = Fraction(eps_steps, GRID)
+    inst = ApproxCheckInstance(
+        SpectralDistribution([(float(v), float(w)) for v, w in candidate], metric),
+        SpectralDistribution([(float(v), float(w)) for v, w in target], metric),
+        float(epsilon),
+        float(delta),
+    )
+    feasible, witness = approx_check(inst)
+    assert feasible is hall_feasible(candidate, target, epsilon, delta, metric)
+    if feasible:
+        for i, (_, q) in enumerate(candidate):
+            routed = sum(mass for row, _, mass in witness if row == i)
+            assert abs(routed - float(q)) <= MASS_TOL

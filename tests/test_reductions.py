@@ -42,7 +42,7 @@ from eigensample import (
     reduction_report,
     unary_embedding_isometry,
 )
-from _helpers import haar_unitary
+from _helpers import haar_unitary, per_draw_sample, random_circuit
 
 STATE_TOL = 1e-10
 OVERLAP_TOL = 1e-9
@@ -416,6 +416,41 @@ class TestDeciders:
         grid = np.arange(2**prep.t) / 2**prep.t
         window = (grid >= red_module.PES_WINDOW[0]) & (grid <= red_module.PES_WINDOW[1])
         assert abs(prep.raw_probabilities[window].sum() - p_one) < OVERLAP_TOL
+
+    def test_exact_oracles_draw_like_the_per_draw_sampler(self):
+        # one uniform per draw from the same stream: the same 500 values
+        inst = build_lhes_instance(rotation_base(0.3), X0)
+        laws = [
+            (
+                exact_lhes_oracle(inst),
+                exact_distribution(inst.compact_matrix, inst.compact_request.b, "hermitian"),
+            )
+        ]
+        circuit = haar_base(90, gate_count=2)
+        req = SamplingRequest(1.0 / 8.0, 0.01, BasisLabel("01"))
+        laws.append(
+            (
+                exact_pes_oracle(circuit, req),
+                exact_distribution(circuit_unitary(circuit), req.b, "unitary"),
+            )
+        )
+        for draw, dist in laws:
+            assert len(dist.points) >= 4
+            rng, ref_rng = np.random.default_rng(91), np.random.default_rng(91)
+            draws = [float(draw(rng)) for _ in range(500)]
+            assert draws == [per_draw_sample(dist, ref_rng) for _ in range(500)]
+
+    def test_exact_luae_oracle_reads_the_simulated_amplitude(self):
+        rng = np.random.default_rng(92)
+        for n in (1, 2, 3, 4):
+            for _ in range(5):
+                circuit = random_circuit(n, 3 * n, rng)
+                b = BasisLabel("".join(str(v) for v in rng.integers(0, 2, size=n)))
+                state = apply_circuit(circuit, StateVector.from_label(b))
+                lam = exact_luae_oracle(circuit, SamplingRequest(0.25, 0.01, b))(None)
+                assert lam == complex(state.amplitudes[b.basis_index()])
+        with pytest.raises(DimensionMismatch):
+            exact_luae_oracle(circuit, SamplingRequest(0.25, 0.01, BasisLabel("0")))
 
     def test_broken_oracle_raises(self):
         def broken(instance):
