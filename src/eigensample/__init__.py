@@ -128,4 +128,4 @@ from .reductions import (
     reduction_report,
     unary_embedding_isometry,
 )
-from .seeding import master_rng, substream
+from .seeding import master_rng, substream, substream_uniforms

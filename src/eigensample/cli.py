@@ -61,7 +61,7 @@ from .reductions import (
     quantum_pes_oracle,
     reduction_report,
 )
-from .seeding import master_rng, substream
+from .seeding import MAX_SAMPLES, master_rng, substream, substream_uniforms
 
 EXIT_PARSE = 1
 EXIT_SIZE = 2
@@ -174,10 +174,12 @@ def _exact_law(kind: str, obj, b: BasisLabel):
     return exact_distribution(dense_hamiltonian(obj), b, "hermitian")
 
 
-def _substream_uniforms(args) -> np.ndarray:
-    """The one uniform of each sample's substream, in sample order; the
-    draws of pes and lhes map them through the law in one call."""
-    return np.array([substream(args.seed, i).random() for i in range(args.samples)])
+def _check_samples(args) -> None:
+    """Refuse a negative or oversized --samples before any preparation."""
+    if args.samples < 0:
+        raise UsageError(f"--samples must be nonnegative, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise TooLarge(f"--samples {args.samples} exceeds the cap of {MAX_SAMPLES}")
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +210,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_pes(args) -> int:
+    _check_samples(args)
     circuit = _load_circuit(args.file)
     req = SamplingRequest(args.epsilon, args.delta, BasisLabel(args.b))
     prep = prepare_pes(circuit, req)
-    phis = prep.raw_outcomes(_substream_uniforms(args)) / 2**prep.t
+    phis = prep.raw_outcomes(substream_uniforms(args.seed, args.samples)) / 2**prep.t
     report = _base_report(args.seed, args.epsilon, args.delta)
     report["b"] = args.b
     report["t"] = prep.t
@@ -220,10 +223,11 @@ def _cmd_pes(args) -> int:
 
 
 def _cmd_lhes(args) -> int:
+    _check_samples(args)
     h = _load_hamiltonian(args.file)
     req = SamplingRequest(args.epsilon, args.delta, BasisLabel(args.b))
     prep = prepare_lhes(h, req)
-    values = prep.eigenvalues(_substream_uniforms(args))
+    values = prep.eigenvalues(substream_uniforms(args.seed, args.samples))
     report = _base_report(args.seed, args.epsilon, args.delta)
     report["b"] = args.b
     report["lambda_cap"] = prep.lambda_cap

@@ -8,6 +8,7 @@ from eigensample import (
     LocalTerm,
     StateVector,
     named_gate,
+    substream,
 )
 from eigensample.distributions import inverse_cdf
 
@@ -86,6 +87,13 @@ def per_draw_sample(dist, rng):
     """One inverse-CDF draw from a SpectralDistribution, cumulative sum
     rebuilt per call: the exact oracles' former sampler, kept as a reference."""
     return dist.points[int(inverse_cdf(np.cumsum(dist.weights()), rng.random()))][0]
+
+
+def per_sample_uniforms(seed, count):
+    """First uniform of each sample's own substream generator, one generator
+    at a time: the CLI's former loop, kept as the reference for
+    seeding.substream_uniforms."""
+    return np.array([substream(seed, i).random() for i in range(count)])
 
 
 def cyclic_shift(n):

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front door."""
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from eigensample import (
     serialize_circuit,
     substream,
 )
+from eigensample import seeding
 from eigensample.cli import main, render_json
-from _helpers import random_circuit
+from _helpers import per_sample_uniforms, random_circuit
 
 FILE_TEXTS = {
     "bell": "qubits 2\nh 0\ncnot 0 1\n",
@@ -244,6 +246,60 @@ class TestSamplingCommands:
         assert report["samples"] == expected
         # Z seen from |1> is the point spectrum {-1}
         assert all(abs(v + 1.0) < 0.05 for v in report["samples"])
+
+
+    @pytest.mark.parametrize("command", ["pes", "lhes"])
+    def test_negative_samples_rejected_before_preparation(
+        self, command, files, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("prepared despite a bad --samples")
+
+        monkeypatch.setattr(cli_module, "prepare_pes", never)
+        monkeypatch.setattr(cli_module, "prepare_lhes", never)
+        path = files["bell"] if command == "pes" else files["zham"]
+        b = "00" if command == "pes" else "1"
+        argv = [command, path, "--epsilon", "0.25", "--delta", "0.1",
+                "--b", b, "--samples", "-5"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "UsageError"
+
+    @pytest.mark.parametrize("command", ["pes", "lhes"])
+    def test_samples_above_cap_fail_fast(self, command, files, capsys):
+        path = files["bell"] if command == "pes" else files["zham"]
+        b = "00" if command == "pes" else "1"
+        argv = [command, path, "--epsilon", "0.25", "--delta", "0.1",
+                "--b", b, "--samples", str(seeding.MAX_SAMPLES + 1)]
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "TooLarge"
+        assert payload["exit_code"] == 2
+
+    @pytest.mark.parametrize("seed", [1, 2**32 + 7])
+    @pytest.mark.parametrize("command", ["pes", "lhes"])
+    def test_reports_match_per_sample_reference(
+        self, command, seed, files, capsys, monkeypatch
+    ):
+        # the batched substream uniforms give the very report the per-sample
+        # generator loop gives, across a chunk boundary and for a two-word seed
+        if command == "pes":
+            argv = ["pes", files["bell"], "--epsilon", "0.03125", "--b", "00"]
+        else:
+            argv = ["lhes", files["zxham"], "--epsilon", "0.4", "--b", "1"]
+        argv += ["--delta", "0.1", "--seed", str(seed),
+                 "--samples", str(seeding.SUBSTREAM_CHUNK + 5)]
+        code, batched, _ = run_cli(argv, capsys)
+        assert code == 0
+        monkeypatch.setattr(cli_module, "substream_uniforms", per_sample_uniforms)
+        code, reference, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert batched == reference
 
 
 class TestEstimateCommands:

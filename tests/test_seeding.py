@@ -2,7 +2,13 @@
 import numpy as np
 import pytest
 
-from eigensample import master_rng, substream
+from eigensample import TooLarge, master_rng, substream, substream_uniforms
+from eigensample import seeding
+from _helpers import per_sample_uniforms
+
+# seeds of one to four 32-bit words: with the index word, 2**127 - 1 gives
+# more entropy words than SeedSequence's pool of four holds
+SEEDS = (0, 1, 3, 11, 2**32 - 1, 2**32, 2**64 + 5, 10**22, 2**127 - 1)
 
 
 class TestMasterRng:
@@ -44,8 +50,42 @@ class TestSubstream:
         with pytest.raises(ValueError):
             substream(0, -1)
 
-    def test_chunking_invariance(self):
-        # drawing 10 samples one by one equals any batch split by construction
-        singles = [float(substream(9, i).random()) for i in range(10)]
-        regrouped = [float(substream(9, i).random()) for i in range(10)]
-        assert singles == regrouped
+
+class TestSubstreamUniforms:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_bit_identical_to_per_sample_generators(self, seed):
+        count = seeding.SUBSTREAM_CHUNK + 3
+        assert np.array_equal(
+            substream_uniforms(seed, count), per_sample_uniforms(seed, count)
+        )
+
+    def test_zero_count_is_empty(self):
+        out = substream_uniforms(5, 0)
+        assert out.shape == (0,)
+        assert out.dtype == np.float64
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            substream_uniforms(-1, 3)
+        with pytest.raises(ValueError):
+            substream(-1, 0)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            substream_uniforms(0, -1)
+
+    def test_count_cap(self):
+        assert seeding.MAX_SAMPLES <= 2**32
+        with pytest.raises(TooLarge):
+            substream_uniforms(0, seeding.MAX_SAMPLES + 1)
+
+    def test_prefix_and_chunk_split(self, monkeypatch):
+        # a shorter run is a prefix of a longer one, and the split into
+        # vectorized chunks does not change any element
+        for seed in (9, 2**64 + 5):
+            whole = substream_uniforms(seed, 25)
+            assert np.array_equal(whole[:10], substream_uniforms(seed, 10))
+            for chunk in (1, 7, 10, 25):
+                monkeypatch.setattr(seeding, "SUBSTREAM_CHUNK", chunk)
+                assert np.array_equal(substream_uniforms(seed, 25), whole)
+            monkeypatch.undo()
