@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotUnitary, ParseError, TooLarge
+from .linalg import is_unitary
 
-PARSE_UNITARY_TOL = 1e-8
 NORM_TOL = 1e-10
 # Magnitude below which an output-branch amplitude is treated as absent.
 BRANCH_ZERO_TOL = 1e-12
@@ -324,7 +324,8 @@ def parse_circuit(text: str) -> Circuit:
                 raise ParseError(f"bad matrix entry: {exc}", lineno) from exc
             flat = np.array(reals[0::2]) + 1j * np.array(reals[1::2])
             matrix = flat.reshape(2**arity, 2**arity)
-            if np.max(np.abs(matrix.conj().T @ matrix - np.eye(2**arity))) > PARSE_UNITARY_TOL:
+            # the eigensolvers' own test, so what parses also diagonalizes
+            if not is_unitary(matrix):
                 raise ParseError(f"{head} matrix is not unitary", lineno)
             try:
                 gates.append(Gate(head, support, matrix))

@@ -14,8 +14,10 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -82,8 +84,36 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # deterministic JSON / CSV rendering
 
-def render_json(obj) -> str:
-    """JSON with floats at 17 significant digits and stable key order."""
+# Items per rendered piece of a list: bounds the strings alive at once.
+RENDER_CHUNK = 2**16
+
+
+def iter_json(obj):
+    """render_json(obj) in pieces, in order.  A list goes out RENDER_CHUNK
+    items at a time, and a chunk of plain floats in one format pass."""
+    if isinstance(obj, dict):
+        yield "{"
+        for i, (k, v) in enumerate(obj.items()):
+            yield f"{', ' if i else ''}{json.dumps(str(k))}: "
+            yield from iter_json(v)
+        yield "}"
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        yield "["
+        for start in range(0, len(obj), RENDER_CHUNK):
+            chunk = obj[start : start + RENDER_CHUNK]
+            if isinstance(chunk, np.ndarray):
+                chunk = chunk.tolist()
+            if all(type(v) is float for v in chunk):
+                items = map(format, chunk, repeat(".17g"))
+            else:
+                items = ("".join(iter_json(v)) for v in chunk)
+            yield (", " if start else "") + ", ".join(items)
+        yield "]"
+    else:
+        yield _render_scalar(obj)
+
+
+def _render_scalar(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -94,14 +124,12 @@ def render_json(obj) -> str:
         return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, dict):
-        inner = ", ".join(
-            f"{json.dumps(str(k))}: {render_json(v)}" for k, v in obj.items()
-        )
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(render_json(v) for v in obj) + "]"
     raise TypeError(f"cannot render {type(obj).__name__} deterministically")
+
+
+def render_json(obj) -> str:
+    """JSON with floats at 17 significant digits and stable key order."""
+    return "".join(iter_json(obj))
 
 
 def _format_float(x: float) -> str:
@@ -125,7 +153,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_report(report: dict, out: str | None) -> int:
-    _emit(render_json(report) + "\n", out)
+    """Write the report as one JSON line, piece by piece (iter_json)."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as stream:
+        stream.writelines(iter_json(report))
+        stream.write("\n")
     return 0
 
 
@@ -218,7 +249,7 @@ def _cmd_pes(args) -> int:
     report = _base_report(args.seed, args.epsilon, args.delta)
     report["b"] = args.b
     report["t"] = prep.t
-    report["samples"] = phis.tolist()
+    report["samples"] = phis
     return _emit_report(report, args.out)
 
 
@@ -233,7 +264,7 @@ def _cmd_lhes(args) -> int:
     report["lambda_cap"] = prep.lambda_cap
     report["t"] = prep.t
     report["trotter_steps"] = prep.trotter_steps
-    report["samples"] = values.tolist()
+    report["samples"] = values
     return _emit_report(report, args.out)
 
 
@@ -267,8 +298,7 @@ def _cmd_reduce(args) -> int:
     report["out"] = args.out
     report["hamiltonian_qubits"] = unary.hamiltonian.qubit_count
     report["legal_clock_states"] = list(unary.legal_clock_states)
-    _emit(render_json(report) + "\n", None)
-    return 0
+    return _emit_report(report, None)
 
 
 def _cmd_decide(args) -> int:

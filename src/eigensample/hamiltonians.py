@@ -36,15 +36,15 @@ from .errors import (
     TermTooLarge,
     TooLarge,
 )
-from .linalg import exp_i_hermitian, operator_norm
+from .linalg import exp_i_hermitian, is_hermitian, operator_norm
 from .phase_estimation import (
     EstimatorConfig,
     PreparedPhaseEstimation,
     SamplingRequest,
+    check_kernel_work,
     prepare_phase_estimation,
 )
 
-TERM_HERMITIAN_TOL = 1e-8
 MAX_TERM_QUBITS = 4
 # Headroom factor keeping the scaled spectrum strictly inside (-1/4, 1/4).
 LAMBDA_MARGIN = 1e-9
@@ -75,7 +75,8 @@ class LocalTerm:
             raise DimensionMismatch(
                 f"term matrix shape {m.shape} does not fit {k} qubits"
             )
-        if np.max(np.abs(m - m.conj().T)) > TERM_HERMITIAN_TOL:
+        # the eigensolvers' own test, so what parses also diagonalizes
+        if not is_hermitian(m):
             raise NotHermitian("term matrix is not Hermitian within tolerance")
         self.matrix = m
 
@@ -248,6 +249,8 @@ def prepare_lhes(h: LocalHamiltonian, req: SamplingRequest) -> PreparedEigenvalu
 
     The phase estimator gets precision epsilon / lambda_cap and failure
     budget delta / 2; the other delta / 2 covers the Trotter deviation.
+    A law whose kernel work exceeds phase_estimation.MAX_KERNEL_WORK raises
+    TooLarge before the slice is built.
     """
     if len(req.b.bits) != h.qubit_count:
         raise DimensionMismatch(
@@ -255,6 +258,7 @@ def prepare_lhes(h: LocalHamiltonian, req: SamplingRequest) -> PreparedEigenvalu
         )
     scale = scale_hamiltonian(h)
     cfg = EstimatorConfig.from_request(req.epsilon / scale.lambda_cap, req.delta / 2.0)
+    check_kernel_work(h.qubit_count, cfg.t)
     s_norm = sum(operator_norm(t.matrix) for t in scale.scaled.terms)
     steps = trotter_step_count(cfg.t, s_norm, req.delta)
     slice_u = circuit_unitary(trotter_circuit(scale, steps))

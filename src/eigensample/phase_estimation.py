@@ -13,9 +13,14 @@ instead of an eigenvector therefore samples the spectral law of U seen from
 |b>, blurred by the kernel.
 
 prepare_phase_estimation, the only place such a law is made, blurs the output
-of distributions.spectral_weights; EstimatorConfig is the one rule for t.
-Sampling is split from preparation: a PreparedPhaseEstimation holds the law
-and hands out cheap i.i.d. draws through distributions.inverse_cdf.
+of distributions.spectral_weights through fejer_law; EstimatorConfig is the
+one rule for t.  fejer_law reads every kernel denominator off one table of
+sin and cos at pi o / 2^t, so its loop over eigenphases and outcomes calls
+no transcendental function per element.  The loop's work, (operator
+dimension) * 2^t element updates, is checked against MAX_KERNEL_WORK before
+any dense work.  Sampling is split from preparation: a
+PreparedPhaseEstimation holds the law and hands out cheap i.i.d. draws
+through distributions.inverse_cdf.
 """
 from __future__ import annotations
 
@@ -31,6 +36,10 @@ from .errors import DimensionMismatch, NotEigenvector, TooLarge
 EIGENVECTOR_TOL = 1e-8
 # Largest ancilla count t: the law holds 2^t float64s, 128 MiB at the cap.
 MAX_ESTIMATOR_BITS = 24
+# Largest kernel work, (operator dimension) * 2^t element updates of
+# fejer_law: under a minute even at t = 24, where its buffers no longer fit
+# in cache and an update costs about 11 ns instead of 4-7 ns.
+MAX_KERNEL_WORK = 2**32
 
 
 def ceil_log2(x: float) -> int:
@@ -103,6 +112,63 @@ class PreparedPhaseEstimation:
         return self.raw_outcomes(rng.random(count))
 
 
+def check_kernel_work(qubits: int, t: int) -> None:
+    """Refuse a law over 2^t outcomes of a `qubits`-qubit operator whose
+    kernel loop would exceed MAX_KERNEL_WORK element updates."""
+    if 2 ** (qubits + t) > MAX_KERNEL_WORK:
+        raise TooLarge(
+            f"kernel work 2^{qubits} eigenphases x 2^{t} outcomes exceeds the cap "
+            f"of 2^{MAX_KERNEL_WORK.bit_length() - 1}"
+        )
+
+
+def fejer_law(phases: np.ndarray, weights: np.ndarray, t: int) -> np.ndarray:
+    """sum_k w_k F_t(2^t phi_k - x) over the outcomes x = 0 .. 2^t - 1.
+
+    With dim = 2^t, 2^t phi = nearest + frac exactly (dim is a power of
+    two), and the term at outcome x = nearest - o, the offset o wrapped into
+    [-dim/2, dim/2), is w sin^2(pi frac) / (dim sin(pi (o + frac) / dim))^2.
+    Its denominator comes by angle addition from tables of sin and cos at
+    pi |o| / dim, so no element calls a sine; keeping o small keeps phases
+    next to the 0/1 seam at full precision.  Terms are added in eigenphase
+    order; a zero weight adds nothing and is skipped.
+    """
+    dim = 2**t
+    half = dim // 2
+    pos = dim - half  # offsets 0 .. pos - 1 are nonnegative
+    angles = np.arange(half + 1) * (np.pi / dim)
+    sin_o, cos_o = np.sin(angles), np.cos(angles)
+    law = np.zeros(dim)
+    # den[j] is the denominator at offset o = pos - 1 - j: o descends from
+    # pos - 1 to 0 in `lo`, then from -1 to -half in `hi` (sign dropped).
+    den = np.empty(dim)
+    lo, hi = den[:pos], den[pos:]
+    tmp = np.empty(pos)
+    for phi, w in zip(phases, weights):
+        if w == 0.0:
+            continue
+        scaled = phi * dim
+        nearest = round(scaled)
+        frac = scaled - nearest
+        if frac == 0.0:
+            law[nearest % dim] += w
+            continue
+        c, s = math.cos(math.pi * frac / dim), math.sin(math.pi * frac / dim)
+        np.multiply(sin_o[pos - 1 :: -1], c, out=lo)
+        np.multiply(cos_o[pos - 1 :: -1], s, out=tmp)
+        lo += tmp
+        np.multiply(sin_o[1:], c, out=hi)
+        np.multiply(cos_o[1:], s, out=tmp[:half])
+        hi -= tmp[:half]
+        np.square(den, out=den)
+        np.divide(w * (math.sin(math.pi * frac) / dim) ** 2, den, out=den)
+        # outcome of den[j] is (nearest - pos + 1 + j) mod dim
+        start = (nearest - pos + 1) % dim
+        law[start:] += den[: dim - start]
+        law[:start] += den[dim - start :]
+    return law
+
+
 def prepare_phase_estimation(
     unitary: np.ndarray, system_state: StateVector, t: int, power: int = 1
 ) -> PreparedPhaseEstimation:
@@ -113,24 +179,9 @@ def prepare_phase_estimation(
     n = system_state.qubit_count
     if np.shape(unitary) != (2**n, 2**n):
         raise DimensionMismatch("unitary does not match system register")
+    check_kernel_work(n, t)
     phases, weights = spectral_weights(unitary, system_state.amplitudes, "unitary")
-    dim = 2**t
-    outcomes = np.arange(dim)
-    law = np.zeros(dim)
-    for phi, w in zip(phases * power % 1.0, weights):
-        # 2^t phi = nearest + frac exactly (dim is a power of two); the
-        # kernel's numerator is sin^2(pi frac) for every outcome, and the
-        # offset nearest - x wrapped into [-dim/2, dim/2) keeps the
-        # denominator's sine argument small and accurate.
-        scaled = phi * dim
-        nearest = round(scaled)
-        frac = scaled - nearest
-        if frac == 0.0:
-            law[nearest % dim] += w
-            continue
-        offset = (nearest - outcomes + dim // 2) % dim - dim // 2
-        law += w * (np.sin(np.pi * frac) / (dim * np.sin(np.pi * (offset + frac) / dim))) ** 2
-    return PreparedPhaseEstimation(t, law)
+    return PreparedPhaseEstimation(t, fejer_law(phases * power % 1.0, weights, t))
 
 
 def phase_estimate(
@@ -152,6 +203,7 @@ def phase_estimate(
     if eigenvector.clock_dim != 1:
         raise DimensionMismatch("eigenvector must not carry a clock register")
     cfg = EstimatorConfig.from_bits(n_bits, delta)
+    check_kernel_work(circuit.qubit_count, cfg.t)
     u = circuit_unitary(circuit)
     v = eigenvector.amplitudes
     lam = complex(v.conj() @ (u @ v))
@@ -165,13 +217,15 @@ def prepare_pes(circuit: Circuit, req: SamplingRequest) -> PreparedPhaseEstimati
     """Preparation for spectral sampling of a circuit from basis state b.
 
     The law comes from the circuit's dense unitary, so circuits wider than
-    circuits.MAX_DENSE_QUBITS raise TooLarge.
+    circuits.MAX_DENSE_QUBITS raise TooLarge, and so does a law whose kernel
+    work exceeds MAX_KERNEL_WORK, before the unitary is built.
     """
     if len(req.b.bits) != circuit.qubit_count:
         raise DimensionMismatch(
             f"b has {len(req.b.bits)} bits, circuit acts on {circuit.qubit_count}"
         )
     cfg = EstimatorConfig.from_request(req.epsilon, req.delta)
+    check_kernel_work(circuit.qubit_count, cfg.t)
     return prepare_phase_estimation(
         circuit_unitary(circuit), StateVector.from_label(req.b), cfg.t
     )

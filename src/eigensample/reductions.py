@@ -305,11 +305,16 @@ def eigenvalue_grids(clock_dim: int) -> tuple[np.ndarray, np.ndarray]:
 class LhesInstance:
     """Everything an eigenvalue-sampling oracle needs for one decision."""
 
+    marked: MarkedCircuit
     clock_dim: int
-    compact_matrix: np.ndarray
     compact_request: SamplingRequest
     unary: UnaryClockHamiltonian
     unary_request: SamplingRequest
+
+    def compact_matrix(self) -> np.ndarray:
+        """Dense H = F + F-dagger on the compact system x clock space.  Only
+        the exact oracle reads it, so it is assembled on request."""
+        return build_clock_hamiltonian(build_clock_propagator(self.marked))
 
 
 def _padded_input_bits(base: Circuit, x: BasisLabel) -> str:
@@ -328,15 +333,14 @@ def lhes_epsilon(marked: MarkedCircuit) -> float:
 def build_lhes_instance(base: Circuit, x: BasisLabel) -> LhesInstance:
     bits = _padded_input_bits(base, x)
     marked = mark_circuit(base, "lhes-copy")
-    propagator = build_clock_propagator(marked)
-    clock_dim = propagator.clock_dim
+    clock_dim = len(marked.full.gates)
     epsilon = lhes_epsilon(marked)
     compact_b = BasisLabel("0" + bits, 0)
     unary_b = BasisLabel("0" + bits + "1" + "0" * (clock_dim - 1), 0)
     unary = build_unary_clock(marked)
     return LhesInstance(
+        marked=marked,
         clock_dim=clock_dim,
-        compact_matrix=build_clock_hamiltonian(propagator),
         compact_request=SamplingRequest(epsilon, LHES_DELTA, compact_b),
         unary=unary,
         unary_request=SamplingRequest(epsilon, LHES_DELTA, unary_b),
@@ -411,7 +415,7 @@ def decide_via_luae(
 
 def exact_lhes_oracle(instance: LhesInstance):
     dist = exact_distribution(
-        instance.compact_matrix, instance.compact_request.b, "hermitian"
+        instance.compact_matrix(), instance.compact_request.b, "hermitian"
     )
     return lambda rng: sample_values(dist, 1, rng)[0]
 

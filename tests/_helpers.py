@@ -1,4 +1,6 @@
 """Shared random generators and comparison helpers for the test suite."""
+import json
+
 import numpy as np
 
 from eigensample import (
@@ -149,3 +151,49 @@ def geometric_phase_law(t, phases, weights):
         kernel[np.abs(s) < 1e-15] = 1.0
         probs += w * kernel
     return probs
+
+
+def two_sine_law(phases, weights, t):
+    """Fejer-kernel law of phase estimation with two fresh sines per
+    (eigenphase, outcome) pair: phase_estimation's former kernel loop, kept
+    as the reference for phase_estimation.fejer_law."""
+    dim = 2**t
+    outcomes = np.arange(dim)
+    law = np.zeros(dim)
+    for phi, w in zip(phases, weights):
+        # 2^t phi = nearest + frac exactly (dim is a power of two); the
+        # kernel's numerator is sin^2(pi frac) for every outcome, and the
+        # offset nearest - x wrapped into [-dim/2, dim/2) keeps the
+        # denominator's sine argument small and accurate.
+        scaled = phi * dim
+        nearest = round(scaled)
+        frac = scaled - nearest
+        if frac == 0.0:
+            law[nearest % dim] += w
+            continue
+        offset = (nearest - outcomes + dim // 2) % dim - dim // 2
+        law += w * (np.sin(np.pi * frac) / (dim * np.sin(np.pi * (offset + frac) / dim))) ** 2
+    return law
+
+
+def recursive_render_json(obj):
+    """The CLI's former renderer, one recursive call per value: the
+    reference for cli.render_json and cli.iter_json."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        inner = ", ".join(
+            f"{json.dumps(str(k))}: {recursive_render_json(v)}" for k, v in obj.items()
+        )
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(recursive_render_json(v) for v in obj) + "]"
+    raise TypeError(f"cannot render {type(obj).__name__} deterministically")

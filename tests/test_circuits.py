@@ -25,6 +25,7 @@ from eigensample import (
     tensor,
 )
 from eigensample.circuits import DIAGONAL_BLOCK_AMPLITUDES
+from eigensample.linalg import is_unitary
 from _gate_level import apply_gate_controlled
 from _helpers import haar_unitary, random_circuit, random_state
 
@@ -33,6 +34,9 @@ UNITARY_TOL = 1e-9
 SQ2 = 1.0 / np.sqrt(2.0)
 
 BELL_TEXT = "qubits 2\nh 0\ncnot 0 1\n"
+
+
+NINE_DIGIT_HADAMARD = "u1 0 0.707106781 0 0.707106781 0 0.707106781 0 -0.707106781 0"
 
 
 class TestParse:
@@ -54,6 +58,16 @@ class TestParse:
     def test_u1_rejects_non_unitary(self):
         with pytest.raises(ParseError, match="not unitary"):
             parse_circuit("qubits 1\nu1 0 1 0 0 0 0 0 2 0\n")
+
+    def test_u1_parses_what_the_eigensolver_accepts(self):
+        # a 9-digit Hadamard is 1.6e-9 from unitary and fails the
+        # eigensolver's check (1e-10), so parsing refuses it, naming the line
+        with pytest.raises(ParseError, match="not unitary") as info:
+            parse_circuit(f"qubits 1\nx 0\n{NINE_DIGIT_HADAMARD}\n")
+        assert info.value.line == 3
+        r = format(1.0 / np.sqrt(2.0), ".17g")
+        c = parse_circuit(f"qubits 1\nu1 0 {r} 0 {r} 0 {r} 0 -{r} 0\n")
+        assert is_unitary(c.gates[0].matrix)
 
     def test_u2(self):
         entries = " ".join(["1 0 0 0 0 0 0 0",

@@ -21,8 +21,8 @@ from eigensample import (
     substream,
 )
 from eigensample import seeding
-from eigensample.cli import main, render_json
-from _helpers import per_sample_uniforms, random_circuit
+from eigensample.cli import iter_json, main, render_json
+from _helpers import per_sample_uniforms, random_circuit, recursive_render_json
 
 FILE_TEXTS = {
     "bell": "qubits 2\nh 0\ncnot 0 1\n",
@@ -34,6 +34,11 @@ FILE_TEXTS = {
     "wideham": "qubits 13\nterm 1 0 1 0 0 0 0 0 -1 0\n",
     "zxham": "qubits 1\nterm 1 0 1 0 0 0 0 0 -1 0\nterm 1 0 0 0 1 0 1 0 0 0\n",
     "bad": "qubits 1\nterm 1 0 1 0\n",
+    # 9 digits leave these 1.6e-9 from unitary and 5e-9 from Hermitian
+    "roughh": "qubits 1\nx 0\n"
+    "u1 0 0.707106781 0 0.707106781 0 0.707106781 0 -0.707106781 0\n",
+    "roughham": "qubits 1\nterm 1 0 1 0 0 0 5e-9 0 -1 0\n",
+    "wide12": "qubits 12\nh 0\n",
 }
 
 
@@ -77,6 +82,38 @@ class TestRenderJson:
         with pytest.raises(TypeError):
             render_json(complex(1.0, 2.0))
 
+    EDGE_FLOATS = [-0.0, 0.0, 1e-300, 5e-324, 0.1, 1.0 / 3.0, 1e300, -2.5, math.inf, math.nan]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 2**16])
+    def test_matches_the_recursive_renderer(self, chunk, monkeypatch):
+        monkeypatch.setattr(cli_module, "RENDER_CHUNK", chunk)
+        floats = self.EDGE_FLOATS
+        values = [
+            floats,
+            np.array(floats),
+            [1, 2.5, -0.0, True, None, "s"],
+            [np.float64(0.1), np.int64(-4), np.bool_(True)],
+            {"a": {"b": [1e-300, {"c": -0.0}], "d": []}, "e": (0.1, 7)},
+            np.arange(12).reshape(3, 4),
+            np.array([True, False]),
+            [],
+            {},
+            -0.0,
+            12,
+        ]
+        for obj in values:
+            expected = recursive_render_json(obj)
+            assert render_json(obj) == expected
+            assert "".join(iter_json(obj)) == expected
+
+    def test_long_float_lists_stream_in_bounded_pieces(self, monkeypatch):
+        monkeypatch.setattr(cli_module, "RENDER_CHUNK", 100)
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal(1050) * 10.0 ** rng.uniform(-300, 300, 1050)
+        pieces = list(iter_json({"samples": values}))
+        assert max(len(piece) for piece in pieces) < 100 * 26
+        assert "".join(pieces) == recursive_render_json({"samples": values})
+
 
 class TestCheckCommand:
     def test_circuit_report(self, files, capsys):
@@ -105,6 +142,17 @@ class TestCheckCommand:
         assert payload["error"] == "ParseError"
         assert payload["exit_code"] == 1
         assert payload["line"] == 2
+
+    @pytest.mark.parametrize("name, error", [("roughh", "not unitary"), ("roughham", "Hermitian")])
+    def test_accepts_only_what_later_commands_accept(self, name, error, files, capsys):
+        # check used to pass these, then spectrum failed on them with exit 1
+        code, out, err = run_cli(["check", files[name]], capsys)
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ParseError"
+        assert error in payload["message"]
+        assert payload["line"] == (3 if name == "roughh" else 2)
 
     def test_forced_kind_mismatch(self, files, capsys):
         code, out, err = run_cli(
@@ -212,6 +260,20 @@ class TestSamplingCommands:
         payload = json.loads(err)
         assert payload["error"] == "TooLarge"
         assert payload["exit_code"] == 2
+
+    def test_pes_above_kernel_work_cap_fails_fast(self, files, capsys):
+        # 12 qubits at t = 24 is 2^36 kernel element updates, minutes of
+        # work; it is refused before the dense unitary is built
+        argv = ["pes", files["wide12"], "--epsilon", str(2.0**-21), "--delta", "0.1",
+                "--b", "0" * 12]
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "TooLarge"
+        assert "kernel work" in payload["message"]
 
     def test_out_flag_redirects_report(self, files, capsys):
         argv = [
@@ -426,6 +488,18 @@ class TestDecideCommand:
         payload = json.loads(err)
         assert payload["error"] == "OracleFailure"
         assert payload["exit_code"] == 3
+
+    def test_quantum_lhes_on_a_wide_base_fails_fast(self, files, capsys):
+        # 5 qubits, 20 gates: the unary clock Hamiltonian has 47 qubits; no
+        # compact clock matrix is assembled before the size check fires
+        base = files["dir"] / "base5.txt"
+        base.write_text(serialize_circuit(random_circuit(5, 20, np.random.default_rng(8))))
+        argv = ["decide", str(base), "--x", "00000", "--route", "lhes", "--oracle", "quantum"]
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert json.loads(err)["error"] == "TooLarge"
 
     def test_size_limit_exit_code(self, files, capsys):
         code, out, err = run_cli(

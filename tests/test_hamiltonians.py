@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import eigensample.hamiltonians as hamiltonians
 from eigensample import (
     BasisLabel,
     DimensionMismatch,
@@ -19,6 +20,7 @@ from eigensample import (
     exact_average_eigenvalue,
     exact_distribution,
     hermitian_eig,
+    is_hermitian,
     parse_hamiltonian,
     prepare_lhes,
     prepare_phase_estimation,
@@ -105,6 +107,16 @@ class TestParse:
             parse_hamiltonian("qubits 1\nterm 1 0 0 0 1 0 0 0 0 0\n")
         with pytest.raises(ParseError, match="must come first"):
             parse_hamiltonian("term 1 0 1 0 0 0 0 0 1 0\n")
+
+    def test_parses_what_the_eigensolver_accepts(self):
+        # a 5e-9 asymmetry fails the eigensolver's Hermitian check (1e-10),
+        # so parsing refuses it, naming the line
+        text = hamiltonian_text("qubits 1", "term 1 0 1 0 0 0 5e-9 0 -1 0")
+        with pytest.raises(ParseError, match="Hermitian") as info:
+            parse_hamiltonian(text)
+        assert info.value.line == 2
+        h = parse_hamiltonian(hamiltonian_text("qubits 1", "term 1 0 1 0 5e-11 0 0 0 -1 0"))
+        assert is_hermitian(dense_hamiltonian(h))
 
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(53)
@@ -243,6 +255,18 @@ class TestPreparedSampling:
     def test_b_length_checked(self):
         with pytest.raises(DimensionMismatch):
             prepare_lhes(TWO_FLIPS, SamplingRequest(0.5, 0.1, BasisLabel("0")))
+
+    def test_kernel_work_refused_before_the_slice(self, monkeypatch):
+        def unreachable(circuit):
+            raise AssertionError("dense work before the work check")
+
+        monkeypatch.setattr(hamiltonians, "circuit_unitary", unreachable)
+        # lambda_cap is just above 4, so 21 precision bits plus 3 delta
+        # bits: 10 qubits at t = 24 is 2^34 element updates
+        h = LocalHamiltonian(10, [LocalTerm((0,), Z)])
+        req = SamplingRequest(2.0**-20 * 4.0, 0.2, BasisLabel("0" * 10))
+        with pytest.raises(TooLarge, match="kernel work"):
+            prepare_lhes(h, req)
 
 
 class TestAverage:

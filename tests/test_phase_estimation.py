@@ -21,7 +21,12 @@ from eigensample import (
     prepare_pes,
     prepare_phase_estimation,
 )
-from eigensample.phase_estimation import MAX_ESTIMATOR_BITS
+from eigensample.phase_estimation import (
+    MAX_ESTIMATOR_BITS,
+    MAX_KERNEL_WORK,
+    check_kernel_work,
+    fejer_law,
+)
 from _gate_level import ancilla_law, controlled_power_apply, qft_apply
 from _helpers import (
     circular_distance,
@@ -30,6 +35,7 @@ from _helpers import (
     phase_circuit,
     random_circuit,
     random_state,
+    two_sine_law,
 )
 
 STATE_TOL = 1e-10
@@ -303,6 +309,93 @@ class TestPreparedDistribution:
         rng = np.random.default_rng(5)
         sequential = [prep.sample(rng) for _ in range(7)]
         assert np.array_equal(batch / 2**6, sequential)
+
+
+def max_relative_gap(law, reference):
+    """Largest |law - reference| / reference; entries where the reference is
+    exactly 0 must be exactly 0 in the law too."""
+    zero = reference == 0.0
+    assert np.array_equal(law[zero], reference[zero])
+    return float(np.max(np.abs(law[~zero] - reference[~zero]) / reference[~zero]))
+
+
+class TestFejerLaw:
+    """The table kernel against the two-sine loop it replaced."""
+
+    KERNEL_REL_TOL = 1e-14
+
+    def phase_grid(self, t, rng):
+        """Random phases plus phases within 1e-12 of 0, of 1 and of the
+        bin midpoints, on either side."""
+        dim = 2**t
+        near = [0.0, 1.0] + [(k + 0.5) / dim for k in rng.choice(dim, min(dim, 4), replace=False)]
+        close = [p + d for p in near for d in (-1e-12, -3e-13, 3e-13, 1e-12)]
+        return np.array([p % 1.0 for p in close] + list(rng.random(12)))
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 8, 16])
+    def test_matches_the_two_sine_reference(self, t):
+        rng = np.random.default_rng(100 + t)
+        phases = self.phase_grid(t, rng)
+        weights = rng.random(len(phases))
+        weights[::5] = 0.0
+        weights /= weights.sum()
+        for power in (1, 3, 977, 3 * 10**7):
+            powered = phases * power % 1.0
+            law = fejer_law(powered, weights, t)
+            reference = two_sine_law(powered, weights, t)
+            assert max_relative_gap(law, reference) <= self.KERNEL_REL_TOL
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 8, 16])
+    def test_single_phases_match_one_by_one(self, t):
+        # one eigenphase at a time, so no term hides under a larger one
+        rng = np.random.default_rng(200 + t)
+        for phi in self.phase_grid(t, rng):
+            law = fejer_law([phi], [1.0], t)
+            assert max_relative_gap(law, two_sine_law([phi], [1.0], t)) <= self.KERNEL_REL_TOL
+            assert abs(law.sum() - 1.0) < 1e-12
+
+    def test_zero_weights_add_nothing(self):
+        rng = np.random.default_rng(7)
+        phases, weights = rng.random(6), rng.random(6)
+        padded_phases = np.insert(phases, [0, 3, 6], [0.25, 0.6, 0.9])
+        padded_weights = np.insert(weights, [0, 3, 6], 0.0)
+        assert np.array_equal(
+            fejer_law(padded_phases, padded_weights, 10), fejer_law(phases, weights, 10)
+        )
+
+    def test_sharp_phases_land_on_one_outcome(self):
+        law = fejer_law([0.0, 0.75, 0.5], [0.5, 0.25, 0.25], 3)
+        assert np.array_equal(law, [0.5, 0, 0, 0, 0.25, 0, 0.25, 0])
+
+
+class TestKernelWorkCap:
+    def test_cap_boundary(self):
+        # 2^8 eigenphases x 2^24 outcomes is the cap itself
+        check_kernel_work(8, 24)
+        with pytest.raises(TooLarge, match="2\\^9 eigenphases x 2\\^24 outcomes"):
+            check_kernel_work(9, 24)
+        assert MAX_KERNEL_WORK == 2**32
+
+    def test_prepare_pes_refuses_before_dense_work(self, monkeypatch):
+        def unreachable(circuit):
+            raise AssertionError("dense work before the work check")
+
+        monkeypatch.setattr(phase_estimation, "circuit_unitary", unreachable)
+        # 12 qubits at t = 24: 2^36 element updates
+        circ = Circuit(12, [named_gate("h", 0)])
+        req = SamplingRequest(2.0**-21, 0.1, BasisLabel("0" * 12))
+        with pytest.raises(TooLarge, match="kernel work"):
+            prepare_pes(circ, req)
+        with pytest.raises(TooLarge, match="kernel work"):
+            phase_estimate(circ, StateVector.basis(12, 0), 21, 0.1, np.random.default_rng(0))
+
+    def test_prepare_phase_estimation_refuses_before_the_eigensolve(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("eigensolve before the work check")
+
+        monkeypatch.setattr(phase_estimation, "spectral_weights", unreachable)
+        with pytest.raises(TooLarge, match="kernel work"):
+            prepare_phase_estimation(np.eye(2**10), StateVector.basis(10, 0), 24)
 
 
 class TestPhaseEstimate:

@@ -349,7 +349,7 @@ class TestInstances:
         # input padded with zeros behind the given bits, flag in front
         assert inst.compact_request.b == BasisLabel("010", 0)
         assert inst.unary_request.b == BasisLabel("010" + "100", 0)
-        assert inst.compact_matrix.shape == (8 * 3, 8 * 3)
+        assert inst.compact_matrix().shape == (8 * 3, 8 * 3)
 
     def test_overlong_input_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -381,7 +381,7 @@ class TestDeciders:
         for p_one, expected in ((0.1, 0.05), (0.9, 0.45)):
             inst = build_lhes_instance(rotation_base(p_one), X0)
             dist = exact_distribution(
-                inst.compact_matrix, inst.compact_request.b, "hermitian"
+                inst.compact_matrix(), inst.compact_request.b, "hermitian"
             )
             integer_grid, half_grid = eigenvalue_grids(inst.clock_dim)
             in_band = [(v, w) for v, w in dist.points if abs(v) <= 1.0 + 1e-9]
@@ -423,7 +423,7 @@ class TestDeciders:
         laws = [
             (
                 exact_lhes_oracle(inst),
-                exact_distribution(inst.compact_matrix, inst.compact_request.b, "hermitian"),
+                exact_distribution(inst.compact_matrix(), inst.compact_request.b, "hermitian"),
             )
         ]
         circuit = haar_base(90, gate_count=2)
