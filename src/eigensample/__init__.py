@@ -34,7 +34,6 @@ from .circuits import (
     circuit_unitary,
     gate_unitary,
     invert_circuit,
-    measure_qubit,
     named_gate,
     output_split,
     parse_circuit,
@@ -60,7 +59,6 @@ from .errors import (
     EmptyCircuit,
     EmptyHamiltonian,
     MetricMismatch,
-    NotEigenvector,
     NotHermitian,
     NotUnitary,
     OracleFailure,
@@ -90,15 +88,13 @@ from .linalg import (
     is_hermitian,
     is_unitary,
     operator_norm,
-    tensor,
     unitary_eig,
 )
 from .phase_estimation import (
-    EstimatorConfig,
     PreparedPhaseEstimation,
     SamplingRequest,
+    ancilla_bits,
     ceil_log2,
-    phase_estimate,
     prepare_pes,
     prepare_phase_estimation,
 )

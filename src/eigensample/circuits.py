@@ -28,6 +28,8 @@ NORM_TOL = 1e-10
 # Magnitude below which an output-branch amplitude is treated as absent.
 BRANCH_ZERO_TOL = 1e-12
 MAX_DENSE_QUBITS = 12
+# Widest register simulated as statevector columns: 256 MiB per complex column.
+MAX_STATEVECTOR_QUBITS = 24
 # Amplitudes simulated at once by circuit_diagonal (4 MiB of complex128).
 DIAGONAL_BLOCK_AMPLITUDES = 2**18
 
@@ -162,10 +164,6 @@ class StateVector:
         amps[index * clock_dim] = 1.0
         return cls(qubit_count, clock_dim, amps)
 
-    def tensor_view(self) -> np.ndarray:
-        """Reshape to one axis per qubit plus a trailing clock axis (a view)."""
-        return self.amplitudes.reshape((2,) * self.qubit_count + (self.clock_dim,))
-
 
 @dataclass
 class OutputSplit:
@@ -197,7 +195,8 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     for q in gate.support:
         if q >= state.qubit_count:
             raise DimensionMismatch(f"gate {gate.name} targets qubit {q} beyond register")
-    out = _apply_matrix(state.tensor_view(), gate.matrix, gate.support)
+    axes = state.amplitudes.reshape((2,) * state.qubit_count + (state.clock_dim,))
+    out = _apply_matrix(axes, gate.matrix, gate.support)
     return StateVector(state.qubit_count, state.clock_dim, out.reshape(-1))
 
 
@@ -239,10 +238,16 @@ def circuit_diagonal(circuit: Circuit, indices) -> np.ndarray:
     """Diagonal entries <b|U|b> of the circuit's unitary for basis indices b.
 
     The columns U|b> are simulated together, DIAGONAL_BLOCK_AMPLITUDES at a
-    time (at least one column per block), so memory stays bounded at any
-    width and no dense unitary is formed.
+    time, and no dense unitary is formed.  Each block holds at least one
+    full column, so circuits wider than MAX_STATEVECTOR_QUBITS raise
+    TooLarge before anything is allocated.
     """
     n = circuit.qubit_count
+    if n > MAX_STATEVECTOR_QUBITS:
+        raise TooLarge(
+            f"statevector simulation limited to {MAX_STATEVECTOR_QUBITS} qubits, "
+            f"circuit has {n}"
+        )
     indices = np.asarray(indices, dtype=np.int64).reshape(-1)
     out = np.empty(indices.size, dtype=complex)
     width = max(1, DIAGONAL_BLOCK_AMPLITUDES >> n)
@@ -255,25 +260,6 @@ def circuit_diagonal(circuit: Circuit, indices) -> np.ndarray:
             cols = _apply_matrix(cols, gate.matrix, gate.support)
         out[start : start + block.size] = cols.reshape(2**n, -1)[block, np.arange(block.size)]
     return out
-
-
-def measure_qubit(
-    state: StateVector, qubit: int, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Projective measurement of one qubit; returns (bit, collapsed state)."""
-    if qubit >= state.qubit_count:
-        raise DimensionMismatch("measured qubit beyond register")
-    tensor = state.tensor_view()
-    marginal = np.moveaxis(tensor, qubit, 0).reshape(2, -1)
-    p1 = float(np.sum(np.abs(marginal[1]) ** 2))
-    bit = 1 if rng.random() < p1 else 0
-    out = tensor.copy()
-    slicer = [slice(None)] * out.ndim
-    slicer[qubit] = 1 - bit
-    out[tuple(slicer)] = 0.0
-    flat = out.reshape(-1)
-    flat = flat / np.linalg.norm(flat)
-    return bit, StateVector(state.qubit_count, state.clock_dim, flat)
 
 
 # ---------------------------------------------------------------------------

@@ -198,8 +198,11 @@ def _load_hamiltonian(path: str):
 def _exact_law(kind: str, obj, b: BasisLabel):
     """Exact spectral law of a circuit (phases) or Hamiltonian (values) from b.
 
-    Inputs wider than circuits.MAX_DENSE_QUBITS raise TooLarge before any
-    dense matrix is allocated."""
+    A b of the wrong length raises DimensionMismatch, and inputs wider than
+    circuits.MAX_DENSE_QUBITS raise TooLarge, before any dense matrix is
+    allocated."""
+    if len(b.bits) != obj.qubit_count:
+        raise DimensionMismatch(f"b has {len(b.bits)} bits, {kind} acts on {obj.qubit_count}")
     if kind == "circuit":
         return exact_distribution(circuit_unitary(obj), b, "unitary")
     return exact_distribution(dense_hamiltonian(obj), b, "hermitian")

@@ -28,10 +28,6 @@ class NotUnitary(EigensampleError):
     pass
 
 
-class NotEigenvector(EigensampleError):
-    pass
-
-
 class DimensionMismatch(EigensampleError):
     pass
 

@@ -38,9 +38,9 @@ from .errors import (
 )
 from .linalg import exp_i_hermitian, is_hermitian, operator_norm
 from .phase_estimation import (
-    EstimatorConfig,
     PreparedPhaseEstimation,
     SamplingRequest,
+    ancilla_bits,
     check_kernel_work,
     prepare_phase_estimation,
 )
@@ -257,15 +257,13 @@ def prepare_lhes(h: LocalHamiltonian, req: SamplingRequest) -> PreparedEigenvalu
             f"b has {len(req.b.bits)} bits, Hamiltonian acts on {h.qubit_count}"
         )
     scale = scale_hamiltonian(h)
-    cfg = EstimatorConfig.from_request(req.epsilon / scale.lambda_cap, req.delta / 2.0)
-    check_kernel_work(h.qubit_count, cfg.t)
-    s_norm = sum(operator_norm(t.matrix) for t in scale.scaled.terms)
-    steps = trotter_step_count(cfg.t, s_norm, req.delta)
+    t = ancilla_bits(req.epsilon / scale.lambda_cap, req.delta / 2.0)
+    check_kernel_work(h.qubit_count, t)
+    s_norm = sum(operator_norm(term.matrix) for term in scale.scaled.terms)
+    steps = trotter_step_count(t, s_norm, req.delta)
     slice_u = circuit_unitary(trotter_circuit(scale, steps))
-    prep = prepare_phase_estimation(
-        slice_u, StateVector.from_label(req.b), cfg.t, power=steps
-    )
-    return PreparedEigenvalueSampler(scale.lambda_cap, cfg.t, steps, prep)
+    prep = prepare_phase_estimation(slice_u, StateVector.from_label(req.b), t, power=steps)
+    return PreparedEigenvalueSampler(scale.lambda_cap, t, steps, prep)
 
 
 def exact_average_eigenvalue(h: LocalHamiltonian, b) -> float:

@@ -53,11 +53,6 @@ class SpectralDecomposition:
         return np.angle(self.eigenvalues) / (2.0 * np.pi) % 1.0
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the first factor is the more significant one."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def hermitian_eig(a: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
     a = np.asarray(a, dtype=complex)

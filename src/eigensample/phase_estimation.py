@@ -13,7 +13,7 @@ instead of an eigenvector therefore samples the spectral law of U seen from
 |b>, blurred by the kernel.
 
 prepare_phase_estimation, the only place such a law is made, blurs the output
-of distributions.spectral_weights through fejer_law; EstimatorConfig is the
+of distributions.spectral_weights through fejer_law; ancilla_bits is the
 one rule for t.  fejer_law reads every kernel denominator off one table of
 sin and cos at pi o / 2^t, so its loop over eigenphases and outcomes calls
 no transcendental function per element.  The loop's work, (operator
@@ -31,9 +31,8 @@ import numpy as np
 
 from .circuits import BasisLabel, Circuit, StateVector, circuit_unitary
 from .distributions import inverse_cdf, spectral_weights
-from .errors import DimensionMismatch, NotEigenvector, TooLarge
+from .errors import DimensionMismatch, TooLarge
 
-EIGENVECTOR_TOL = 1e-8
 # Largest ancilla count t: the law holds 2^t float64s, 128 MiB at the cap.
 MAX_ESTIMATOR_BITS = 24
 # Largest kernel work, (operator dimension) * 2^t element updates of
@@ -66,23 +65,13 @@ class SamplingRequest:
             raise ValueError("delta must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Ancilla budget t for a precision epsilon and failure budget delta."""
-
-    t: int
-
-    @classmethod
-    def from_request(cls, epsilon: float, delta: float) -> "EstimatorConfig":
-        return cls.from_bits(ceil_log2(1.0 / epsilon), delta)
-
-    @classmethod
-    def from_bits(cls, precision_bits: int, delta: float) -> "EstimatorConfig":
-        """t for precision 2^-precision_bits: those bits plus the delta bits."""
-        t = precision_bits + ceil_log2(2.0 + 1.0 / (2.0 * delta))
-        if t > MAX_ESTIMATOR_BITS:
-            raise TooLarge(f"{t} ancilla bits exceed the cap of {MAX_ESTIMATOR_BITS}")
-        return cls(t)
+def ancilla_bits(epsilon: float, delta: float) -> int:
+    """Ancilla count t for precision epsilon and failure budget delta: the
+    precision bits plus the delta bits, refused above MAX_ESTIMATOR_BITS."""
+    t = ceil_log2(1.0 / epsilon) + ceil_log2(2.0 + 1.0 / (2.0 * delta))
+    if t > MAX_ESTIMATOR_BITS:
+        raise TooLarge(f"{t} ancilla bits exceed the cap of {MAX_ESTIMATOR_BITS}")
+    return t
 
 
 @dataclass
@@ -184,35 +173,6 @@ def prepare_phase_estimation(
     return PreparedPhaseEstimation(t, fejer_law(phases * power % 1.0, weights, t))
 
 
-def phase_estimate(
-    circuit: Circuit,
-    eigenvector: StateVector,
-    n_bits: int,
-    delta: float,
-    rng: np.random.Generator,
-) -> float:
-    """Estimate the eigenphase of `eigenvector` to n_bits of precision.
-
-    The returned phase is circularly within 2^-n_bits of the true phase with
-    probability at least 1 - delta.
-    """
-    if n_bits < 1:
-        raise ValueError("n_bits must be at least 1")
-    if not (0 < delta < 1):
-        raise ValueError("delta must lie in (0, 1)")
-    if eigenvector.clock_dim != 1:
-        raise DimensionMismatch("eigenvector must not carry a clock register")
-    cfg = EstimatorConfig.from_bits(n_bits, delta)
-    check_kernel_work(circuit.qubit_count, cfg.t)
-    u = circuit_unitary(circuit)
-    v = eigenvector.amplitudes
-    lam = complex(v.conj() @ (u @ v))
-    residual = float(np.linalg.norm(u @ v - lam * v))
-    if residual > EIGENVECTOR_TOL:
-        raise NotEigenvector(f"residual {residual:.3e} exceeds {EIGENVECTOR_TOL}")
-    return prepare_phase_estimation(u, eigenvector, cfg.t).sample(rng)
-
-
 def prepare_pes(circuit: Circuit, req: SamplingRequest) -> PreparedPhaseEstimation:
     """Preparation for spectral sampling of a circuit from basis state b.
 
@@ -224,9 +184,9 @@ def prepare_pes(circuit: Circuit, req: SamplingRequest) -> PreparedPhaseEstimati
         raise DimensionMismatch(
             f"b has {len(req.b.bits)} bits, circuit acts on {circuit.qubit_count}"
         )
-    cfg = EstimatorConfig.from_request(req.epsilon, req.delta)
-    check_kernel_work(circuit.qubit_count, cfg.t)
+    t = ancilla_bits(req.epsilon, req.delta)
+    check_kernel_work(circuit.qubit_count, t)
     return prepare_phase_estimation(
-        circuit_unitary(circuit), StateVector.from_label(req.b), cfg.t
+        circuit_unitary(circuit), StateVector.from_label(req.b), t
     )
 

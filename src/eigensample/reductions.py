@@ -46,9 +46,6 @@ from .phase_estimation import SamplingRequest, prepare_pes
 
 # Largest compact system-times-clock dimension we assemble densely.
 DESK_SCALE_LIMIT = 2**13
-# Two history states whose difference norm falls below this are treated as
-# equal (deterministic-reject inputs), collapsing the minus family.
-DEGENERATE_HISTORY_TOL = 1e-8
 
 LHES_VOTES = 200
 LHES_DELTA = 1.0 / 100.0
@@ -97,32 +94,24 @@ class ClockPropagator:
     system_qubits: int
     clock_dim: int
     assembled: np.ndarray
-    term_view: list[tuple[Gate, tuple[int, int]]]
 
 
-def _marked_gates(marked: MarkedCircuit | Circuit) -> Circuit:
-    return marked.full if isinstance(marked, MarkedCircuit) else marked
-
-
-def build_clock_propagator(marked: MarkedCircuit | Circuit) -> ClockPropagator:
-    circ = _marked_gates(marked)
+def build_clock_propagator(marked: MarkedCircuit) -> ClockPropagator:
+    """Dense F, one system block per gate: gate j lands in clock block
+    (j mod N, j - 1) of a (2^n, N, 2^n, N) view of the zeroed matrix."""
+    circ = marked.full
     n_sys = circ.qubit_count
     clock_dim = len(circ.gates)
-    if clock_dim < 1:
-        raise EmptyCircuit("propagator needs at least one gate")
     dim = (2**n_sys) * clock_dim
     if dim > DESK_SCALE_LIMIT:
         raise TooLarge(f"system x clock dimension {dim} exceeds {DESK_SCALE_LIMIT}")
     assembled = np.zeros((dim, dim), dtype=complex)
-    term_view = []
+    blocks = assembled.reshape(2**n_sys, clock_dim, 2**n_sys, clock_dim)
     for step, gate in enumerate(circ.gates, start=1):
-        src = step - 1
-        dst = step % clock_dim
-        clock = np.zeros((clock_dim, clock_dim), dtype=complex)
-        clock[dst, src] = 1.0
-        assembled += np.kron(gate_unitary(gate, n_sys), clock)
-        term_view.append((gate, (src, dst)))
-    return ClockPropagator(n_sys, clock_dim, assembled, term_view)
+        # adding into the zeros turns any -0.0 into +0.0, so F is bitwise the
+        # sum over gates of V_j (x) |j><j-1|
+        blocks[:, step % clock_dim, :, step - 1] += gate_unitary(gate, n_sys)
+    return ClockPropagator(n_sys, clock_dim, assembled)
 
 
 def build_clock_hamiltonian(propagator: ClockPropagator) -> np.ndarray:
@@ -134,42 +123,16 @@ def build_clock_hamiltonian(propagator: ClockPropagator) -> np.ndarray:
 class HistoryAnalysis:
     """History walk of a marked circuit from one basis input.
 
-    phi_states[j] = F^j applied to the start state, for j = 0 .. 2N-1.
-    plus_basis/minus_basis are the normalized sums and differences
-    (phi_j +/- phi_{N+j}) / norm; Fourier transforms of those two families
-    (plus_eigenvectors / minus_eigenvectors) are eigenvectors of F on the
-    integer and half-integer phase grids.  minus_basis is empty when the
-    walk is N-periodic (deterministic-reject inputs).
+    phi_states[j] = F^j applied to the start state, for j = 0 .. 2N-1, and
+    overlaps is their Gram matrix.  alpha0/alpha1 are the base output's
+    branch amplitudes on qubit 0 (circuits.output_split).
     """
 
     clock_dim: int
     phi_states: list[StateVector]
     overlaps: np.ndarray
-    plus_basis: list[StateVector]
-    minus_basis: list[StateVector]
-    weight_plus: float
-    weight_minus: float
     alpha0: complex
     alpha1: complex
-
-    def plus_eigenvectors(self) -> list[StateVector]:
-        return _fourier_family(self.plus_basis, offset=0.0)
-
-    def minus_eigenvectors(self) -> list[StateVector]:
-        return _fourier_family(self.minus_basis, offset=0.5)
-
-
-def _fourier_family(states: list[StateVector], offset: float) -> list[StateVector]:
-    if not states:
-        return []
-    n = len(states)
-    stacked = np.stack([s.amplitudes for s in states])
-    out = []
-    for k in range(n):
-        phases = np.exp(-2j * np.pi * (k + offset) * np.arange(n) / n)
-        amps = (phases @ stacked) / np.sqrt(n)
-        out.append(StateVector(states[0].qubit_count, states[0].clock_dim, amps))
-    return out
 
 
 def history_start_label(marked: MarkedCircuit, x: BasisLabel) -> BasisLabel:
@@ -196,36 +159,7 @@ def analyze_history(marked: MarkedCircuit, x: BasisLabel) -> HistoryAnalysis:
     overlaps = stacked.conj() @ stacked.T
 
     split = output_split(marked.base, x)
-    plus_basis = []
-    minus_basis = []
-    for j in range(clock_dim):
-        total = amps[j] + amps[clock_dim + j]
-        plus_basis.append(
-            StateVector(
-                propagator.system_qubits, clock_dim, total / np.linalg.norm(total)
-            )
-        )
-        diff = amps[j] - amps[clock_dim + j]
-        norm = np.linalg.norm(diff)
-        if norm > DEGENERATE_HISTORY_TOL:
-            minus_basis.append(
-                StateVector(propagator.system_qubits, clock_dim, diff / norm)
-            )
-    if len(minus_basis) not in (0, clock_dim):
-        raise AssertionError("history walk degenerated on only part of the cycle")
-
-    alpha0_sq = abs(split.alpha0) ** 2
-    return HistoryAnalysis(
-        clock_dim=clock_dim,
-        phi_states=phi_states,
-        overlaps=overlaps,
-        plus_basis=plus_basis,
-        minus_basis=minus_basis,
-        weight_plus=(1.0 + alpha0_sq) / (2.0 * clock_dim),
-        weight_minus=(abs(split.alpha1) ** 2) / (2.0 * clock_dim),
-        alpha0=split.alpha0,
-        alpha1=split.alpha1,
-    )
+    return HistoryAnalysis(clock_dim, phi_states, overlaps, split.alpha0, split.alpha1)
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +187,10 @@ _CLOCK_HOP = np.zeros((4, 4), dtype=complex)
 _CLOCK_HOP[1, 2] = 1.0
 
 
-def build_unary_clock(marked: MarkedCircuit | Circuit) -> UnaryClockHamiltonian:
-    circ = _marked_gates(marked)
+def build_unary_clock(marked: MarkedCircuit) -> UnaryClockHamiltonian:
+    circ = marked.full
     n_sys = circ.qubit_count
     clock_dim = len(circ.gates)
-    if clock_dim < 2:
-        raise EmptyCircuit("unary clock needs at least two gates")
     terms = []
     for step, gate in enumerate(circ.gates, start=1):
         src = step - 1

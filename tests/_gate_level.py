@@ -19,6 +19,11 @@ from eigensample import (
 from eigensample.circuits import _apply_matrix
 
 
+def qubit_axes(state):
+    """The amplitudes with one axis per qubit plus a trailing clock axis."""
+    return state.amplitudes.reshape((2,) * state.qubit_count + (state.clock_dim,))
+
+
 def apply_gate_controlled(state, gate, control):
     """Apply `gate` only on the control=1 slice of the state.
 
@@ -29,7 +34,7 @@ def apply_gate_controlled(state, gate, control):
         raise ValueError("control qubit overlaps gate support")
     if control >= state.qubit_count:
         raise DimensionMismatch("control qubit beyond register")
-    tensor = state.tensor_view().copy()
+    tensor = qubit_axes(state).copy()
     slicer = [slice(None)] * tensor.ndim
     slicer[control] = slice(1, 2)
     sub = tensor[tuple(slicer)]
@@ -71,7 +76,7 @@ def qft_apply(state, register, inverse=False):
     if any(q < 0 or q >= state.qubit_count for q in register):
         raise DimensionMismatch("register qubit beyond state")
     t = len(register)
-    moved = np.moveaxis(state.tensor_view(), register, tuple(range(t)))
+    moved = np.moveaxis(qubit_axes(state), register, tuple(range(t)))
     shape = moved.shape
     arr = moved.reshape(2**t, -1)
     if inverse:

@@ -9,6 +9,7 @@ from eigensample import (
     LocalHamiltonian,
     LocalTerm,
     StateVector,
+    gate_unitary,
     named_gate,
     substream,
 )
@@ -111,6 +112,42 @@ def anti_cyclic_shift(n):
     m = cyclic_shift(n)
     m[0, n - 1] = -1.0
     return m
+
+
+def kron_clock_propagator(marked):
+    """Dense F = sum_j V_j (x) |j><j-1| summed from one full-size np.kron
+    per gate: build_clock_propagator's former assembly, kept as the
+    reference for its block-by-block build."""
+    circ = marked.full
+    n = len(circ.gates)
+    f = np.zeros(((2**circ.qubit_count) * n,) * 2, dtype=complex)
+    for step, gate in enumerate(circ.gates, start=1):
+        clock = np.zeros((n, n), dtype=complex)
+        clock[step % n, step - 1] = 1.0
+        f += np.kron(gate_unitary(gate, circ.qubit_count), clock)
+    return f
+
+
+def history_families(hist):
+    """Eigenvectors of F on the integer and half-integer phase grids, one
+    per row, formed from a history walk: Fourier transforms of the
+    normalized sums and differences phi_j +/- phi_{N+j}.  The minus family
+    is empty when the walk is N-periodic (deterministic-reject inputs),
+    that is when every difference norm is at most 1e-8."""
+    n = hist.clock_dim
+    amps = np.stack([s.amplitudes for s in hist.phi_states])
+    sums, diffs = amps[:n] + amps[n:], amps[:n] - amps[n:]
+    diff_norms = np.linalg.norm(diffs, axis=1)
+    live = diff_norms > 1e-8
+    assert live.all() or not live.any(), "walk degenerated on part of the cycle"
+
+    def fourier(rows, offset):
+        k = np.arange(n)
+        return np.exp(-2j * np.pi * np.outer(k + offset, k) / n) @ rows / np.sqrt(n)
+
+    plus = fourier(sums / np.linalg.norm(sums, axis=1, keepdims=True), 0.0)
+    minus = fourier(diffs / diff_norms[:, None], 0.5) if live.all() else amps[:0]
+    return plus, minus
 
 
 def circular_distance(a, b):

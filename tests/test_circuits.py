@@ -1,4 +1,4 @@
-"""Circuit model: text format, simulation kernels, measurement, output split."""
+"""Circuit model: text format, simulation kernels, output split."""
 import numpy as np
 import pytest
 
@@ -17,14 +17,12 @@ from eigensample import (
     circuit_unitary,
     gate_unitary,
     invert_circuit,
-    measure_qubit,
     named_gate,
     output_split,
     parse_circuit,
     serialize_circuit,
-    tensor,
 )
-from eigensample.circuits import DIAGONAL_BLOCK_AMPLITUDES
+from eigensample.circuits import DIAGONAL_BLOCK_AMPLITUDES, MAX_STATEVECTOR_QUBITS
 from eigensample.linalg import is_unitary
 from _gate_level import apply_gate_controlled
 from _helpers import haar_unitary, random_circuit, random_state
@@ -207,6 +205,13 @@ class TestDiagonal:
         assert np.max(np.abs(circuit_diagonal(circ, idx) - expected)) <= 1e-12
         assert circuit_diagonal(circ, []).shape == (0,)
 
+    def test_width_cap_before_allocation(self):
+        # 25 qubits would be a 512 MiB column: refused before it is allocated
+        assert MAX_STATEVECTOR_QUBITS == 24
+        wide = Circuit(MAX_STATEVECTOR_QUBITS + 1, [named_gate("h", 0)])
+        with pytest.raises(TooLarge, match="24 qubits"):
+            circuit_diagonal(wide, [0])
+
 
 class TestControlled:
     def dense_controlled(self, gate, control, n):
@@ -234,37 +239,6 @@ class TestControlled:
     def test_control_overlapping_support_rejected(self):
         with pytest.raises(ValueError):
             apply_gate_controlled(StateVector.basis(2), named_gate("x", 0), 0)
-
-
-class TestMeasure:
-    def test_deterministic_one(self):
-        rng = np.random.default_rng(18)
-        psi = StateVector.from_label(BasisLabel("1"))
-        for _ in range(20):
-            bit, out = measure_qubit(psi, 0, rng)
-            assert bit == 1
-            assert np.array_equal(out.amplitudes, psi.amplitudes)
-
-    def test_plus_state_frequencies(self):
-        rng = np.random.default_rng(19)
-        psi = apply_gate(StateVector.basis(1), named_gate("h", 0))
-        n = 10**5
-        ones = sum(measure_qubit(psi, 0, rng)[0] for _ in range(n))
-        # 5 sigma of a fair coin over 1e5 draws = 5 * sqrt(0.25 / 1e5)
-        assert abs(ones / n - 0.5) < 5.0 * np.sqrt(0.25 / n)
-
-    def test_bell_collapse(self):
-        rng = np.random.default_rng(20)
-        bell = apply_circuit(parse_circuit(BELL_TEXT), StateVector.basis(2))
-        for _ in range(20):
-            bit, out = measure_qubit(bell, 0, rng)
-            expected = np.zeros(4)
-            expected[3 * bit] = 1.0
-            assert np.max(np.abs(out.amplitudes - expected)) < EXACT_TOL
-
-    def test_measured_qubit_in_range(self):
-        with pytest.raises(DimensionMismatch):
-            measure_qubit(StateVector.basis(1), 1, np.random.default_rng(0))
 
 
 class TestOutputSplit:
@@ -318,10 +292,6 @@ class TestStateVector:
         assert psi.amplitudes[8] == 1.0
         assert np.sum(np.abs(psi.amplitudes)) == 1.0
 
-    def test_tensor_view_shape(self):
-        psi = StateVector.basis(3, clock_dim=5)
-        assert psi.tensor_view().shape == (2, 2, 2, 5)
-
     def test_label_validation(self):
         with pytest.raises(ValueError):
             BasisLabel("012")
@@ -340,7 +310,7 @@ def test_gate_unitary_embedding():
     # cnot on (0, 1) of a 2-qubit register is the matrix itself
     assert np.array_equal(gate_unitary(named_gate("cnot", 0, 1), 2), GATE_MATRICES["cnot"])
     # z on qubit 1 of 2 = I (x) Z
-    assert np.allclose(gate_unitary(named_gate("z", 1), 2), tensor(np.eye(2), GATE_MATRICES["z"]))
+    assert np.allclose(gate_unitary(named_gate("z", 1), 2), np.kron(np.eye(2), GATE_MATRICES["z"]))
     # reversed support permutes the gate basis
     swapped = gate_unitary(named_gate("cnot", 1, 0), 2)
     expected = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)

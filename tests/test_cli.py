@@ -39,6 +39,8 @@ FILE_TEXTS = {
     "u1 0 0.707106781 0 0.707106781 0 0.707106781 0 -0.707106781 0\n",
     "roughham": "qubits 1\nterm 1 0 1 0 0 0 5e-9 0 -1 0\n",
     "wide12": "qubits 12\nh 0\n",
+    "ghz": "qubits 3\nh 0\ncnot 0 1\ncnot 1 2\n",
+    "wide30": "qubits 30\nh 29\n",
 }
 
 
@@ -201,6 +203,18 @@ class TestSpectrumCommand:
     def test_reference_point_mismatch(self, files, capsys):
         code, out, err = run_cli(["spectrum", files["zham"], "--b", "11"], capsys)
         assert code == 2
+        assert json.loads(err)["error"] == "DimensionMismatch"
+
+    @pytest.mark.parametrize(
+        "name, b", [("bell", "0"), ("ghz", "1"), ("wide", "0"), ("wideham", "0")]
+    )
+    def test_short_reference_point_rejected(self, name, b, files, capsys):
+        # a short b must not be read as qubits plus a clock register (bell
+        # with b = 0 as |00>); the 13-qubit inputs put the check before the
+        # dense-size cap
+        code, out, err = run_cli(["spectrum", files[name], "--b", b], capsys)
+        assert code == 2
+        assert out == ""
         assert json.loads(err)["error"] == "DimensionMismatch"
 
 
@@ -383,6 +397,24 @@ class TestEstimateCommands:
         assert report["lambda_hat"]["im"] == est.lambda_hat.imag
         # <0|X|0> = 0
         assert abs(report["lambda_hat"]["re"]) <= 0.2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["luae", "--epsilon", "0.5", "--delta", "0.1", "--b", "0" * 30],
+            ["luae-u", "--epsilon", "0.5", "--delta", "0.1"],
+            ["decide", "--x", "0", "--route", "luae", "--oracle", "exact"],
+            ["decide", "--x", "0", "--route", "luae", "--oracle", "quantum"],
+        ],
+    )
+    def test_statevector_cap_fails_fast(self, argv, files, capsys):
+        # one 30-qubit column is 16 GiB: refused before it is allocated
+        start = time.perf_counter()
+        code, out, err = run_cli([argv[0], files["wide30"], *argv[1:]], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "TooLarge"
 
     def test_unguided_estimate(self, files, capsys):
         argv = [
@@ -570,6 +602,20 @@ class TestVerifyCommand:
         broken = files["dir"] / "broken.json"
         broken.write_text("{not json")
         code, out, err = run_cli(["verify", files["wide"], str(broken), "--b", "0" * 13], capsys)
+        assert code == 1
+        assert json.loads(err)["error"] == "UsageError"
+
+    @pytest.mark.parametrize("name, b", [("bell", "0"), ("zxham", "")])
+    def test_short_reference_point_after_samples_file(self, name, b, files, capsys):
+        samples = self.write_samples(
+            files, {"samples": [0.0] * 1000, "epsilon": 0, "delta": 0}
+        )
+        code, out, err = run_cli(["verify", files[name], samples, "--b", b], capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "DimensionMismatch"
+        broken = files["dir"] / "broken.json"
+        broken.write_text("{not json")
+        code, out, err = run_cli(["verify", files[name], str(broken), "--b", b], capsys)
         assert code == 1
         assert json.loads(err)["error"] == "UsageError"
 

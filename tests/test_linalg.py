@@ -1,4 +1,4 @@
-"""Dense linear algebra: eigensolvers, tensor products, norms."""
+"""Dense linear algebra: eigensolvers, exponentials, norms."""
 import numpy as np
 import pytest
 
@@ -11,7 +11,6 @@ from eigensample import (
     is_hermitian,
     is_unitary,
     operator_norm,
-    tensor,
     unitary_eig,
 )
 from _helpers import (
@@ -30,23 +29,6 @@ WEIGHT_TOL = 1e-9
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-class TestTensor:
-    def test_identity_blocks(self):
-        assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_first_factor_most_significant(self):
-        assert np.allclose(tensor(Z, np.eye(2)), np.diag([1, 1, -1, -1]))
-        assert np.allclose(tensor(np.eye(2), Z), np.diag([1, -1, 1, -1]))
-
-    def test_mixed_product(self):
-        rng = np.random.default_rng(1)
-        a, b = haar_unitary(2, rng), haar_unitary(4, rng)
-        c, d = haar_unitary(2, rng), haar_unitary(4, rng)
-        lhs = tensor(a, b) @ tensor(c, d)
-        rhs = tensor(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) < EXACT_TOL
 
 
 class TestHermitianEig:
@@ -108,7 +90,7 @@ class TestUnitaryEig:
 
     def test_degenerate_spectrum_stays_orthonormal(self):
         # X (x) X has two eigenvalues, each with a 2-dim eigenspace
-        u = tensor(X, X)
+        u = np.kron(X, X)
         dec = unitary_eig(u)
         gram = dec.eigenvectors.conj().T @ dec.eigenvectors
         assert np.max(np.abs(gram - np.eye(4))) < RESIDUAL_TOL

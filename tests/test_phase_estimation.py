@@ -4,20 +4,22 @@ import numpy as np
 import pytest
 
 import _gate_level as gate_level
+import eigensample.hamiltonians as hamiltonians
 import eigensample.phase_estimation as phase_estimation
 from eigensample import (
     BasisLabel,
     Circuit,
     DimensionMismatch,
-    EstimatorConfig,
-    NotEigenvector,
+    LocalHamiltonian,
+    LocalTerm,
     SamplingRequest,
     StateVector,
     TooLarge,
+    ancilla_bits,
     ceil_log2,
     circuit_unitary,
     named_gate,
-    phase_estimate,
+    prepare_lhes,
     prepare_pes,
     prepare_phase_estimation,
 )
@@ -81,45 +83,44 @@ class TestCeilLog2:
 class TestRequestAndConfig:
     def test_ancilla_budget(self):
         # ceil_log2(32) + ceil_log2(2 + 1/0.2) = 5 + 3
-        cfg = EstimatorConfig.from_request(1.0 / 32.0, 0.1)
-        assert cfg.t == 8
+        assert ancilla_bits(1.0 / 32.0, 0.1) == 8
 
     def test_epsilon_above_one_is_legal(self):
         # eigenvalue sampling rescales by the spectral cap, so the raw
         # accuracy target can exceed 1
         req = SamplingRequest(2.5, 0.1, BasisLabel("01"))
         assert req.epsilon == 2.5
-        cfg = EstimatorConfig.from_request(2.5, 0.1)
-        assert cfg.t == ceil_log2(2 + 1.0 / 0.2)
+        assert ancilla_bits(2.5, 0.1) == ceil_log2(2 + 1.0 / 0.2)
 
     def test_ancilla_cap(self):
         # 2^-21 and delta 0.1 give 21 + 3 = 24 bits, the cap; 2^-22 gives 25
-        assert EstimatorConfig.from_request(2.0**-21, 0.1).t == MAX_ESTIMATOR_BITS
+        assert ancilla_bits(2.0**-21, 0.1) == MAX_ESTIMATOR_BITS
         with pytest.raises(TooLarge):
-            EstimatorConfig.from_request(2.0**-22, 0.1)
+            ancilla_bits(2.0**-22, 0.1)
 
     def test_phase_estimate_shares_the_cap(self, monkeypatch):
-        # the cap fires before the circuit's dense unitary is built
-        def unreachable(circuit):
+        # pes and lhes both take t from ancilla_bits, and the cap fires
+        # before any dense matrix is built
+        def unreachable(*args):
             raise AssertionError("dense work before the size check")
 
         monkeypatch.setattr(phase_estimation, "circuit_unitary", unreachable)
+        monkeypatch.setattr(hamiltonians, "circuit_unitary", unreachable)
         circ = Circuit(1, [named_gate("z", 0)])
-        # 2^-1030 and 2^-1100 underflow as floats; t is counted in bits
-        for n_bits in (22, 1030, 1100):
-            with pytest.raises(TooLarge):
-                phase_estimate(
-                    circ, StateVector.basis(1, 1), n_bits, 0.1, np.random.default_rng(0)
-                )
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match="ancilla bits"):
             prepare_pes(circ, SamplingRequest(2.0**-22, 0.1, BasisLabel("1")))
+        # lhes asks for precision 2^-21 / lambda_cap at delta 0.05: 25+ bits
+        h = LocalHamiltonian(1, [LocalTerm((0,), np.diag([1.0, -1.0]))])
+        with pytest.raises(TooLarge, match="ancilla bits"):
+            prepare_lhes(h, SamplingRequest(2.0**-21, 0.1, BasisLabel("1")))
 
     def test_phase_estimate_at_the_cap(self):
-        # 21 precision bits and delta 0.1 give t = 24; Z's phase 1/2 on |1>
-        # sits on the grid, so the draw is exact
-        circ = Circuit(1, [named_gate("z", 0)])
-        eigvec = StateVector.basis(1, 1)
-        assert phase_estimate(circ, eigvec, 21, 0.1, np.random.default_rng(0)) == 0.5
+        # 2^-21 and delta 0.1 give t = 24; Z's phase 1/2 on |1> sits on the
+        # grid, so the draw is exact
+        t = ancilla_bits(2.0**-21, 0.1)
+        assert t == MAX_ESTIMATOR_BITS
+        prep = prepare_phase_estimation(np.diag([1.0, -1.0]), StateVector.basis(1, 1), t)
+        assert prep.sample(np.random.default_rng(0)) == 0.5
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -386,8 +387,6 @@ class TestKernelWorkCap:
         req = SamplingRequest(2.0**-21, 0.1, BasisLabel("0" * 12))
         with pytest.raises(TooLarge, match="kernel work"):
             prepare_pes(circ, req)
-        with pytest.raises(TooLarge, match="kernel work"):
-            phase_estimate(circ, StateVector.basis(12, 0), 21, 0.1, np.random.default_rng(0))
 
     def test_prepare_phase_estimation_refuses_before_the_eigensolve(self, monkeypatch):
         def unreachable(*args):
@@ -399,49 +398,38 @@ class TestKernelWorkCap:
 
 
 class TestPhaseEstimate:
+    """Draws from an eigenvector: each lands on the grid point of its phase,
+    or within the precision of it up to the failure budget."""
+
+    def eigen_draws(self, circ, precision, delta, count, rng):
+        t = ancilla_bits(precision, delta)
+        prep = prepare_phase_estimation(circuit_unitary(circ), StateVector.basis(1, 1), t)
+        return [prep.sample(rng) for _ in range(count)]
+
     def test_z_eigenvector_is_exact(self):
         circ = Circuit(1, [named_gate("z", 0)])
-        one = StateVector.basis(1, 1)
-        rng = np.random.default_rng(44)
-        for _ in range(20):
-            assert phase_estimate(circ, one, 3, 0.1, rng) == 0.5
+        draws = self.eigen_draws(circ, 2.0**-3, 0.1, 20, np.random.default_rng(44))
+        assert draws == [0.5] * 20
 
     def test_s_eigenvector_is_exact_at_two_bits(self):
         circ = Circuit(1, [named_gate("s", 0)])
-        one = StateVector.basis(1, 1)
-        rng = np.random.default_rng(45)
-        assert phase_estimate(circ, one, 2, 0.2, rng) == 0.25
+        draws = self.eigen_draws(circ, 2.0**-2, 0.2, 1, np.random.default_rng(45))
+        assert draws == [0.25]
 
     def test_failure_rate_within_budget(self):
-        # n_bits 4 at delta 0.05 allocates t = 8; the geometric law puts
-        # 0.00432 of mass outside the 1/16 window, far under the budget
-        eigvec = StateVector(1, 1, np.array([0.0, 1.0], dtype=complex))
+        # precision 2^-4 at delta 0.05 allocates t = 8; the geometric law
+        # puts 0.00432 of mass outside the 1/16 window, far under the budget
+        assert ancilla_bits(2.0**-4, 0.05) == 8
         law = geometric_phase_law(8, [0.3], [1.0])
         grid = np.arange(2**8) / 2**8
         outside = np.array([circular_distance(g, 0.3) > 2.0**-4 for g in grid])
         assert law[outside].sum() < 0.05
 
-        circ = phase_circuit(0.3)
         rng = np.random.default_rng(46)
-        misses = 0
-        for _ in range(2000):
-            phi = phase_estimate(circ, eigvec, 4, 0.05, rng)
-            if circular_distance(phi, 0.3) > 2.0**-4:
-                misses += 1
+        draws = self.eigen_draws(phase_circuit(0.3), 2.0**-4, 0.05, 2000, rng)
+        misses = sum(circular_distance(phi, 0.3) > 2.0**-4 for phi in draws)
         # mean 8.6 misses, allow 5 sigma of headroom
         assert misses / 2000 < 0.0043 + 5.0 * np.sqrt(0.0043 / 2000)
-
-    def test_rejects_non_eigenvector(self):
-        circ = Circuit(1, [named_gate("h", 0)])
-        zero = StateVector.basis(1, 0)
-        with pytest.raises(NotEigenvector):
-            phase_estimate(circ, zero, 3, 0.1, np.random.default_rng(47))
-
-    def test_rejects_clocked_state(self):
-        circ = Circuit(1, [named_gate("z", 0)])
-        clocked = StateVector(1, 2, np.array([1.0, 0.0, 0.0, 0.0]))
-        with pytest.raises(DimensionMismatch):
-            phase_estimate(circ, clocked, 3, 0.1, np.random.default_rng(48))
 
 
 class TestPesInterface:

@@ -1,4 +1,6 @@
 """Circuit-to-spectrum reductions: clock walks, encodings, and deciders."""
+import time
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,13 @@ from eigensample import (
     reduction_report,
     unary_embedding_isometry,
 )
-from _helpers import haar_unitary, per_draw_sample, random_circuit
+from _helpers import (
+    haar_unitary,
+    history_families,
+    kron_clock_propagator,
+    per_draw_sample,
+    random_circuit,
+)
 
 STATE_TOL = 1e-10
 OVERLAP_TOL = 1e-9
@@ -137,18 +145,34 @@ class TestPropagator:
         assert np.max(np.abs(cycle @ start - psi)) < 1e-9
 
     def test_term_view_records_transitions(self):
+        # gate j moves clock j - 1 to j mod N: the nonzero clock blocks of F
         marked = mark_circuit(ACCEPT_BASE, "lhes-copy")
-        prop = build_clock_propagator(marked)
-        assert [pair for _, pair in prop.term_view] == [(0, 1), (1, 2), (2, 0)]
+        blocks = build_clock_propagator(marked).assembled.reshape(4, 3, 4, 3)
+        moves = [(src, dst) for src in range(3) for dst in range(3)
+                 if np.any(blocks[:, dst, :, src])]
+        assert moves == [(0, 1), (1, 2), (2, 0)]
+
+    def test_one_gate_base_matches_kron_reference(self):
+        # N = 3, the smallest clock a marked circuit has
+        marked = mark_circuit(Circuit(1, [named_gate("h", 0)]), "lhes-copy")
+        f = build_clock_propagator(marked).assembled
+        assert np.array_equal(f.view(np.uint64), kron_clock_propagator(marked).view(np.uint64))
+
+    def test_wide_base_matches_kron_reference(self):
+        # 6 system qubits x a 41-step clock: 2624 dimensions
+        marked = mark_circuit(random_circuit(5, 20, np.random.default_rng(86)), "lhes-copy")
+        start = time.perf_counter()
+        f = build_clock_propagator(marked).assembled
+        elapsed = time.perf_counter() - start
+        assert f.shape == (2624, 2624)
+        assert np.array_equal(f.view(np.uint64), kron_clock_propagator(marked).view(np.uint64))
+        assert elapsed < 0.5
 
     def test_size_guard(self):
-        wide = Circuit(10, [named_gate("h", q) for q in range(9)])
+        # 11 system qubits x a 5-step clock: 10240 dimensions
+        wide = mark_circuit(Circuit(10, [named_gate("h", 0), named_gate("h", 9)]), "lhes-copy")
         with pytest.raises(TooLarge):
             build_clock_propagator(wide)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyCircuit):
-            build_clock_propagator(Circuit(1, []))
 
 
 class TestHistoryWalk:
@@ -212,10 +236,10 @@ class TestHistoryWalk:
     def test_deterministic_reject_collapses_the_minus_family(self):
         marked = mark_circuit(REJECT_BASE, "lhes-copy")
         hist = analyze_history(marked, X0)
-        assert hist.minus_basis == []
+        plus, minus = history_families(hist)
+        assert len(plus) == 3 and len(minus) == 0
         assert abs(hist.alpha0) == pytest.approx(1.0, abs=1e-12)
-        assert hist.weight_minus == pytest.approx(0.0, abs=1e-12)
-        assert hist.weight_plus == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert abs(hist.alpha1) == pytest.approx(0.0, abs=1e-12)
         dist = exact_distribution(
             build_clock_hamiltonian(build_clock_propagator(marked)),
             history_start_label(marked, X0),
@@ -266,28 +290,27 @@ class TestHistoryWalk:
         hist = analyze_history(marked, BasisLabel("01"))
         f = build_clock_propagator(marked).assembled
         n = hist.clock_dim
-        for k, vec in enumerate(hist.plus_eigenvectors()):
+        plus, minus = history_families(hist)
+        assert len(plus) == len(minus) == n
+        for k, vec in enumerate(plus):
             lam = np.exp(2j * np.pi * k / n)
-            assert np.linalg.norm(f @ vec.amplitudes - lam * vec.amplitudes) < 1e-8
-        for k, vec in enumerate(hist.minus_eigenvectors()):
+            assert np.linalg.norm(f @ vec - lam * vec) < 1e-8
+        for k, vec in enumerate(minus):
             lam = np.exp(2j * np.pi * (k + 0.5) / n)
-            assert np.linalg.norm(f @ vec.amplitudes - lam * vec.amplitudes) < 1e-8
+            assert np.linalg.norm(f @ vec - lam * vec) < 1e-8
 
     def test_families_are_orthonormal(self):
         marked = mark_circuit(haar_base(23), "lhes-copy")
         hist = analyze_history(marked, BasisLabel("11"))
-        vecs = [v.amplitudes for v in hist.plus_eigenvectors()]
-        vecs += [v.amplitudes for v in hist.minus_eigenvectors()]
-        gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-        assert np.max(np.abs(gram - np.eye(len(vecs)))) < STATE_TOL
+        vecs = np.concatenate(history_families(hist))
+        gram = vecs.conj() @ vecs.T
+        assert np.max(np.abs(gram - np.eye(2 * hist.clock_dim))) < STATE_TOL
 
     def test_start_state_minus_mass(self):
         marked = mark_circuit(haar_base(24), "lhes-copy")
         hist = analyze_history(marked, BasisLabel("10"))
         phi0 = hist.phi_states[0].amplitudes
-        mass = sum(
-            abs(np.vdot(v.amplitudes, phi0)) ** 2 for v in hist.minus_eigenvectors()
-        )
+        mass = np.sum(np.abs(history_families(hist)[1].conj() @ phi0) ** 2)
         assert abs(mass - (1.0 - abs(hist.alpha0) ** 2) / 2.0) < STATE_TOL
 
     def test_start_label_validation(self):
@@ -329,10 +352,6 @@ class TestUnaryClock:
         dense = dense_hamiltonian(unary.hamiltonian)
         proj = iso @ iso.conj().T
         assert np.max(np.abs(dense @ proj - proj @ dense)) < ENCODING_TOL
-
-    def test_single_gate_circuit_rejected(self):
-        with pytest.raises(EmptyCircuit):
-            build_unary_clock(Circuit(1, [named_gate("h", 0)]))
 
 
 class TestInstances:
