@@ -21,9 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, StateVector, apply_circuit, circuit_diagonal
-from .errors import DimensionMismatch
+from .circuits import (
+    Circuit,
+    StateVector,
+    apply_circuit,
+    check_statevector_width,
+    circuit_diagonal,
+)
+from .errors import DimensionMismatch, TooLarge
 from .phase_estimation import SamplingRequest
+from .seeding import MAX_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -36,12 +43,16 @@ class AverageEstimate:
 
 def samples_per_component(epsilon: float, delta: float) -> int:
     """Hoeffding budget: both component means land within epsilon/2 of their
-    expectations with probability at least 1 - delta."""
+    expectations with probability at least 1 - delta.  A budget above
+    seeding.MAX_SAMPLES sample pairs raises TooLarge, before any draw."""
     if not (0 < epsilon <= 2):
         raise ValueError("epsilon must lie in (0, 2]")
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
-    return math.ceil((8.0 / epsilon**2) * math.log(4.0 / delta))
+    m = math.ceil((8.0 / epsilon**2) * math.log(4.0 / delta))
+    if m > MAX_SAMPLES:
+        raise TooLarge(f"{m} Hoeffding sample pairs exceed the cap of {MAX_SAMPLES}")
+    return m
 
 
 def hadamard_test_probabilities(circuit: Circuit, prep: Circuit) -> tuple[float, float]:
@@ -92,9 +103,12 @@ def luae_unguided(
     The plus/minus-one bound covers the mixture, so the same Hoeffding
     budget applies.  Draws come in b, x, y order per sample; the branch
     biases of every distinct b come from one circuits.circuit_diagonal pass.
+    Circuits wider than circuits.MAX_STATEVECTOR_QUBITS raise TooLarge
+    before any draw.
     """
     m = samples_per_component(epsilon, delta)
     n = circuit.qubit_count
+    check_statevector_width(n)
     indices = np.empty(m, dtype=np.int64)
     us = np.empty((m, 2))
     for s in range(m):

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import TooLarge
 
-# Largest sample count the batched draws accept: 32 MiB of uniforms.
+# Largest sample count a run accepts: 32 MiB of uniforms for the batched
+# draws of pes and lhes, the Hoeffding pair budget of luae and luae-u.
 MAX_SAMPLES = 2**22
 # substream_uniforms encodes each sample index as one 32-bit entropy word.
 assert MAX_SAMPLES <= 2**32

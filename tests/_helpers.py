@@ -78,6 +78,20 @@ def phase_circuit(*phases):
     return Circuit(1, [Gate("u1", (0,), np.diag(diag).astype(complex))])
 
 
+def gate_by_gate_columns(circuit, columns):
+    """U @ columns for the circuit's unitary U, one tensordot pass per gate
+    over all columns at once: the circuits module's former loop, kept as the
+    reference for its fused, column-blocked pass."""
+    n = circuit.qubit_count
+    tensor = np.asarray(columns, dtype=complex).reshape((2,) * n + (-1,))
+    for gate in circuit.gates:
+        k = len(gate.support)
+        m = gate.matrix.reshape((2,) * (2 * k))
+        out = np.tensordot(m, tensor, axes=(tuple(range(k, 2 * k)), gate.support))
+        tensor = np.moveaxis(out, tuple(range(k)), gate.support)
+    return tensor.reshape(2**n, -1)
+
+
 def basis_loader(b):
     """Circuit of X gates preparing |b> from |0...0>."""
     if not b.bits:

@@ -1,4 +1,6 @@
 """Hadamard-test estimation of <b|U|b> and normalized traces."""
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from eigensample import (
     DimensionMismatch,
     SamplingRequest,
     StateVector,
+    TooLarge,
     circuit_unitary,
     hadamard_test_probabilities,
     luae_estimate,
@@ -16,6 +19,7 @@ from eigensample import (
     prepare_phase_estimation,
     samples_per_component,
 )
+from eigensample.seeding import MAX_SAMPLES
 from _helpers import basis_loader, phase_circuit, random_circuit
 from _per_b_luae import luae_estimate_per_b, luae_unguided_per_b
 
@@ -46,6 +50,16 @@ class TestBudget:
         with pytest.raises(ValueError):
             samples_per_component(0.1, 1.0)
         assert samples_per_component(2.0, 0.5) == 5
+
+    def test_cap_boundary(self):
+        # (8 / eps^2) ln(4 / delta) equals MAX_SAMPLES at eps = edge; a
+        # relative nudge of 1e-12 moves the budget by about 8e-6 pairs, far
+        # more than the rounding of the formula
+        delta = 0.1
+        edge = math.sqrt(8.0 * math.log(4.0 / delta) / MAX_SAMPLES)
+        assert samples_per_component(edge * (1 + 1e-12), delta) == MAX_SAMPLES
+        with pytest.raises(TooLarge, match="exceed the cap"):
+            samples_per_component(edge * (1 - 1e-12), delta)
 
 
 class TestLoader:

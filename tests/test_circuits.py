@@ -22,10 +22,16 @@ from eigensample import (
     parse_circuit,
     serialize_circuit,
 )
-from eigensample.circuits import DIAGONAL_BLOCK_AMPLITUDES, MAX_STATEVECTOR_QUBITS
+from eigensample import circuits
+from eigensample.circuits import (
+    BLOCK_AMPLITUDES,
+    FUSED_QUBITS,
+    MAX_STATEVECTOR_QUBITS,
+    _fuse,
+)
 from eigensample.linalg import is_unitary
 from _gate_level import apply_gate_controlled
-from _helpers import haar_unitary, random_circuit, random_state
+from _helpers import gate_by_gate_columns, haar_unitary, random_circuit, random_state
 
 EXACT_TOL = 1e-12
 UNITARY_TOL = 1e-9
@@ -194,7 +200,7 @@ class TestDiagonal:
         circ = random_circuit(n, 6, np.random.default_rng(17))
         idx = np.random.default_rng(18).choice(2**n, 200, replace=False)
         # more indices than three column blocks hold
-        assert idx.size > 3 * (DIAGONAL_BLOCK_AMPLITUDES >> n)
+        assert idx.size > 3 * (BLOCK_AMPLITUDES >> n)
         expected = np.diag(circuit_unitary(circ))[idx]
         assert np.max(np.abs(circuit_diagonal(circ, idx) - expected)) <= 1e-12
 
@@ -211,6 +217,94 @@ class TestDiagonal:
         wide = Circuit(MAX_STATEVECTOR_QUBITS + 1, [named_gate("h", 0)])
         with pytest.raises(TooLarge, match="24 qubits"):
             circuit_diagonal(wide, [0])
+
+
+def mixed_circuit(n, gate_count, rng):
+    """random_circuit with reversed-support gates (cnot 3 1, u2 2 0, cz 1 0)
+    spliced in at random places, where the register is wide enough."""
+    gates = random_circuit(n, gate_count, rng).gates
+    extra = [named_gate("cnot", 3, 1), Gate("u2", (2, 0), haar_unitary(4, rng)),
+             named_gate("cz", 1, 0)]
+    for gate in extra:
+        if max(gate.support) < n:
+            gates.insert(int(rng.integers(len(gates) + 1)), gate)
+    return Circuit(n, gates)
+
+
+def reference_diagonal(circ, idx):
+    cols = np.eye(2**circ.qubit_count, dtype=complex)[:, idx]
+    return gate_by_gate_columns(circ, cols)[idx, np.arange(len(idx))]
+
+
+class TestFusedPass:
+    """The fused, column-blocked pass against the gate-by-gate reference."""
+
+    REF_TOL = 1e-13
+
+    def assert_matches_reference(self, circ, rng, clock_dims=(1, 3)):
+        n = circ.qubit_count
+        if n <= 8:
+            expected = gate_by_gate_columns(circ, np.eye(2**n))
+            assert np.max(np.abs(circuit_unitary(circ) - expected)) <= self.REF_TOL
+        idx = rng.choice(2**n, min(2**n, 37), replace=False)
+        got = circuit_diagonal(circ, idx)
+        assert np.max(np.abs(got - reference_diagonal(circ, idx))) <= self.REF_TOL
+        for clock_dim in clock_dims:
+            psi = random_state(n, rng, clock_dim)
+            out = apply_circuit(circ, psi).amplitudes
+            ref = gate_by_gate_columns(circ, psi.amplitudes.reshape(2**n, clock_dim))
+            assert np.max(np.abs(out - ref.reshape(-1))) <= self.REF_TOL
+
+    def test_random_circuits_match_gate_by_gate(self):
+        rng = np.random.default_rng(41)
+        for n in range(1, 13):
+            self.assert_matches_reference(mixed_circuit(n, 3 * n + 2, rng), rng)
+
+    def test_fused_and_unfused_runs(self):
+        rng = np.random.default_rng(42)
+        # every consecutive pair spans four qubits: nothing fuses
+        unfused = Circuit(5, [
+            named_gate("cnot", 3, 1), Gate("u2", (2, 0), haar_unitary(4, rng)),
+            named_gate("swap", 1, 4), named_gate("cz", 0, 2), named_gate("cnot", 4, 3),
+        ])
+        # reversed supports inside one three-qubit run
+        fused = Circuit(5, [
+            named_gate("h", 3), named_gate("cnot", 3, 1), Gate("u2", (1, 3), haar_unitary(4, rng)),
+            Gate("u2", (4, 1), haar_unitary(4, rng)), named_gate("t", 4), named_gate("cz", 3, 4),
+            named_gate("x", 0),
+        ])
+        assert len(_fuse(unfused.gates)) == len(unfused.gates)
+        assert [support for support, _ in _fuse(fused.gates)] == [(1, 3, 4), (0,)]
+        for circ in (unfused, fused):
+            self.assert_matches_reference(circ, rng)
+
+    def test_blocks_respect_the_width(self):
+        rng = np.random.default_rng(43)
+        for n in (2, 3, 5, 8):
+            gates = mixed_circuit(n, 40, rng).gates
+            blocks = _fuse(gates)
+            assert all(len(support) <= FUSED_QUBITS for support, _ in blocks)
+            assert len(blocks) < len(gates)
+        # a gate wider than the fusion width is a block of its own
+        wide = Gate("u4", (3, 0, 2, 1), haar_unitary(16, rng))
+        circ = Circuit(4, [named_gate("h", 0), wide, named_gate("x", 2)])
+        assert [support for support, _ in _fuse(circ.gates)] == [(0,), (3, 0, 2, 1), (2,)]
+        self.assert_matches_reference(circ, rng)
+
+    @pytest.mark.parametrize("columns_per_block", [1, 3])
+    def test_split_column_blocks(self, monkeypatch, columns_per_block):
+        # 32 columns, 37 indices and a 7-level clock all end in a partial block
+        n = 5
+        monkeypatch.setattr(circuits, "BLOCK_AMPLITUDES", columns_per_block * 2**n)
+        rng = np.random.default_rng(44)
+        self.assert_matches_reference(mixed_circuit(n, 20, rng), rng, clock_dims=(1, 7))
+
+    def test_one_column_matches_the_state_pass_bit_for_bit(self):
+        rng = np.random.default_rng(45)
+        circ = mixed_circuit(6, 20, rng)
+        for b in (0, 17, 63):
+            state = apply_circuit(circ, StateVector.basis(6, b))
+            assert circuit_diagonal(circ, [b])[0] == state.amplitudes[b]
 
 
 class TestControlled:

@@ -405,12 +405,26 @@ class TestEstimateCommands:
             ["luae-u", "--epsilon", "0.5", "--delta", "0.1"],
             ["decide", "--x", "0", "--route", "luae", "--oracle", "exact"],
             ["decide", "--x", "0", "--route", "luae", "--oracle", "quantum"],
+            # 1.18e6 sample pairs, within the budget cap: refused before any draw
+            ["luae-u", "--epsilon", "0.005", "--delta", "0.1"],
         ],
     )
     def test_statevector_cap_fails_fast(self, argv, files, capsys):
         # one 30-qubit column is 16 GiB: refused before it is allocated
         start = time.perf_counter()
         code, out, err = run_cli([argv[0], files["wide30"], *argv[1:]], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "TooLarge"
+
+    @pytest.mark.parametrize("argv", [["luae", "--b", "0"], ["luae-u"]])
+    def test_hoeffding_budget_cap_fails_fast(self, argv, files, capsys):
+        # epsilon 1e-4 needs 2.95e9 sample pairs, 44 GiB of uniforms
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            [argv[0], files["x"], "--epsilon", "1e-4", "--delta", "0.1", *argv[1:]], capsys
+        )
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
