@@ -16,15 +16,16 @@ first listed qubit is the more significant index of the 4-dim gate basis
 (control first for cnot/cz).
 
 Simulation is one pass, _circuit_pass, behind circuit_unitary,
-gate_unitary, circuit_diagonal, apply_circuit and apply_gate.  It fuses
-consecutive gates greedily into blocks on at most FUSED_QUBITS = 3 qubits,
-then pushes the input columns (basis columns, or one column per clock level
-of a state) through the fused blocks BLOCK_AMPLITUDES = 2^15 amplitudes at
-a time, so each block of columns stays in cache for the whole circuit
-(gate fusion and cache blocking, Häner & Steiger, SC 2017).  On a 10-qubit,
-40-gate circuit (17 fused blocks), one thread of a 2-core x86-64 box,
-circuit_unitary takes 0.09-0.11 s in a fresh process, against 0.25-0.29 s
-for one tensordot pass per gate over the whole 2^n x 2^n tensor.
+gate_unitary, circuit_diagonal, apply_columns, apply_circuit and
+apply_gate.  It fuses consecutive gates greedily into blocks on at most
+FUSED_QUBITS = 3 qubits, then pushes the input columns (basis columns, one
+column per clock level of a state, or any given columns) through the fused
+blocks BLOCK_AMPLITUDES = 2^15 amplitudes at a time, so each block of
+columns stays in cache for the whole circuit (gate fusion and cache
+blocking, Häner & Steiger, SC 2017).  On a 10-qubit, 40-gate circuit (17
+fused blocks), one thread of a 2-core x86-64 box, circuit_unitary takes
+0.09-0.11 s in a fresh process, against 0.25-0.29 s for one tensordot pass
+per gate over the whole 2^n x 2^n tensor.
 """
 from __future__ import annotations
 
@@ -215,6 +216,15 @@ def check_statevector_width(qubit_count: int) -> None:
         )
 
 
+def check_dense_width(qubit_count: int) -> None:
+    """Raise TooLarge for dense unitaries wider than MAX_DENSE_QUBITS."""
+    if qubit_count > MAX_DENSE_QUBITS:
+        raise TooLarge(
+            f"dense unitary limited to {MAX_DENSE_QUBITS} qubits, "
+            f"circuit has {qubit_count}"
+        )
+
+
 def _fuse(gates: list[Gate]) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Greedy fusion into (support, matrix) blocks: consecutive gates merge
     while their supports together span at most FUSED_QUBITS qubits.  A block
@@ -288,10 +298,16 @@ def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
         )
     # the clock index is the column index: one column per clock level
     amps = state.amplitudes.reshape(2**state.qubit_count, state.clock_dim)
-    out = np.empty_like(amps)
-    for cols, block in _circuit_pass(circuit, state.clock_dim, lambda cols: amps[:, cols]):
+    return StateVector(state.qubit_count, state.clock_dim, apply_columns(circuit, amps).reshape(-1))
+
+
+def apply_columns(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
+    """U @ columns for the circuit's unitary U and a (2^n, k) array, from
+    one circuit pass; no dense unitary is formed."""
+    out = np.empty_like(columns, dtype=complex)
+    for cols, block in _circuit_pass(circuit, columns.shape[1], lambda cols: columns[:, cols]):
         out[:, cols] = block
-    return StateVector(state.qubit_count, state.clock_dim, out.reshape(-1))
+    return out
 
 
 def gate_unitary(gate: Gate, qubit_count: int) -> np.ndarray:
@@ -301,11 +317,7 @@ def gate_unitary(gate: Gate, qubit_count: int) -> np.ndarray:
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit (desk scale only)."""
-    if circuit.qubit_count > MAX_DENSE_QUBITS:
-        raise TooLarge(
-            f"dense unitary limited to {MAX_DENSE_QUBITS} qubits, "
-            f"circuit has {circuit.qubit_count}"
-        )
+    check_dense_width(circuit.qubit_count)
     dim = 2**circuit.qubit_count
     out = np.empty((dim, dim), dtype=complex)
     load = lambda cols: _basis_columns(dim, np.arange(cols.start, cols.stop))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .averages import luae_estimate, luae_unguided
-from .circuits import BasisLabel, circuit_unitary, parse_circuit
+from .circuits import BasisLabel, parse_circuit
 from .distributions import empirical_feasibility, exact_distribution
 from .errors import (
     DimensionMismatch,
@@ -204,7 +204,7 @@ def _exact_law(kind: str, obj, b: BasisLabel):
     if len(b.bits) != obj.qubit_count:
         raise DimensionMismatch(f"b has {len(b.bits)} bits, {kind} acts on {obj.qubit_count}")
     if kind == "circuit":
-        return exact_distribution(circuit_unitary(obj), b, "unitary")
+        return exact_distribution(obj, b, "unitary")
     return exact_distribution(dense_hamiltonian(obj), b, "hermitian")
 
 

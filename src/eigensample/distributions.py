@@ -2,6 +2,8 @@
 
 spectral_weights is the one eigensolve-and-weights step (exact_distribution
 merges its output, phase_estimation blurs it); inverse_cdf draws for all.
+Both take an operator as a dense matrix or, for unitary laws, as a
+Circuit, whose dense unitary becomes its own Hermitian part in place.
 
 A distribution q (epsilon, delta)-approximates p when q's mass can be split
 so that every target point x_j receives at least (1 - delta) p_j from within
@@ -18,9 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import BasisLabel, StateVector
+from .circuits import (
+    BasisLabel,
+    Circuit,
+    StateVector,
+    apply_columns,
+    check_dense_width,
+    circuit_unitary,
+)
 from .errors import DimensionMismatch, MetricMismatch
-from .linalg import hermitian_eig, unitary_eig
+from .linalg import hermitian_eig, unitary_eig, unitary_eig_in_place
 
 DEDUP_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-9
@@ -110,16 +119,38 @@ def make_distribution(values, weights, metric: str) -> SpectralDistribution:
     return SpectralDistribution(points, metric)
 
 
+def operator_shape(operator) -> tuple[int, ...]:
+    """Shape of the dense matrix behind `operator`: a matrix, or a Circuit,
+    which raises TooLarge above circuits.MAX_DENSE_QUBITS before anything
+    is allocated."""
+    if isinstance(operator, Circuit):
+        check_dense_width(operator.qubit_count)
+        return (2**operator.qubit_count,) * 2
+    return np.shape(operator)
+
+
 def spectral_weights(operator, state, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (kind "hermitian") or eigenphases in [0, 1) (kind
     "unitary") of `operator`, with the weights sum_c |<eta_k|psi_c>|^2 of
     the state's amplitudes read as (dim, clock) columns: a clock register
-    beyond the operator's dimension is a spectator."""
+    beyond the operator's dimension is a spectator.
+
+    A unitary may be a matrix (linalg.unitary_eig) or a Circuit, whose
+    dense unitary is built here and handed over to
+    linalg.unitary_eig_in_place: it becomes its Hermitian part in place and
+    is gone before stage two, which reads U·V from one circuit pass over
+    stage one's basis.  At n = 10 the law then peaks at five 16 MiB
+    matrices, that buffer and eigh's four."""
     if kind == "hermitian":
         dec = hermitian_eig(operator)
         values = dec.eigenvalues
     elif kind == "unitary":
-        dec = unitary_eig(operator)
+        if isinstance(operator, Circuit):
+            dec = unitary_eig_in_place(
+                circuit_unitary(operator), lambda vectors: apply_columns(operator, vectors)
+            )
+        else:
+            dec = unitary_eig(operator)
         values = dec.phases()
     else:
         raise ValueError("kind must be 'hermitian' or 'unitary'")
@@ -127,21 +158,22 @@ def spectral_weights(operator, state, kind: str) -> tuple[np.ndarray, np.ndarray
     return values, np.sum(np.abs(overlaps) ** 2, axis=1)
 
 
-def exact_distribution(matrix: np.ndarray, b: BasisLabel, kind: str) -> SpectralDistribution:
-    """Ground-truth spectral law of measuring `matrix` in state |b>.
+def exact_distribution(operator, b: BasisLabel, kind: str) -> SpectralDistribution:
+    """Ground-truth spectral law of measuring `operator` (a matrix, or a
+    Circuit for kind "unitary") in state |b>.
 
     Eigenvalues are merged across degenerate eigenspaces, so each weight is
     the full projector expectation <b|P|b>.  kind "hermitian" yields values
     on the real line; kind "unitary" yields phases in [0, 1).
     """
-    dim = np.shape(matrix)[0]
+    dim = operator_shape(operator)[0]
     qubit_dim = 2**b.qubit_count
     if dim % qubit_dim != 0:
         raise DimensionMismatch(
             f"matrix dimension {dim} does not contain a {b.qubit_count}-qubit register"
         )
     state = StateVector.from_label(b, clock_dim=dim // qubit_dim)
-    values, weights = spectral_weights(matrix, state.amplitudes, kind)
+    values, weights = spectral_weights(operator, state.amplitudes, kind)
     return make_distribution(values, weights, "absolute" if kind == "hermitian" else "circular")
 
 

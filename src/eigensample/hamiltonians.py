@@ -25,6 +25,7 @@ from .circuits import (
     Circuit,
     Gate,
     StateVector,
+    check_dense_width,
     circuit_unitary,
     gate_unitary,
 )
@@ -259,10 +260,12 @@ def prepare_lhes(h: LocalHamiltonian, req: SamplingRequest) -> PreparedEigenvalu
     scale = scale_hamiltonian(h)
     t = ancilla_bits(req.epsilon / scale.lambda_cap, req.delta / 2.0)
     check_kernel_work(h.qubit_count, t)
+    check_dense_width(h.qubit_count)
     s_norm = sum(operator_norm(term.matrix) for term in scale.scaled.terms)
     steps = trotter_step_count(t, s_norm, req.delta)
-    slice_u = circuit_unitary(trotter_circuit(scale, steps))
-    prep = prepare_phase_estimation(slice_u, StateVector.from_label(req.b), t, power=steps)
+    prep = prepare_phase_estimation(
+        trotter_circuit(scale, steps), StateVector.from_label(req.b), t, power=steps
+    )
     return PreparedEigenvalueSampler(scale.lambda_cap, t, steps, prep)
 
 

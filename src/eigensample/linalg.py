@@ -3,7 +3,10 @@
 Everything here works on plain numpy complex arrays.  The unitary
 eigensolver is a two-stage reduction to Hermitian problems so that the
 returned eigenvectors are orthonormal even on degenerate eigenspaces,
-which plain nonsymmetric eigensolvers do not guarantee.
+which plain nonsymmetric eigensolvers do not guarantee.  Its one core,
+unitary_eig_in_place, owns its dense buffer and takes U·V from a callback,
+so a circuit's law never holds U beside its Hermitian part; unitary_eig is
+the front door for a matrix the caller keeps.
 """
 from __future__ import annotations
 
@@ -28,10 +31,13 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
 
 
 def is_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+    """max |A†A - I| <= tol, with I taken off the product's diagonal in place."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= tol
+    gram = a.conj().T @ a
+    gram.reshape(-1)[:: a.shape[0] + 1] -= 1
+    return np.max(np.abs(gram)) <= tol
 
 
 @dataclass
@@ -63,34 +69,49 @@ def hermitian_eig(a: np.ndarray) -> SpectralDecomposition:
 
 
 def unitary_eig(u: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a unitary matrix with orthonormal eigenvectors.
-
-    Stage one diagonalizes the Hermitian part (U + U†)/2.  Stage two
-    rediagonalizes each near-degenerate eigenspace B under the restriction
-    B†(U - U†)B/(2i) = (M - M†)/(2i) with M = B†UB, read from one product
-    U·V of stage one's basis; the two parts commute for normal U, so the
-    joint eigenbasis is exact and stays orthonormal under degeneracy.
+    """Eigendecomposition of a unitary matrix with orthonormal eigenvectors,
+    sorted by phase.  The matrix front door of unitary_eig_in_place: it
+    works on a copy and forms U·V as a dense product with the caller's u.
     """
     u = np.asarray(u, dtype=complex)
+    return unitary_eig_in_place(u.copy(), lambda vectors: u @ vectors)
+
+
+def unitary_eig_in_place(u: np.ndarray, product) -> SpectralDecomposition:
+    """Eigendecomposition of the unitary u, sorted by phase; the call takes
+    the buffer u over, so a dense U built for it is the only one alive.
+
+    u is checked against UNITARY_TOL, overwritten with its Hermitian part
+    (U + U†)/2 and released once stage one has diagonalized it, so the
+    peak holds that buffer and eigh's own four.  Stage two reads
+    U·V = product(V) of stage one's basis V.  A column whose cosine has no
+    neighbour within DEGENERACY_GAP takes the eigenvalue cos + i Im(v†Uv).
+    Each near-degenerate eigenspace B is rediagonalized under the skew part
+    (M - M†)/(2i) of M = B†UB, which commutes with the Hermitian part for
+    normal U, so the joint eigenbasis is exact and stays orthonormal under
+    degeneracy.  Each of its eigenvalues is the rotated vector's Rayleigh
+    quotient b†Mb: the cosine from b†Mb, the sine from the skew part's own
+    eigenvalue, which does not round a small sine against M's unit diagonal.
+    """
     if not is_unitary(u):
         raise NotUnitary("matrix is not unitary within tolerance")
-    dim = u.shape[0]
-    re_vals, re_vecs = np.linalg.eigh((u + u.conj().T) / 2.0)
-    u_vecs = u @ re_vecs
+    np.add(u, u.conj().T, out=u)
+    u *= 0.5
+    re_vals, vectors = np.linalg.eigh(u)
+    del u
+    u_vecs = product(vectors)
 
-    values = np.empty(dim, dtype=complex)
-    vectors = np.empty((dim, dim), dtype=complex)
-    start = 0
-    while start < dim:
-        stop = start + 1
-        while stop < dim and re_vals[stop] - re_vals[stop - 1] <= DEGENERACY_GAP:
-            stop += 1
-        block = re_vecs[:, start:stop]
+    values = re_vals + 1j * np.einsum("ij,ij->j", vectors.conj(), u_vecs).imag
+    bounds = np.flatnonzero(np.diff(re_vals) > DEGENERACY_GAP) + 1
+    starts, stops = np.r_[0, bounds], np.r_[bounds, len(re_vals)]
+    multi = stops - starts > 1
+    for start, stop in zip(starts[multi], stops[multi]):
+        block = vectors[:, start:stop]
         m = block.conj().T @ u_vecs[:, start:stop]
         b_vals, b_vecs = np.linalg.eigh((m - m.conj().T) / (2.0j))
         vectors[:, start:stop] = block @ b_vecs
-        values[start:stop] = re_vals[start:stop].mean() + 1j * b_vals
-        start = stop
+        cosines = np.einsum("ij,ij->j", b_vecs.conj(), m @ b_vecs).real
+        values[start:stop] = cosines + 1j * b_vals
 
     order = np.argsort(np.angle(values) / (2.0 * np.pi) % 1.0, kind="stable")
     return SpectralDecomposition(values[order], vectors[:, order], "unitary")

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import BasisLabel, Circuit, StateVector, circuit_unitary
-from .distributions import inverse_cdf, spectral_weights
+from .circuits import BasisLabel, Circuit, StateVector, check_dense_width
+from .distributions import inverse_cdf, operator_shape, spectral_weights
 from .errors import DimensionMismatch, TooLarge
 
 # Largest ancilla count t: the law holds 2^t float64s, 128 MiB at the cap.
@@ -159,14 +159,15 @@ def fejer_law(phases: np.ndarray, weights: np.ndarray, t: int) -> np.ndarray:
 
 
 def prepare_phase_estimation(
-    unitary: np.ndarray, system_state: StateVector, t: int, power: int = 1
+    unitary, system_state: StateVector, t: int, power: int = 1
 ) -> PreparedPhaseEstimation:
     """Output law of t-bit phase estimation of unitary**power seen from
-    system_state (module docs).  The power is taken in phase space: each
-    eigenphase is multiplied by `power` mod 1, exactly.  A clock register on
-    the state is a spectator: U acts as U (x) I on it."""
+    system_state (module docs).  `unitary` is a matrix or a Circuit
+    (distributions.spectral_weights).  The power is taken in phase space:
+    each eigenphase is multiplied by `power` mod 1, exactly.  A clock
+    register on the state is a spectator: U acts as U (x) I on it."""
     n = system_state.qubit_count
-    if np.shape(unitary) != (2**n, 2**n):
+    if operator_shape(unitary) != (2**n, 2**n):
         raise DimensionMismatch("unitary does not match system register")
     check_kernel_work(n, t)
     phases, weights = spectral_weights(unitary, system_state.amplitudes, "unitary")
@@ -186,7 +187,6 @@ def prepare_pes(circuit: Circuit, req: SamplingRequest) -> PreparedPhaseEstimati
         )
     t = ancilla_bits(req.epsilon, req.delta)
     check_kernel_work(circuit.qubit_count, t)
-    return prepare_phase_estimation(
-        circuit_unitary(circuit), StateVector.from_label(req.b), t
-    )
+    check_dense_width(circuit.qubit_count)
+    return prepare_phase_estimation(circuit, StateVector.from_label(req.b), t)
 

@@ -33,7 +33,6 @@ from .circuits import (
     Gate,
     StateVector,
     circuit_diagonal,
-    circuit_unitary,
     gate_unitary,
     invert_circuit,
     named_gate,
@@ -358,7 +357,7 @@ def quantum_lhes_oracle(instance: LhesInstance):
 
 
 def exact_pes_oracle(circuit: Circuit, req: SamplingRequest):
-    dist = exact_distribution(circuit_unitary(circuit), req.b, "unitary")
+    dist = exact_distribution(circuit, req.b, "unitary")
     return lambda rng: sample_values(dist, 1, rng)[0]
 
 

@@ -10,6 +10,7 @@ from eigensample import (
     LocalTerm,
     StateVector,
     gate_unitary,
+    invert_circuit,
     named_gate,
     substream,
 )
@@ -17,6 +18,7 @@ from eigensample.distributions import inverse_cdf
 
 NAMED_ONE = ("h", "x", "y", "z", "s", "t")
 NAMED_TWO = ("cnot", "cz", "swap")
+CLIFFORD_ONE = ("h", "x", "y", "z", "s", "sdg")
 
 
 def haar_unitary(dim, rng):
@@ -36,6 +38,23 @@ def random_state(qubits, rng, clock_dim=1):
     dim = (2**qubits) * clock_dim
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(qubits, clock_dim, z / np.linalg.norm(z))
+
+
+def clifford_circuit(qubits, gate_count, rng):
+    """W D W^-1 with W random named Clifford gates and D a layer of z, s,
+    sdg and cz: a spectrum inside {1, i, -1, -i}, so heavily degenerate."""
+    gates = []
+    for _ in range(gate_count):
+        if qubits >= 2 and rng.random() < 0.4:
+            a, b = rng.choice(qubits, size=2, replace=False)
+            gates.append(named_gate(NAMED_TWO[rng.integers(len(NAMED_TWO))], int(a), int(b)))
+        else:
+            name = CLIFFORD_ONE[rng.integers(len(CLIFFORD_ONE))]
+            gates.append(named_gate(name, int(rng.integers(qubits))))
+    layer = [named_gate(("z", "s", "sdg")[rng.integers(3)], q) for q in range(qubits)]
+    layer += [named_gate("cz", q, q + 1) for q in range(0, qubits - 1, 2)]
+    w = Circuit(qubits, gates)
+    return Circuit(qubits, w.gates + layer + invert_circuit(w).gates)
 
 
 def random_circuit(qubits, gate_count, rng, named_only=False):

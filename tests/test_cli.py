@@ -1,11 +1,17 @@
 """End-to-end checks of the command-line front door."""
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eigensample
 import eigensample.cli as cli_module
 from eigensample import (
     BasisLabel,
@@ -685,3 +691,34 @@ class TestUsageErrors:
         code, out, err = run_cli(["frobnicate"], capsys)
         assert code == 1
         assert json.loads(err)["error"] == "UsageError"
+
+
+# One CLI run in a fresh interpreter that prints its own high-water RSS.
+# VmHWM counts only this process image; a child's ru_maxrss would also count
+# the parent's pages at the fork.
+_PEAK_RUN = (
+    "import sys; from eigensample.cli import main; code = main(sys.argv[1:]); "
+    "print(open('/proc/self/status').read()); sys.exit(code)"
+)
+
+
+def child_peak_mib(argv):
+    """Peak RSS of `eigensample <argv>` in its own process, one BLAS thread."""
+    env = dict(os.environ, EIGENSAMPLE_THREADS="1",
+               PYTHONPATH=str(Path(eigensample.__file__).parents[1]))
+    status = subprocess.run([sys.executable, "-c", _PEAK_RUN, *argv], env=env,
+                            capture_output=True, text=True, check=True).stdout
+    return int(re.search(r"VmHWM:\s+(\d+) kB", status).group(1)) / 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_spectrum_keeps_one_dense_matrix_besides_eigh(tmp_path):
+    # a 10-qubit law holds its unitary's Hermitian part and eigh's four
+    # buffers, 16 MiB each: 5 matrices above a `check` of the same file
+    # (6.3 when the law also kept U and a separate Hermitian part)
+    path = tmp_path / "wide.txt"
+    path.write_text(serialize_circuit(random_circuit(10, 40, np.random.default_rng(10))))
+    check = child_peak_mib(["check", str(path), "--out", str(tmp_path / "check.json")])
+    spectrum = child_peak_mib(["spectrum", str(path), "--b", "0" * 10,
+                               "--out", str(tmp_path / "spectrum.json")])
+    assert spectrum - check < 5.6 * 16

@@ -8,22 +8,35 @@ import pytest
 from eigensample import (
     ApproxCheckInstance,
     BasisLabel,
+    Circuit,
     DimensionMismatch,
+    Gate,
     FlowNetwork,
     MetricMismatch,
+    NotUnitary,
     PreparedPhaseEstimation,
+    SamplingRequest,
     SpectralDistribution,
     approx_check,
+    circuit_unitary,
     empirical_approx_check,
     empirical_feasibility,
     exact_distribution,
     make_distribution,
     max_flow,
     point_distance,
+    prepare_pes,
     sample_values,
     total_variation,
 )
-from _helpers import circular_distance, per_draw_sample
+from eigensample.distributions import spectral_weights
+from _helpers import (
+    circular_distance,
+    clifford_circuit,
+    per_draw_sample,
+    random_circuit,
+    random_state,
+)
 
 EXACT_TOL = 1e-12
 WITNESS_TOL = 1e-9
@@ -143,6 +156,57 @@ class TestExactDistribution:
     def test_kind_checked(self):
         with pytest.raises(ValueError):
             exact_distribution(Z, BasisLabel("0"), "normal")
+
+
+def assert_same_law(got, want):
+    """Phases within 1e-14 on the circle, weights within 1e-13."""
+    assert len(got.points) == len(want.points)
+    for (v, w), (rv, rw) in zip(got.points, want.points):
+        assert circular_distance(v, rv) <= 1e-14
+        assert abs(w - rw) <= 1e-13
+
+
+class TestCircuitPath:
+    """A Circuit gives the law of its dense unitary through the matrix
+    front door, though only its own buffer stays alive."""
+
+    @pytest.mark.parametrize("qubits", range(1, 9))
+    def test_random_circuit_matches_matrix(self, qubits):
+        rng = np.random.default_rng(60 + qubits)
+        circuit = random_circuit(qubits, 5 * qubits, rng)
+        for b in ("0" * qubits, "".join(map(str, rng.integers(0, 2, qubits)))):
+            assert_same_law(
+                exact_distribution(circuit, BasisLabel(b), "unitary"),
+                exact_distribution(circuit_unitary(circuit), BasisLabel(b), "unitary"),
+            )
+
+    @pytest.mark.parametrize("qubits", [2, 4, 6])
+    def test_degenerate_clifford_matches_matrix(self, qubits):
+        rng = np.random.default_rng(qubits)
+        circuit = clifford_circuit(qubits, 6 * qubits, rng)
+        for index in rng.integers(0, 2**qubits, 3):
+            b = BasisLabel(format(index, f"0{qubits}b"))
+            assert_same_law(
+                exact_distribution(circuit, b, "unitary"),
+                exact_distribution(circuit_unitary(circuit), b, "unitary"),
+            )
+
+    def test_clock_columns_are_spectators(self):
+        rng = np.random.default_rng(69)
+        circuit = random_circuit(4, 20, rng)
+        state = random_state(4, rng, clock_dim=3).amplitudes
+        phases, weights = spectral_weights(circuit, state, "unitary")
+        ref_phases, ref_weights = spectral_weights(circuit_unitary(circuit), state, "unitary")
+        assert max(map(circular_distance, phases, ref_phases)) <= 1e-14
+        assert np.max(np.abs(weights - ref_weights)) <= 1e-13
+
+    def test_non_unitary_gate_raises(self):
+        # a programmatic Gate is not checked for unitarity; the law is
+        circuit = Circuit(2, [Gate("u1", (1,), np.diag([1.0, 1.0 + 1e-9]))])
+        with pytest.raises(NotUnitary):
+            exact_distribution(circuit, BasisLabel("01"), "unitary")
+        with pytest.raises(NotUnitary):
+            prepare_pes(circuit, SamplingRequest(0.25, 0.1, BasisLabel("01")))
 
 
 class TestSampler:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-import eigensample.hamiltonians as hamiltonians
+import eigensample.distributions as distributions
 from eigensample import (
     BasisLabel,
     DimensionMismatch,
@@ -260,7 +260,7 @@ class TestPreparedSampling:
         def unreachable(circuit):
             raise AssertionError("dense work before the work check")
 
-        monkeypatch.setattr(hamiltonians, "circuit_unitary", unreachable)
+        monkeypatch.setattr(distributions, "circuit_unitary", unreachable)
         # lambda_cap is just above 4, so 21 precision bits plus 3 delta
         # bits: 10 qubits at t = 24 is 2^34 element updates
         h = LocalHamiltonian(10, [LocalTerm((0,), Z)])

@@ -1,8 +1,12 @@
 """Dense linear algebra: eigensolvers, exponentials, norms."""
+import os
+
 import numpy as np
 import pytest
 
 from eigensample import (
+    Circuit,
+    Gate,
     NotHermitian,
     NotUnitary,
     circuit_unitary,
@@ -13,8 +17,11 @@ from eigensample import (
     operator_norm,
     unitary_eig,
 )
+from eigensample.circuits import apply_columns
+from eigensample.linalg import UNITARY_TOL, unitary_eig_in_place
 from _helpers import (
     anti_cyclic_shift,
+    clifford_circuit,
     cyclic_shift,
     haar_unitary,
     max_circular_mismatch,
@@ -134,6 +141,47 @@ class TestUnitaryEig:
         with pytest.raises(NotUnitary):
             unitary_eig(2.0 * np.eye(3))
 
+    def test_near_degenerate_phases_keep_their_own_values(self):
+        # cosines 2e-10 and 5e-10 apart share one stage-one block; each
+        # eigenvalue is its vector's Rayleigh quotient, not the block's mean
+        # cosine (which put the phases 9.2e-11 off)
+        for seed in (40, 41, 42):
+            rng = np.random.default_rng(seed)
+            phases = np.r_[0.1, 0.1 + 2e-10, 0.1 + 5e-10, rng.random(13)]
+            q = haar_unitary(16, rng)
+            u = (q * np.exp(2j * np.pi * phases)) @ q.conj().T
+            assert max_circular_mismatch(unitary_eig(u).phases(), phases) <= 1e-14
+
+
+class TestUnitaryEigInPlace:
+    """The circuit path: the call owns the dense buffer and reads U·V from
+    a circuit pass."""
+
+    def test_buffer_becomes_the_hermitian_part(self):
+        circuit = random_circuit(5, 30, np.random.default_rng(21))
+        u = circuit_unitary(circuit)
+        buffer = u.copy()
+        unitary_eig_in_place(buffer, lambda v: apply_columns(circuit, v))
+        assert np.array_equal(buffer, (u + u.conj().T) / 2.0)
+
+    @pytest.mark.parametrize("qubits", [3, 5, 7])
+    def test_degenerate_clifford_spectrum(self, qubits):
+        # four eigenphases over 2^n dimensions: every stage-one block holds
+        # several columns, and i and -i share the cosine 0
+        circuit = clifford_circuit(qubits, 8 * qubits, np.random.default_rng(qubits))
+        u = circuit_unitary(circuit)
+        dec = unitary_eig_in_place(u.copy(), lambda v: apply_columns(circuit, v))
+        vecs, dim = dec.eigenvectors, 2**qubits
+        assert len(np.unique(np.round(dec.phases(), 9) % 1.0)) <= 4
+        assert np.max(np.abs(u @ vecs - vecs * dec.eigenvalues)) <= 1e-12
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) <= 1e-12
+        assert np.all(np.diff(dec.phases()) >= 0)
+
+    def test_rejects_non_unitary(self):
+        circuit = Circuit(1, [Gate("u1", (0,), np.diag([1.0, 2.0]))])
+        with pytest.raises(NotUnitary):
+            unitary_eig_in_place(circuit_unitary(circuit), lambda v: apply_columns(circuit, v))
+
 
 class TestExponential:
     def test_zero_gives_identity(self):
@@ -196,3 +244,30 @@ def test_hermiticity_and_unitarity_predicates():
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert is_unitary(X)
     assert not is_unitary(np.diag([1.0, 2.0]))
+
+
+def test_is_unitary_takes_the_same_maximum_as_the_identity_formula():
+    # the identity comes off the product's diagonal in place; the maximum,
+    # and so the verdict at any tolerance, is the one of |A†A - I|
+    rng = np.random.default_rng(12)
+    u = haar_unitary(8, rng)
+    e = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    e /= np.max(np.abs(e))
+    verdicts = set()
+    for eta in np.geomspace(1e-11, 1e-9, 21):
+        a = u + eta * e
+        deviation = np.max(np.abs(a.conj().T @ a - np.eye(8)))
+        assert is_unitary(a) == (deviation <= UNITARY_TOL)
+        assert is_unitary(a, tol=deviation)
+        assert not is_unitary(a, tol=np.nextafter(deviation, 0.0))
+        verdicts.add(bool(deviation <= UNITARY_TOL))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+@pytest.mark.skipif(os.environ.get("EIGENSAMPLE_THREADS") != "1", reason="threads not pinned")
+def test_eigensample_threads_pins_blas():
+    # tests/conftest.py imports eigensample before numpy loads BLAS
+    a = np.ones((512, 512), dtype=complex)
+    a @ a
+    assert len(os.listdir("/proc/self/task")) == 1

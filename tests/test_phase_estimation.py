@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import _gate_level as gate_level
-import eigensample.hamiltonians as hamiltonians
+import eigensample.distributions as distributions
 import eigensample.phase_estimation as phase_estimation
 from eigensample import (
     BasisLabel,
@@ -104,8 +104,8 @@ class TestRequestAndConfig:
         def unreachable(*args):
             raise AssertionError("dense work before the size check")
 
-        monkeypatch.setattr(phase_estimation, "circuit_unitary", unreachable)
-        monkeypatch.setattr(hamiltonians, "circuit_unitary", unreachable)
+        # both laws build their dense unitary in spectral_weights
+        monkeypatch.setattr(distributions, "circuit_unitary", unreachable)
         circ = Circuit(1, [named_gate("z", 0)])
         with pytest.raises(TooLarge, match="ancilla bits"):
             prepare_pes(circ, SamplingRequest(2.0**-22, 0.1, BasisLabel("1")))
@@ -381,7 +381,7 @@ class TestKernelWorkCap:
         def unreachable(circuit):
             raise AssertionError("dense work before the work check")
 
-        monkeypatch.setattr(phase_estimation, "circuit_unitary", unreachable)
+        monkeypatch.setattr(distributions, "circuit_unitary", unreachable)
         # 12 qubits at t = 24: 2^36 element updates
         circ = Circuit(12, [named_gate("h", 0)])
         req = SamplingRequest(2.0**-21, 0.1, BasisLabel("0" * 12))
