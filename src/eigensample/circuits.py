@@ -26,6 +26,10 @@ blocking, Häner & Steiger, SC 2017).  On a 10-qubit, 40-gate circuit (17
 fused blocks), one thread of a 2-core x86-64 box, circuit_unitary takes
 0.09-0.11 s in a fresh process, against 0.25-0.29 s for one tensordot pass
 per gate over the whole 2^n x 2^n tensor.
+
+circuit_components splits a circuit into the groups of qubits that its gates
+connect; its unitary is the tensor product of theirs, so a spectral law is
+solved group by group (distributions.spectral_weights).
 """
 from __future__ import annotations
 
@@ -308,6 +312,36 @@ def apply_columns(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
     for cols, block in _circuit_pass(circuit, columns.shape[1], lambda cols: columns[:, cols]):
         out[:, cols] = block
     return out
+
+
+def circuit_components(circuit: Circuit) -> list[tuple[tuple[int, ...], Circuit]]:
+    """The circuit's qubit-interaction components: the unions of gate
+    supports that share a qubit, as (qubits, circuit) pairs in order of
+    their lowest qubit.  Each component's qubits are ascending, and its
+    circuit holds that component's gates in their original order, qubit q
+    relabelled qubits.index(q).  The unitary is the tensor product of the
+    components' unitaries with the identity on qubits that no gate touches,
+    which belong to no component.  A gate on no qubit (a global phase) joins
+    qubit 0's component."""
+    groups: list[set[int]] = []
+    for gate in circuit.gates:
+        joined, apart = set(gate.support or (0,)), []
+        for g in groups:
+            if g & joined:
+                joined |= g
+            else:
+                apart.append(g)
+        groups = apart + [joined]
+    components = []
+    for qubits in sorted(tuple(sorted(g)) for g in groups):
+        index = {q: i for i, q in enumerate(qubits)}
+        gates = [
+            Gate(g.name, tuple(index[q] for q in g.support), g.matrix)
+            for g in circuit.gates
+            if (g.support or (0,))[0] in index
+        ]
+        components.append((qubits, Circuit(len(qubits), gates)))
+    return components
 
 
 def gate_unitary(gate: Gate, qubit_count: int) -> np.ndarray:

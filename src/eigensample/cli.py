@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from itertools import repeat
 from pathlib import Path
@@ -208,6 +209,16 @@ def _exact_law(kind: str, obj, b: BasisLabel):
     return exact_distribution(dense_hamiltonian(obj), b, "hermitian")
 
 
+def _finite_number(value) -> bool:
+    """A JSON number, not a boolean, that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _check_samples(args) -> None:
     """Refuse a negative or oversized --samples before any preparation."""
     if args.samples < 0:
@@ -335,14 +346,17 @@ def _cmd_verify(args) -> int:
         payload = json.loads(_read_file(args.samples_file))
     except json.JSONDecodeError as exc:
         raise UsageError(f"samples file is not valid JSON: {exc}") from exc
+    shape = 'samples file must hold {"samples": [...], "epsilon": e, "delta": d}'
     try:
         samples = payload["samples"]
         epsilon = float(payload["epsilon"])
         delta = float(payload["delta"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(
-            'samples file must hold {"samples": [...], "epsilon": e, "delta": d}'
-        ) from exc
+        raise UsageError(shape) from exc
+    if not isinstance(samples, list) or not all(map(_finite_number, samples)):
+        raise UsageError(f"{shape} with finite numbers as samples")
+    if not (math.isfinite(epsilon) and math.isfinite(delta)):
+        raise UsageError(f"{shape} with finite e and d")
     target = _exact_law(kind, obj, BasisLabel(args.b))
     feasible, slack, flow = empirical_feasibility(samples, target, epsilon, delta)
     report = _base_report(args.seed, epsilon, delta)

@@ -3,7 +3,7 @@
 spectral_weights is the one eigensolve-and-weights step (exact_distribution
 merges its output, phase_estimation blurs it); inverse_cdf draws for all.
 Both take an operator as a dense matrix or, for unitary laws, as a
-Circuit, whose dense unitary becomes its own Hermitian part in place.
+Circuit, whose law is combined from its independent qubit groups' laws.
 
 A distribution q (epsilon, delta)-approximates p when q's mass can be split
 so that every target point x_j receives at least (1 - delta) p_j from within
@@ -26,6 +26,7 @@ from .circuits import (
     StateVector,
     apply_columns,
     check_dense_width,
+    circuit_components,
     circuit_unitary,
 )
 from .errors import DimensionMismatch, MetricMismatch
@@ -135,27 +136,63 @@ def spectral_weights(operator, state, kind: str) -> tuple[np.ndarray, np.ndarray
     the state's amplitudes read as (dim, clock) columns: a clock register
     beyond the operator's dimension is a spectator.
 
-    A unitary may be a matrix (linalg.unitary_eig) or a Circuit, whose
-    dense unitary is built here and handed over to
-    linalg.unitary_eig_in_place: it becomes its Hermitian part in place and
-    is gone before stage two, which reads U·V from one circuit pass over
-    stage one's basis.  At n = 10 the law then peaks at five 16 MiB
-    matrices, that buffer and eigh's four."""
+    A unitary may be a matrix (linalg.unitary_eig) or a Circuit, whose law
+    comes from its qubit-interaction components (_circuit_weights)."""
     if kind == "hermitian":
         dec = hermitian_eig(operator)
         values = dec.eigenvalues
     elif kind == "unitary":
         if isinstance(operator, Circuit):
-            dec = unitary_eig_in_place(
-                circuit_unitary(operator), lambda vectors: apply_columns(operator, vectors)
-            )
-        else:
-            dec = unitary_eig(operator)
+            return _circuit_weights(operator, state)
+        dec = unitary_eig(operator)
         values = dec.phases()
     else:
         raise ValueError("kind must be 'hermitian' or 'unitary'")
     overlaps = dec.eigenvectors.conj().T @ np.reshape(state, (len(values), -1))
     return values, np.sum(np.abs(overlaps) ** 2, axis=1)
+
+
+def _circuit_weights(circuit: Circuit, state) -> tuple[np.ndarray, np.ndarray]:
+    """spectral_weights of a circuit's unitary U = (x)_c U_c (x) I, one
+    factor per component of circuits.circuit_components and the identity
+    on qubits that no gate touches.
+
+    Each U_c is built on its own and handed over to
+    linalg.unitary_eig_in_place, which checks it for unitarity, turns it
+    into its Hermitian part in place and reads U_c·V from one circuit pass,
+    so the largest matrix alive is the widest component's (five of them at
+    the peak, 16 MiB each for a 10-qubit component).  An eigenvector of U
+    is a product of the factors' eigenvectors: its phase is the sum of
+    theirs mod 1, and its overlaps come from contracting the state with each
+    factor's basis on that factor's qubits.  The untouched qubits, like the
+    clock, are spectators: their phase is 0 and their weights are summed.
+    The phases are sorted stably, so a connected circuit on every qubit
+    gives exactly the law of its one dense eigensolve.  The caps count the
+    whole register: above circuits.MAX_DENSE_QUBITS qubits it raises
+    TooLarge, however narrow the components."""
+    n = circuit.qubit_count
+    check_dense_width(n)
+    components = circuit_components(circuit)
+    active = [q for qubits, _ in components for q in qubits]
+    idle = sorted(set(range(n)).difference(active))
+    # one axis per component, then the spectators: idle qubits and clock
+    overlaps = np.reshape(state, (2,) * n + (-1,)).transpose(active + idle + [n])
+    overlaps = overlaps.reshape([2 ** len(qubits) for qubits, _ in components] + [-1])
+    phases = np.zeros(1)
+    for axis, (_, sub) in enumerate(components):
+        dec = unitary_eig_in_place(
+            circuit_unitary(sub), lambda vectors: apply_columns(sub, vectors)
+        )
+        moved = np.moveaxis(overlaps, axis, 0)
+        shape = moved.shape
+        moved = dec.eigenvectors.conj().T @ moved.reshape(shape[0], -1)
+        overlaps = np.moveaxis(moved.reshape(shape), 0, axis)
+        # the first factor's phases are kept as they are, a phase that
+        # rounded to 1.0 included, so one component changes no bit
+        phases = dec.phases() if axis == 0 else np.add.outer(phases, dec.phases()).ravel() % 1.0
+    weights = np.sum(np.abs(overlaps.reshape(phases.size, -1)) ** 2, axis=1)
+    order = np.argsort(phases, kind="stable")
+    return phases[order], weights[order]
 
 
 def exact_distribution(operator, b: BasisLabel, kind: str) -> SpectralDistribution:

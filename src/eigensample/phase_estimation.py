@@ -177,9 +177,11 @@ def prepare_phase_estimation(
 def prepare_pes(circuit: Circuit, req: SamplingRequest) -> PreparedPhaseEstimation:
     """Preparation for spectral sampling of a circuit from basis state b.
 
-    The law comes from the circuit's dense unitary, so circuits wider than
-    circuits.MAX_DENSE_QUBITS raise TooLarge, and so does a law whose kernel
-    work exceeds MAX_KERNEL_WORK, before the unitary is built.
+    The law comes from the dense unitaries of the circuit's qubit groups
+    (distributions.spectral_weights), but the caps count the whole
+    register: circuits wider than circuits.MAX_DENSE_QUBITS raise TooLarge,
+    and so does a law whose kernel work, 2^n eigenphases times 2^t
+    outcomes, exceeds MAX_KERNEL_WORK, before any unitary is built.
     """
     if len(req.b.bits) != circuit.qubit_count:
         raise DimensionMismatch(

@@ -78,6 +78,30 @@ def random_circuit(qubits, gate_count, rng, named_only=False):
     return Circuit(qubits, gates)
 
 
+def grouped_circuit(qubits, groups, gate_count, rng):
+    """Random circuit whose gates stay inside `groups` (tuples of qubits),
+    so each group is exactly one component: a chain of u2 gates joins its
+    qubits (a u1 stands in for a one-qubit group), then gate_count random
+    named, u1 and u2 gates each land in a random group, and all of them are
+    shuffled, so the groups interleave in gate order.  Qubits in no group
+    stay idle."""
+    gates = []
+    for group in groups:
+        if len(group) == 1:
+            gates.append(Gate("u1", group, haar_unitary(2, rng)))
+        gates += [Gate("u2", pair, haar_unitary(4, rng)) for pair in zip(group, group[1:])]
+    for _ in range(gate_count):
+        group = groups[rng.integers(len(groups))]
+        two = len(group) >= 2 and rng.random() < 0.4
+        support = tuple(int(q) for q in rng.choice(group, size=2 if two else 1, replace=False))
+        if rng.random() < 0.5:
+            names = NAMED_TWO if two else NAMED_ONE
+            gates.append(named_gate(names[rng.integers(len(names))], *support))
+        else:
+            gates.append(Gate("u2" if two else "u1", support, haar_unitary(4 if two else 2, rng)))
+    return Circuit(qubits, [gates[i] for i in rng.permutation(len(gates))])
+
+
 def random_local_hamiltonian(qubits, term_count, rng, max_support=2):
     terms = []
     for _ in range(term_count):

@@ -25,13 +25,20 @@ from eigensample import (
 from eigensample import circuits
 from eigensample.circuits import (
     BLOCK_AMPLITUDES,
+    circuit_components,
     FUSED_QUBITS,
     MAX_STATEVECTOR_QUBITS,
     _fuse,
 )
 from eigensample.linalg import is_unitary
 from _gate_level import apply_gate_controlled
-from _helpers import gate_by_gate_columns, haar_unitary, random_circuit, random_state
+from _helpers import (
+    gate_by_gate_columns,
+    grouped_circuit,
+    haar_unitary,
+    random_circuit,
+    random_state,
+)
 
 EXACT_TOL = 1e-12
 UNITARY_TOL = 1e-9
@@ -305,6 +312,68 @@ class TestFusedPass:
         for b in (0, 17, 63):
             state = apply_circuit(circ, StateVector.basis(6, b))
             assert circuit_diagonal(circ, [b])[0] == state.amplitudes[b]
+
+
+def tensor_of_components(circuit):
+    """The circuit's unitary rebuilt as the tensor product of its
+    components' unitaries and the identity on idle qubits."""
+    n = circuit.qubit_count
+    components = circuit_components(circuit)
+    active = [q for qubits, _ in components for q in qubits]
+    idle = [q for q in range(n) if q not in active]
+    u = np.eye(2 ** len(idle), dtype=complex)
+    for _, sub in reversed(components):
+        u = np.kron(circuit_unitary(sub), u)
+    # axes of u are the qubits in active + idle order, outputs then inputs
+    order = active + idle
+    perm = [order.index(q) for q in range(n)]
+    u = u.reshape((2,) * (2 * n)).transpose(perm + [n + p for p in perm])
+    return u.reshape(2**n, 2**n)
+
+
+class TestComponents:
+    def test_groups_are_split_and_relabelled(self):
+        rng = np.random.default_rng(80)
+        circuit = grouped_circuit(8, ((7, 0), (5, 3), (1, 2, 6)), 30, rng)
+        components = circuit_components(circuit)
+        assert [qubits for qubits, _ in components] == [(0, 7), (1, 2, 6), (3, 5)]
+        for qubits, sub in components:
+            mine = [g for g in circuit.gates if set(g.support) <= set(qubits)]
+            assert sub.qubit_count == len(qubits)
+            assert [g.name for g in sub.gates] == [g.name for g in mine]
+            assert [tuple(qubits[i] for i in g.support) for g in sub.gates] == [
+                g.support for g in mine
+            ]
+            assert all(a.matrix is b.matrix for a, b in zip(sub.gates, mine))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tensor_product_is_the_unitary(self, seed):
+        rng = np.random.default_rng(90 + seed)
+        n = int(rng.integers(4, 8))
+        cuts = np.sort(rng.choice(np.arange(1, n), size=2, replace=False))
+        groups = [tuple(map(int, g)) for g in np.split(rng.permutation(n), cuts)]
+        # the last group stays idle
+        circuit = grouped_circuit(n, groups[:-1], 4 * n, rng)
+        assert len(circuit_components(circuit)) == 2
+        assert np.max(np.abs(tensor_of_components(circuit) - circuit_unitary(circuit))) <= 1e-13
+
+    def test_connected_circuit_is_its_own_component(self):
+        circuit = parse_circuit("qubits 3\nh 0\ncnot 2 1\ncz 0 1\n")
+        assert circuit_components(circuit) == [((0, 1, 2), circuit)]
+
+    def test_idle_qubits_and_empty_circuits(self):
+        circuit = parse_circuit("qubits 4\nh 2\nt 2\n")
+        assert circuit_components(circuit) == [((2,), parse_circuit("qubits 1\nh 0\nt 0\n"))]
+        assert circuit_components(Circuit(3)) == []
+
+    def test_a_global_phase_joins_qubit_zero(self):
+        phase = Gate("g", (), np.array([[1j]]))
+        circuit = Circuit(3, [named_gate("h", 2), phase, named_gate("x", 0)])
+        assert circuit_components(circuit) == [
+            ((0,), Circuit(1, [phase, named_gate("x", 0)])),
+            ((2,), Circuit(1, [named_gate("h", 0)])),
+        ]
+        assert np.allclose(tensor_of_components(circuit), circuit_unitary(circuit), atol=1e-15)
 
 
 class TestControlled:

@@ -15,10 +15,12 @@ import eigensample
 import eigensample.cli as cli_module
 from eigensample import (
     BasisLabel,
+    Circuit,
     OracleFailure,
     SamplingRequest,
     luae_estimate,
     luae_unguided,
+    named_gate,
     parse_circuit,
     parse_hamiltonian,
     prepare_lhes,
@@ -28,7 +30,7 @@ from eigensample import (
 )
 from eigensample import seeding
 from eigensample.cli import iter_json, main, render_json
-from _helpers import per_sample_uniforms, random_circuit, recursive_render_json
+from _helpers import grouped_circuit, per_sample_uniforms, random_circuit, recursive_render_json
 
 FILE_TEXTS = {
     "bell": "qubits 2\nh 0\ncnot 0 1\n",
@@ -610,6 +612,28 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(err)["error"] == "UsageError"
 
+    # 999 valid samples and one bad one, so only the bad value can fail it
+    @pytest.mark.parametrize("samples, epsilon, delta", [
+        ("5", "0", "0"),
+        ("null", "0", "0"),
+        ("[0.5]", "NaN", "0"),
+        ("[0.5]", "0", "Infinity"),
+        ("[0.5, NaN]", "0", "0"),
+        ("[0.5, -Infinity]", "0", "0"),
+        ("[0.5, true]", "0", "0"),
+        ('[0.5, "0.5"]', "0", "0"),
+        ("[0.5, 1e999999]", "0", "0"),
+    ], ids=["int", "null", "nan-epsilon", "inf-delta", "nan-sample", "inf-sample",
+            "bool-sample", "string-sample", "overflow-sample"])
+    def test_samples_file_must_hold_finite_numbers(self, files, capsys, samples, epsilon, delta):
+        if samples.startswith("["):
+            samples = "[" + "0.0, " * 999 + samples[1:]
+        path = files["dir"] / "samples.json"
+        path.write_text(f'{{"samples": {samples}, "epsilon": {epsilon}, "delta": {delta}}}')
+        code, out, err = run_cli(["verify", files["x"], str(path), "--b", "0"], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "UsageError"
+
     def test_size_checked_after_samples_file(self, files, capsys):
         # a valid samples file against a too-wide circuit is a size failure;
         # a broken one fails as usage first, whatever the circuit's width
@@ -713,12 +737,20 @@ def child_peak_mib(argv):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
 def test_spectrum_keeps_one_dense_matrix_besides_eigh(tmp_path):
-    # a 10-qubit law holds its unitary's Hermitian part and eigh's four
-    # buffers, 16 MiB each: 5 matrices above a `check` of the same file
+    def spectrum_above_check(circuit):
+        path = tmp_path / "wide.txt"
+        path.write_text(serialize_circuit(circuit))
+        check = child_peak_mib(["check", str(path), "--out", str(tmp_path / "check.json")])
+        spectrum = child_peak_mib(["spectrum", str(path), "--b", "0" * 10,
+                                   "--out", str(tmp_path / "spectrum.json")])
+        return spectrum - check
+
+    rng = np.random.default_rng(10)
+    # a connected 10-qubit law holds its unitary's Hermitian part and eigh's
+    # four buffers, 16 MiB each: 5 matrices above a `check` of the same file
     # (6.3 when the law also kept U and a separate Hermitian part)
-    path = tmp_path / "wide.txt"
-    path.write_text(serialize_circuit(random_circuit(10, 40, np.random.default_rng(10))))
-    check = child_peak_mib(["check", str(path), "--out", str(tmp_path / "check.json")])
-    spectrum = child_peak_mib(["spectrum", str(path), "--b", "0" * 10,
-                               "--out", str(tmp_path / "spectrum.json")])
-    assert spectrum - check < 5.6 * 16
+    chain = [named_gate("cnot", q, q + 1) for q in range(9)]
+    assert spectrum_above_check(Circuit(10, chain + random_circuit(10, 40, rng).gates)) < 5.6 * 16
+    # split into groups of at most 4 qubits, it holds no 10-qubit matrix
+    split = grouped_circuit(10, ((0, 5, 9), (1, 2), (3, 4, 7, 8), (6,)), 40, rng)
+    assert spectrum_above_check(split) < 0.5 * 16

@@ -17,6 +17,8 @@ from eigensample import (
     PreparedPhaseEstimation,
     SamplingRequest,
     SpectralDistribution,
+    StateVector,
+    TooLarge,
     approx_check,
     circuit_unitary,
     empirical_approx_check,
@@ -24,15 +26,20 @@ from eigensample import (
     exact_distribution,
     make_distribution,
     max_flow,
+    named_gate,
     point_distance,
     prepare_pes,
     sample_values,
     total_variation,
 )
+from eigensample import distributions
+from eigensample.circuits import apply_columns, circuit_components
 from eigensample.distributions import spectral_weights
+from eigensample.linalg import unitary_eig_in_place
 from _helpers import (
     circular_distance,
     clifford_circuit,
+    grouped_circuit,
     per_draw_sample,
     random_circuit,
     random_state,
@@ -423,3 +430,114 @@ class TestEmpirical:
         assert not feasible_zero
         feasible_default, _, _ = empirical_feasibility(samples, target, 0.0, 0.0)
         assert feasible_default
+
+
+def random_groups(n, rng):
+    """2-4 disjoint qubit groups in random order, leaving 0-2 qubits idle."""
+    k = int(rng.integers(2, min(4, n - 1) + 1))
+    used = rng.permutation(n)[: n - int(rng.integers(0, min(2, n - k) + 1))]
+    cuts = np.sort(rng.choice(np.arange(1, used.size), size=k - 1, replace=False))
+    return [tuple(map(int, g)) for g in np.split(used, cuts)]
+
+
+def assert_law_within(got, want, tol):
+    assert len(got.points) == len(want.points)
+    for (v, w), (rv, rw) in zip(got.points, want.points):
+        assert circular_distance(v, rv) <= tol
+        assert abs(w - rw) <= tol
+
+
+class TestFactoredLaw:
+    """A circuit's law is combined from its components' laws, and equals
+    the law of the matrix front door unitary_eig(circuit_unitary(c))."""
+
+    def test_non_adjacent_pairs_and_an_idle_qubit(self):
+        rng = np.random.default_rng(70)
+        circuit = grouped_circuit(8, ((0, 7), (3, 5), (6, 1, 2)), 30, rng)
+        assert [q for q, _ in circuit_components(circuit)] == [(0, 7), (1, 2, 6), (3, 5)]
+        for b in ("00000000", "10110101", "01001110"):
+            assert_law_within(
+                exact_distribution(circuit, BasisLabel(b), "unitary"),
+                exact_distribution(circuit_unitary(circuit), BasisLabel(b), "unitary"),
+                EXACT_TOL,
+            )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_components_match_matrix(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        n = int(rng.integers(4, 10))
+        groups = random_groups(n, rng)
+        circuit = grouped_circuit(n, groups, 5 * n, rng)
+        assert len(circuit_components(circuit)) == len(groups)
+        for index in rng.integers(0, 2**n, 2):
+            b = BasisLabel(format(index, f"0{n}b"))
+            assert_law_within(
+                exact_distribution(circuit, b, "unitary"),
+                exact_distribution(circuit_unitary(circuit), b, "unitary"),
+                EXACT_TOL,
+            )
+
+    def test_any_state_with_a_clock(self):
+        # idle qubits and clock columns are both spectators
+        rng = np.random.default_rng(71)
+        circuit = grouped_circuit(6, ((4, 1), (2,), (0, 3)), 20, rng)
+        circuit = Circuit(7, circuit.gates)
+        state = random_state(7, rng, clock_dim=3).amplitudes
+        phases, weights = spectral_weights(circuit, state, "unitary")
+        # one eigenphase per product of the components' eigenvectors, sorted
+        assert phases.size == 2**5 and np.all(np.diff(phases) >= 0)
+        assert_law_within(
+            make_distribution(phases, weights, "circular"),
+            make_distribution(*spectral_weights(circuit_unitary(circuit), state, "unitary"),
+                              "circular"),
+            EXACT_TOL,
+        )
+
+    def test_dense_cap_counts_the_whole_register(self):
+        circuit = Circuit(13, [named_gate("h", 0)])
+        with pytest.raises(TooLarge):
+            spectral_weights(circuit, StateVector.basis(13).amplitudes, "unitary")
+
+    def test_connected_circuit_is_one_full_eigensolve(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        circuit = random_circuit(6, 30, rng)
+        assert [q for q, _ in circuit_components(circuit)] == [tuple(range(6))]
+        shapes = []
+
+        def spy(u, product):
+            shapes.append(u.shape)
+            return unitary_eig_in_place(u, product)
+
+        monkeypatch.setattr(distributions, "unitary_eig_in_place", spy)
+        state = random_state(6, rng, clock_dim=2).amplitudes
+        phases, weights = spectral_weights(circuit, state, "unitary")
+        assert shapes == [(64, 64)]
+        # bit for bit the law of one dense eigensolve
+        dec = unitary_eig_in_place(circuit_unitary(circuit), lambda v: apply_columns(circuit, v))
+        overlaps = dec.eigenvectors.conj().T @ np.reshape(state, (64, -1))
+        assert np.array_equal(phases, dec.phases())
+        assert np.array_equal(weights, np.sum(np.abs(overlaps) ** 2, axis=1))
+
+    def test_no_matrix_wider_than_the_largest_component(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        circuit = grouped_circuit(10, ((0, 9, 4), (1, 5), (2, 3, 6, 8)), 40, rng)
+        widths = []
+
+        def spy(name):
+            real = getattr(distributions, name)
+
+            def wrapped(first, *rest):
+                widths.append((name, first.qubit_count if name != "unitary_eig_in_place"
+                               else first.shape[0].bit_length() - 1))
+                return real(first, *rest)
+
+            monkeypatch.setattr(distributions, name, wrapped)
+
+        for name in ("circuit_unitary", "apply_columns", "unitary_eig_in_place"):
+            spy(name)
+        exact_distribution(circuit, BasisLabel("1011001110"), "unitary")
+        assert sorted(widths) == sorted(
+            [(name, k) for k in (2, 3, 4)
+             for name in ("circuit_unitary", "apply_columns", "unitary_eig_in_place")]
+        )
+
