@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .circuits import (
     StateVector,
     apply_circuit,
     check_statevector_width,
+    circuit_components,
     circuit_diagonal,
 )
 from .errors import DimensionMismatch, TooLarge
@@ -102,7 +104,8 @@ def luae_unguided(
 
     The plus/minus-one bound covers the mixture, so the same Hoeffding
     budget applies.  Draws come in b, x, y order per sample; the branch
-    biases of every distinct b come from one circuits.circuit_diagonal pass.
+    biases of every distinct b come from one circuits.circuit_diagonal pass
+    per independent qubit group (_grouped_diagonal).
     Circuits wider than circuits.MAX_STATEVECTOR_QUBITS raise TooLarge
     before any draw.
     """
@@ -116,5 +119,25 @@ def luae_unguided(
         us[s, 0] = rng.random()
         us[s, 1] = rng.random()
     distinct, where = np.unique(indices, return_inverse=True)
-    lam = circuit_diagonal(circuit, distinct)[where]
+    lam = _grouped_diagonal(circuit, distinct)[where]
     return AverageEstimate(_plus_minus_mean(lam, us), m, epsilon, delta)
+
+
+def _grouped_diagonal(circuit: Circuit, indices: np.ndarray) -> np.ndarray:
+    """<b|U|b> for basis indices b, as the product over the components of
+    circuits.circuit_components of each one's diagonal entry at b's bits on
+    its qubits (qubit 0 is the most significant bit); qubits that no gate
+    touches contribute 1.  Each component runs one circuit_diagonal pass
+    over its distinct local indices, so no column is wider than the widest
+    component.  A connected circuit on every qubit makes the one call
+    circuit_diagonal(circuit, indices) would, and gets its entries bit for
+    bit."""
+    n = circuit.qubit_count
+    factors = []
+    for qubits, sub in circuit_components(circuit):
+        local = np.zeros_like(indices)
+        for q in qubits:
+            local = (local << 1) | ((indices >> (n - 1 - q)) & 1)
+        keys, where = np.unique(local, return_inverse=True)
+        factors.append(circuit_diagonal(sub, keys)[where])
+    return reduce(np.multiply, factors) if factors else np.ones(indices.size, dtype=complex)

@@ -209,14 +209,16 @@ def _exact_law(kind: str, obj, b: BasisLabel):
     return exact_distribution(dense_hamiltonian(obj), b, "hermitian")
 
 
-def _finite_number(value) -> bool:
-    """A JSON number, not a boolean, that is finite as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
+def _finite_samples(samples) -> np.ndarray | None:
+    """The samples as floats when they are a list of JSON numbers, not
+    booleans, that are all finite as floats; otherwise None."""
+    if not isinstance(samples, list) or not set(map(type, samples)) <= {int, float}:
+        return None
     try:
-        return math.isfinite(value)
+        values = np.array(samples, dtype=float)
     except OverflowError:  # an integer beyond the float range
-        return False
+        return None
+    return values if np.isfinite(values).all() else None
 
 
 def _check_samples(args) -> None:
@@ -353,7 +355,8 @@ def _cmd_verify(args) -> int:
         delta = float(payload["delta"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(shape) from exc
-    if not isinstance(samples, list) or not all(map(_finite_number, samples)):
+    samples = _finite_samples(samples)
+    if samples is None:
         raise UsageError(f"{shape} with finite numbers as samples")
     if not (math.isfinite(epsilon) and math.isfinite(delta)):
         raise UsageError(f"{shape} with finite e and d")

@@ -325,8 +325,12 @@ class _Dinic:
                     cursor[u] += 1
                 return 0
 
+            # a path's bottleneck never exceeds its first edge's residual,
+            # which only falls within a phase: the phase's opening source
+            # total bounds every push as tightly as a fresh sum would
+            limit = sum(self.cap[eid] for eid in self.adj[source])
             while True:
-                sent = push(source, sum(self.cap[eid] for eid in self.adj[source]))
+                sent = push(source, limit)
                 if sent == 0:
                     break
                 total += sent
@@ -360,6 +364,61 @@ def max_flow(net: FlowNetwork) -> float:
     return flow / FLOW_SCALE
 
 
+def _transport_edges(
+    candidate: SpectralDistribution, target: SpectralDistribution, epsilon: float
+) -> list[tuple[int, int]]:
+    """Every (i, j) with point_distance(q_i, p_j) <= epsilon +
+    EDGE_DISTANCE_TOL, i-major and then j ascending.
+
+    A candidate's ball holds one contiguous run of the targets sorted by
+    value (by value mod 1 on the circle, where the run wraps into at most
+    two), found by searchsorted and widened by a rounding margin.  The
+    run's members are then kept by point_distance's own float operations,
+    so the edges are exactly those of an all-pairs scan, with O(C + K + E)
+    work and memory instead of C x K.  A ball that reaches half the circle
+    holds every target."""
+    radius = epsilon + EDGE_DISTANCE_TOL
+    circular = target.metric == "circular"
+    q = np.array(candidate.values(), dtype=float)
+    p = np.array(target.values(), dtype=float)
+    keys = p % 1.0 if circular else p
+    order = np.argsort(keys, kind="stable")
+    # a few ulps of the largest magnitude in play: covers the rounding of
+    # q - p, of the reductions mod 1 and of the run ends (NaN if any is NaN)
+    reach = radius + 8 * np.finfo(float).eps * (
+        1.0 + radius + np.abs(q).max(initial=0.0) + np.abs(p).max(initial=0.0)
+    )
+    if not reach < (0.5 if circular else np.inf):
+        runs = [(np.zeros(q.size, dtype=np.intp), np.full(q.size, p.size))]
+    else:
+        centre = q % 1.0 if circular else q
+        sorted_keys = keys[order]
+        lo = np.searchsorted(sorted_keys, centre - reach, "left")
+        hi = np.searchsorted(sorted_keys, centre + reach, "right")
+        runs = [(lo, hi)]
+        if circular:
+            # the ball's parts past 1 and below 0, trimmed off the main run
+            past = np.searchsorted(sorted_keys, centre + reach - 1.0, "right")
+            below = np.searchsorted(sorted_keys, centre - reach + 1.0, "left")
+            runs += [
+                (np.zeros_like(lo), np.minimum(past, lo)),
+                (np.maximum(below, hi), np.full_like(hi, p.size)),
+            ]
+    starts = np.concatenate([start for start, _ in runs])
+    lengths = np.concatenate([stop for _, stop in runs]) - starts
+    i = np.repeat(np.tile(np.arange(q.size), len(runs)), lengths)
+    ends = np.cumsum(lengths)
+    j = order[np.arange(i.size) + np.repeat(starts - (ends - lengths), lengths)]
+    d = np.abs(q[i] - p[j])
+    if circular:
+        d %= 1.0
+        d = np.minimum(d, 1.0 - d)
+    keep = d <= radius
+    i, j = i[keep], j[keep]
+    ranked = np.lexsort((j, i))
+    return list(zip(i[ranked].tolist(), j[ranked].tolist()))
+
+
 def _transport(
     candidate: SpectralDistribution,
     target: SpectralDistribution,
@@ -374,16 +433,10 @@ def _transport(
         raise ValueError("delta must lie in [0, 1]")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    edges = [
-        (i, j)
-        for i, (qv, _) in enumerate(candidate.points)
-        for j, (pv, _) in enumerate(target.points)
-        if point_distance(qv, pv, target.metric) <= epsilon + EDGE_DISTANCE_TOL
-    ]
     net = FlowNetwork(
         supplies=candidate.weights(),
         demands=[(1.0 - delta) * w for w in target.weights()],
-        edges=edges,
+        edges=_transport_edges(candidate, target, epsilon),
     )
     flow, demand_total, per_edge = _solve_network(net)
     feasible = demand_total - flow <= FEASIBILITY_SLACK_UNITS
@@ -436,10 +489,8 @@ def empirical_feasibility(
         slack = EMPIRICAL_SLACK_FACTOR * math.sqrt(
             math.log(max(len(target.points), 2)) / n
         )
-    counts = Counter(float(v) for v in samples)
-    candidate = make_distribution(
-        list(counts.keys()), [c / n for c in counts.values()], target.metric
-    )
+    values, counts = np.unique(np.asarray(samples, dtype=float), return_counts=True)
+    candidate = make_distribution(values, counts / n, target.metric)
     feasible, flow, _ = _transport(
         candidate, target, epsilon, min(delta + slack, 1.0)
     )

@@ -1,5 +1,6 @@
 """Shared random generators and comparison helpers for the test suite."""
 import json
+from unittest import mock
 
 import numpy as np
 
@@ -14,7 +15,8 @@ from eigensample import (
     named_gate,
     substream,
 )
-from eigensample.distributions import inverse_cdf
+from eigensample import distributions
+from eigensample.distributions import EDGE_DISTANCE_TOL, inverse_cdf, point_distance
 
 NAMED_ONE = ("h", "x", "y", "z", "s", "t")
 NAMED_TWO = ("cnot", "cz", "swap")
@@ -291,3 +293,58 @@ def recursive_render_json(obj):
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(recursive_render_json(v) for v in obj) + "]"
     raise TypeError(f"cannot render {type(obj).__name__} deterministically")
+
+
+def all_pairs_edges(candidate, target, epsilon):
+    """Every (candidate, target) index pair within epsilon +
+    EDGE_DISTANCE_TOL, one point_distance call per pair: _transport's former
+    edge list, kept as the reference for distributions._transport_edges."""
+    return [
+        (i, j)
+        for i, (qv, _) in enumerate(candidate.points)
+        for j, (pv, _) in enumerate(target.points)
+        if point_distance(qv, pv, target.metric) <= epsilon + EDGE_DISTANCE_TOL
+    ]
+
+
+class PerPushDinic(distributions._Dinic):
+    """_Dinic whose pushes each re-sum the source capacities: the former
+    loop, kept as the reference for its one push limit per phase."""
+
+    def max_flow(self, source, sink):
+        total = 0
+        while True:
+            level = self._levels(source, sink)
+            if level is None:
+                return total
+            cursor = [0] * len(self.adj)
+
+            def push(u, limit):
+                if u == sink:
+                    return limit
+                while cursor[u] < len(self.adj[u]):
+                    eid = self.adj[u][cursor[u]]
+                    v = self.to[eid]
+                    if self.cap[eid] > 0 and level[v] == level[u] + 1:
+                        sent = push(v, min(limit, self.cap[eid]))
+                        if sent > 0:
+                            self.cap[eid] -= sent
+                            self.cap[eid ^ 1] += sent
+                            return sent
+                    cursor[u] += 1
+                return 0
+
+            while True:
+                sent = push(source, sum(self.cap[eid] for eid in self.adj[source]))
+                if sent == 0:
+                    break
+                total += sent
+
+
+def reference_transport(candidate, target, epsilon, delta):
+    """distributions._transport run on all_pairs_edges and PerPushDinic:
+    its (feasible, flow, per-edge flow) before the windowed edge build and
+    the per-phase push limit."""
+    with mock.patch.object(distributions, "_transport_edges", all_pairs_edges), \
+            mock.patch.object(distributions, "_Dinic", PerPushDinic):
+        return distributions._transport(candidate, target, epsilon, delta)

@@ -8,6 +8,7 @@ from eigensample import (
     BasisLabel,
     Circuit,
     DimensionMismatch,
+    Gate,
     SamplingRequest,
     StateVector,
     TooLarge,
@@ -19,8 +20,10 @@ from eigensample import (
     prepare_phase_estimation,
     samples_per_component,
 )
+from eigensample import averages
+from eigensample.circuits import circuit_diagonal
 from eigensample.seeding import MAX_SAMPLES
-from _helpers import basis_loader, phase_circuit, random_circuit
+from _helpers import basis_loader, grouped_circuit, phase_circuit, random_circuit
 from _per_b_luae import luae_estimate_per_b, luae_unguided_per_b
 
 PROB_TOL = 1e-10
@@ -193,6 +196,88 @@ class TestUnguided:
             ref = luae_unguided_per_b(circ, 0.2, 0.05, np.random.default_rng(seed + 10))
             assert est.lambda_hat == ref.lambda_hat
             assert est.m_samples == ref.m_samples
+
+
+def spy_on_diagonal(monkeypatch):
+    """Record each averages.circuit_diagonal call as (circuit, indices)."""
+    calls = []
+
+    def spy(circuit, indices):
+        calls.append((circuit, np.array(indices)))
+        return circuit_diagonal(circuit, indices)
+
+    monkeypatch.setattr(averages, "circuit_diagonal", spy)
+    return calls
+
+
+def drawn_indices(n, m, seed):
+    """The distinct basis indices luae_unguided draws: b, x, y per sample."""
+    rng = np.random.default_rng(seed)
+    indices = []
+    for _ in range(m):
+        indices.append(rng.integers(0, 2**n))
+        rng.random()
+        rng.random()
+    return np.unique(indices)
+
+
+class TestGroupedUnguided:
+    """luae_unguided reads <b|U|b> as the product of each qubit group's
+    diagonal entry."""
+
+    @pytest.mark.parametrize("n, groups", [
+        (5, ((0, 3), (4,))),
+        (7, ((6, 1), (2, 4, 5))),
+        (8, ((0, 7), (3, 5), (6, 1, 2))),
+    ])
+    def test_matches_per_b_reference(self, n, groups):
+        # idle qubits and groups of non-adjacent qubits
+        for seed in (80, 81):
+            circ = grouped_circuit(n, groups, 6 * n, np.random.default_rng(seed))
+            est = luae_unguided(circ, 0.2, 0.05, np.random.default_rng(seed + 10))
+            ref = luae_unguided_per_b(circ, 0.2, 0.05, np.random.default_rng(seed + 10))
+            assert est.lambda_hat == ref.lambda_hat
+
+    def test_no_diagonal_wider_than_the_widest_group(self, monkeypatch):
+        circ = grouped_circuit(10, ((0, 9, 4), (1, 5), (2, 3, 6, 8)), 40, np.random.default_rng(82))
+        calls = spy_on_diagonal(monkeypatch)
+        luae_unguided(circ, 0.15, 0.01, np.random.default_rng(83))
+        assert sorted(c.qubit_count for c, _ in calls) == [2, 3, 4]
+        assert all(keys.size <= 2**c.qubit_count for c, keys in calls)
+
+    def test_connected_circuit_makes_the_one_full_call(self, monkeypatch):
+        circ = random_circuit(6, 30, np.random.default_rng(84))
+        calls = spy_on_diagonal(monkeypatch)
+        est = luae_unguided(circ, 0.2, 0.05, np.random.default_rng(85))
+        [(called, keys)] = calls
+        assert called == circ
+        assert np.array_equal(keys, drawn_indices(6, est.m_samples, 85))
+        indices = np.arange(64)
+        assert np.array_equal(
+            averages._grouped_diagonal(circ, indices), circuit_diagonal(circ, indices)
+        )
+
+    def test_empty_circuit_reads_one_without_a_pass(self, monkeypatch):
+        calls = spy_on_diagonal(monkeypatch)
+        est = luae_unguided(Circuit(3, []), 0.2, 0.05, np.random.default_rng(86))
+        assert calls == []
+        assert est.lambda_hat == luae_unguided_per_b(
+            Circuit(3, []), 0.2, 0.05, np.random.default_rng(86)
+        ).lambda_hat
+
+    def test_global_phase_joins_qubit_zero(self, monkeypatch):
+        phase = Gate("g", (), np.array([[np.exp(0.7j)]]))
+        circ = Circuit(3, [named_gate("h", 2), phase, named_gate("s", 0)])
+        calls = spy_on_diagonal(monkeypatch)
+        est = luae_unguided(circ, 0.2, 0.05, np.random.default_rng(87))
+        assert [c.qubit_count for c, _ in calls] == [1, 1]
+        assert est.lambda_hat == luae_unguided_per_b(
+            circ, 0.2, 0.05, np.random.default_rng(87)
+        ).lambda_hat
+        indices = np.arange(8)
+        assert np.allclose(
+            averages._grouped_diagonal(circ, indices), np.diag(circuit_unitary(circ)), atol=1e-15
+        )
 
 
 class TestPhaseAveragingPitfall:

@@ -634,6 +634,15 @@ class TestVerifyCommand:
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "UsageError"
 
+    def test_integer_beyond_the_float_range_is_refused(self, files, capsys):
+        # JSON keeps 10^400 an integer, which no float can hold
+        samples = self.write_samples(
+            files, {"samples": [0.0] * 999 + [10**400], "epsilon": 0, "delta": 0}
+        )
+        code, out, err = run_cli(["verify", files["x"], samples, "--b", "0"], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "UsageError"
+
     def test_size_checked_after_samples_file(self, files, capsys):
         # a valid samples file against a too-wide circuit is a size failure;
         # a broken one fails as usage first, whatever the circuit's width

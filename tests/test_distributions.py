@@ -1,5 +1,6 @@
 """Spectral distributions, exact sampling, and transport feasibility."""
 import itertools
+import time
 
 import mpmath
 import numpy as np
@@ -34,15 +35,17 @@ from eigensample import (
 )
 from eigensample import distributions
 from eigensample.circuits import apply_columns, circuit_components
-from eigensample.distributions import spectral_weights
+from eigensample.distributions import EDGE_DISTANCE_TOL, spectral_weights
 from eigensample.linalg import unitary_eig_in_place
 from _helpers import (
+    all_pairs_edges,
     circular_distance,
     clifford_circuit,
     grouped_circuit,
     per_draw_sample,
     random_circuit,
     random_state,
+    reference_transport,
 )
 
 EXACT_TOL = 1e-12
@@ -430,6 +433,104 @@ class TestEmpirical:
         assert not feasible_zero
         feasible_default, _, _ = empirical_feasibility(samples, target, 0.0, 0.0)
         assert feasible_default
+
+
+# the ball's edges: empty, dyadic, a quarter circle, half the circle reached
+# exactly with the tolerance, and beyond half the circle
+EDGE_EPSILONS = (0.0, 1 / 64, 3 / 64, 0.25, 0.5 - EDGE_DISTANCE_TOL, 0.5, 2.0)
+
+
+def random_edge_law(rng, metric):
+    """Unsorted values with repeats: on the 1/64 grid across [-1, 2), on
+    that grid around 0 and around 10^6, or arbitrary floats."""
+    count = int(rng.integers(1, 40))
+    kind = rng.integers(3)
+    if kind == 0:
+        values = rng.integers(-64, 128, count) / 64
+    elif kind == 1:
+        values = rng.integers(-8, 9, count) / 64 + rng.choice([0.0, 1e6], count)
+    else:
+        values = rng.uniform(-1.5, 2.5, count)
+    weights = rng.dirichlet(np.ones(count))
+    return SpectralDistribution(list(zip(values.tolist(), weights.tolist())), metric)
+
+
+class TestTransportEdges:
+    """The windowed edge build and the per-phase push limit give exactly
+    the all-pairs edges and the per-push flow."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_all_pairs_and_per_push_flow(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        metric = ("absolute", "circular")[seed % 2]
+        candidate, target = random_edge_law(rng, metric), random_edge_law(rng, metric)
+        for epsilon in EDGE_EPSILONS:
+            assert distributions._transport_edges(candidate, target, epsilon) == \
+                all_pairs_edges(candidate, target, epsilon)
+        epsilon = float(rng.choice(EDGE_EPSILONS))
+        delta = float(rng.choice([0.0, 0.1, 0.5]))
+        assert distributions._transport(candidate, target, epsilon, delta) == \
+            reference_transport(candidate, target, epsilon, delta)
+
+    @pytest.mark.parametrize("metric", ["absolute", "circular"])
+    def test_unsorted_targets_with_repeated_values(self, metric):
+        candidate = SpectralDistribution([(0.0, 1.0)], metric)
+        target = SpectralDistribution([(0.0, 0.0), (0.125, 0.0), (0.0, 1.0)], metric)
+        for epsilon in (0.0, 0.1, 0.125):
+            edges = distributions._transport_edges(candidate, target, epsilon)
+            assert edges == all_pairs_edges(candidate, target, epsilon)
+        assert distributions._transport_edges(candidate, target, 0.0) == [(0, 0), (0, 2)]
+
+    def test_distance_of_exactly_epsilon_is_an_edge(self):
+        # across the wrap, below 0, above 1 and around 10^6 on the 1/16 grid
+        candidate = SpectralDistribution([(0.0, 0.5), (1e6 + 0.5, 0.5)], "circular")
+        target = SpectralDistribution(
+            [(v, 0.2) for v in (0.9375, -0.0625, 1.0625, 0.4375, 1e6 - 0.0625)], "circular"
+        )
+        assert distributions._transport_edges(candidate, target, 0.0625) == [
+            (0, 0), (0, 1), (0, 2), (0, 4), (1, 3)
+        ]
+        assert distributions._transport_edges(candidate, target, 0.0625 - 2e-12) == []
+
+    @pytest.mark.parametrize("metric, q, p, epsilon", [
+        # q + epsilon rounds below p, whose rounded distance is the radius
+        ("absolute", -0.2788050722086668, 0.05452826112566651, 1 / 3),
+        # p - q rounds to 10^6 + 0.0999999999767 while p mod 1 lies
+        # 0.1000000000069 above q, beyond the radius
+        ("circular", 0.5757220912190522, 1000000.6757220912, 0.1),
+    ])
+    def test_rounding_margin_keeps_edges_at_the_ball_edge(self, metric, q, p, epsilon):
+        candidate = SpectralDistribution([(q, 1.0)], metric)
+        target = SpectralDistribution([(p, 1.0)], metric)
+        assert all_pairs_edges(candidate, target, epsilon) == [(0, 0)]
+        assert distributions._transport_edges(candidate, target, epsilon) == [(0, 0)]
+
+    @pytest.mark.parametrize("metric", ["absolute", "circular"])
+    def test_epsilon_zero_joins_equal_values_only(self, metric):
+        candidate = SpectralDistribution([(0.25, 0.5), (0.75, 0.5)], metric)
+        target = SpectralDistribution([(0.75, 0.5), (0.25 + 1e-11, 0.25), (0.25, 0.25)], metric)
+        assert distributions._transport_edges(candidate, target, 0.0) == [(0, 2), (1, 0)]
+
+    def test_half_the_circle_holds_every_target(self):
+        rng = np.random.default_rng(940)
+        candidate, target = random_edge_law(rng, "circular"), random_edge_law(rng, "circular")
+        every = list(itertools.product(range(len(candidate.points)), range(len(target.points))))
+        assert distributions._transport_edges(candidate, target, 0.5 - EDGE_DISTANCE_TOL) == every
+
+    def test_thousands_of_targets_in_well_under_a_second(self):
+        # 10^5 in-law draws on a 2^-12 grid: the all-pairs build took 7.2 s
+        rng = np.random.default_rng(941)
+        k = 4096
+        target = SpectralDistribution(
+            list(zip((np.arange(k) / k).tolist(), rng.dirichlet(np.ones(k)).tolist())),
+            "circular",
+        )
+        draws = sample_values(target, 10**5, rng)
+        assert np.unique(draws).size > 3900
+        start = time.perf_counter()
+        _, _, flow = empirical_feasibility(draws, target, 2.0**-12, 0.05)
+        assert time.perf_counter() - start < 1.0
+        assert flow > 0.9
 
 
 def random_groups(n, rng):

@@ -31,8 +31,9 @@ from eigensample import (
     serialize_hamiltonian,
 )
 from eigensample.circuits import GATE_ARITY
-from eigensample.distributions import DEDUP_TOL
-from _helpers import haar_unitary, random_hermitian
+from eigensample import distributions
+from eigensample.distributions import DEDUP_TOL, EDGE_DISTANCE_TOL
+from _helpers import all_pairs_edges, haar_unitary, random_hermitian, reference_transport
 
 # Capacities are integers over this denominator, exact at the solver's scale.
 UNIT = 16
@@ -214,3 +215,33 @@ def test_approx_check_matches_hall(candidate, target, metric, eps_steps, delta):
         for i, (_, q) in enumerate(candidate):
             routed = sum(mass for row, _, mass in witness if row == i)
             assert abs(routed - float(q)) <= MASS_TOL
+
+
+# Values on the grid k/8 (distances of exactly epsilon, values outside
+# [0, 1)), the same grid offset by 10^6, and arbitrary floats.
+EDGE_VALUES = st.one_of(
+    st.integers(-16, 24).map(lambda k: k / GRID),
+    st.integers(-16, 24).map(lambda k: 1e6 + k / GRID),
+    st.floats(-2.0, 3.0, allow_nan=False),
+)
+
+
+@st.composite
+def edge_laws(draw, metric):
+    values = draw(st.lists(EDGE_VALUES, min_size=1, max_size=8))
+    masses = draw(st.lists(st.integers(0, 9), min_size=len(values), max_size=len(values)))
+    masses[0] += not any(masses)
+    return SpectralDistribution([(v, m / sum(masses)) for v, m in zip(values, masses)], metric)
+
+
+@SETTINGS
+@given(st.sampled_from(["absolute", "circular"]).flatmap(
+           lambda metric: st.tuples(edge_laws(metric), edge_laws(metric))),
+       st.sampled_from([0.0, 1 / GRID, 3 / GRID, 0.5 - EDGE_DISTANCE_TOL, 0.75]),
+       st.sampled_from([0.0, 0.25]))
+def test_windowed_edges_match_all_pairs(laws, epsilon, delta):
+    candidate, target = laws
+    assert distributions._transport_edges(candidate, target, epsilon) == \
+        all_pairs_edges(candidate, target, epsilon)
+    assert distributions._transport(candidate, target, epsilon, delta) == \
+        reference_transport(candidate, target, epsilon, delta)
