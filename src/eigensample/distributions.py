@@ -374,9 +374,9 @@ def _transport_edges(
     value (by value mod 1 on the circle, where the run wraps into at most
     two), found by searchsorted and widened by a rounding margin.  The
     run's members are then kept by point_distance's own float operations,
-    so the edges are exactly those of an all-pairs scan, with O(C + K + E)
-    work and memory instead of C x K.  A ball that reaches half the circle
-    holds every target."""
+    so the edges are exactly those of an all-pairs scan, in
+    O((C + E) log(K + E)) time and O(C + K + E) memory instead of C x K.
+    A ball that reaches half the circle holds every target."""
     radius = epsilon + EDGE_DISTANCE_TOL
     circular = target.metric == "circular"
     q = np.array(candidate.values(), dtype=float)
