@@ -199,11 +199,8 @@ def trotter_circuit(scale: ScaleInfo, steps: int) -> Circuit:
         raise ValueError("step count must be positive")
     gates = []
     for term in scale.scaled.terms:
-        k = len(term.support)
-        if k > MAX_TERM_QUBITS:
-            raise TermTooLarge(f"cannot exponentiate a {k}-qubit term")
         factor = exp_i_hermitian(term.matrix, 2.0 * np.pi / steps)
-        gates.append(Gate(_POWER_GATE_NAMES[k], term.support, factor))
+        gates.append(Gate(_POWER_GATE_NAMES[len(term.support)], term.support, factor))
     return Circuit(scale.scaled.qubit_count, gates)
 
 

@@ -17,8 +17,8 @@ reveals whether the computation accepts.  The clock can also be written in
 unary (one-hot) form, which makes every term act on at most four qubits.
 
 The deciders consume sampling oracles through small factory callables so
-the exact diagonalization-based oracle and the quantum estimators (draws
-from the phase-estimation and Hadamard-test output laws) are
+the exact oracles (the marked circuit's own spectral law) and the quantum
+estimators (phase-estimation and Hadamard-test output laws) are
 interchangeable.  A factory prepares once; its draws reuse the preparation.
 """
 from __future__ import annotations
@@ -38,12 +38,13 @@ from .circuits import (
     named_gate,
     output_split,
 )
-from .distributions import exact_distribution, sample_values
+from .distributions import exact_distribution, make_distribution, sample_values
 from .errors import DimensionMismatch, EmptyCircuit, OracleFailure, TooLarge
 from .hamiltonians import LocalHamiltonian, LocalTerm, prepare_lhes
 from .phase_estimation import SamplingRequest, prepare_pes
 
-# Largest compact system-times-clock dimension we assemble densely.
+# Largest compact system-times-clock dimension build_clock_propagator
+# assembles densely; no command path builds the propagator.
 DESK_SCALE_LIMIT = 2**13
 
 LHES_VOTES = 200
@@ -242,11 +243,6 @@ class LhesInstance:
     unary: UnaryClockHamiltonian
     unary_request: SamplingRequest
 
-    def compact_matrix(self) -> np.ndarray:
-        """Dense H = F + F-dagger on the compact system x clock space.  Only
-        the exact oracle reads it, so it is assembled on request."""
-        return build_clock_hamiltonian(build_clock_propagator(self.marked))
-
 
 def _padded_input_bits(base: Circuit, x: BasisLabel) -> str:
     if len(x.bits) > base.qubit_count:
@@ -342,12 +338,18 @@ def decide_via_luae(
 
 
 # ---------------------------------------------------------------------------
-# oracle factories (exact diagonalization vs quantum estimator laws)
+# oracle factories (exact spectral laws vs quantum estimator laws)
 
 def exact_lhes_oracle(instance: LhesInstance):
-    dist = exact_distribution(
-        instance.compact_matrix(), instance.compact_request.b, "hermitian"
-    )
+    """Law of H = F + F-dagger from |b, 0>, read off the law of W, the
+    marked circuit: F^N is W on each clock slice, so an eigenvector e_theta
+    of W gives N eigenvectors of F with eigenvalues e^{2 pi i (theta+k)/N},
+    each holding 1/N of e_theta's weight."""
+    law = exact_distribution(instance.marked.full, instance.compact_request.b, "unitary")
+    clock_dim = instance.clock_dim
+    angles = 2.0 * np.pi * (np.add.outer(law.values(), np.arange(clock_dim)) / clock_dim)
+    weights = np.repeat(np.array(law.weights()) / clock_dim, clock_dim)
+    dist = make_distribution(2.0 * np.cos(angles.ravel()), weights, "absolute")
     return lambda rng: sample_values(dist, 1, rng)[0]
 
 

@@ -10,6 +10,9 @@ from eigensample import (
     LocalHamiltonian,
     LocalTerm,
     StateVector,
+    build_clock_hamiltonian,
+    build_clock_propagator,
+    exact_distribution,
     gate_unitary,
     invert_circuit,
     named_gate,
@@ -185,6 +188,16 @@ def kron_clock_propagator(marked):
         clock[step % n, step - 1] = 1.0
         f += np.kron(gate_unitary(gate, circ.qubit_count), clock)
     return f
+
+
+def dense_clock_law(instance):
+    """Law of the compact clock Hamiltonian H = F + F-dagger from the
+    instance's start label, by one dense eigensolve of the whole matrix
+    (2^n N dimensions for n marked qubits and N clock steps): the exact
+    LHES oracle's former law, kept as the reference for the law it reads
+    off the marked circuit."""
+    h = build_clock_hamiltonian(build_clock_propagator(instance.marked))
+    return exact_distribution(h, instance.compact_request.b, "hermitian")
 
 
 def history_families(hist):

@@ -51,6 +51,12 @@ FILE_TEXTS = {
     "wide30": "qubits 30\nh 29\n",
 }
 
+# 19 named gates on qubits 1-4
+FIVE_QUBIT_GATES = (
+    "h 1\ncnot 1 2\nt 2\nh 3\ncz 3 4\ns 4\nswap 1 3\ncnot 2 4\nh 2\nt 4\n"
+    "cnot 4 1\nsdg 3\nh 4\ncz 1 2\ny 3\nswap 2 4\ntdg 1\ncnot 3 2\nh 1\n"
+)
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -554,6 +560,20 @@ class TestDecideCommand:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert json.loads(err)["error"] == "TooLarge"
+
+    def test_exact_lhes_on_a_five_qubit_base(self, files, capsys):
+        # the compact clock matrix would be 2624-dim (6 system qubits x 41
+        # clock steps); the law comes from the marked circuit's spectrum.
+        # No gate after "x 0" touches qubit 0, so the answer is definite
+        path = files["dir"] / "base5.txt"
+        for head, expected in (("x 0\n", True), ("", False)):
+            path.write_text("qubits 5\n" + head + FIVE_QUBIT_GATES)
+            argv = ["decide", str(path), "--x", "00000", "--route", "lhes", "--oracle", "exact"]
+            start = time.perf_counter()
+            code, out, err = run_cli(argv, capsys)
+            assert time.perf_counter() - start < 2.0
+            assert code == 0
+            assert json.loads(out)["accept"] is expected
 
     def test_size_limit_exit_code(self, files, capsys):
         code, out, err = run_cli(

@@ -44,7 +44,9 @@ from eigensample import (
     reduction_report,
     unary_embedding_isometry,
 )
+from eigensample import distributions
 from _helpers import (
+    dense_clock_law,
     haar_unitary,
     history_families,
     kron_clock_propagator,
@@ -368,7 +370,7 @@ class TestInstances:
         # input padded with zeros behind the given bits, flag in front
         assert inst.compact_request.b == BasisLabel("010", 0)
         assert inst.unary_request.b == BasisLabel("010" + "100", 0)
-        assert inst.compact_matrix().shape == (8 * 3, 8 * 3)
+        assert build_clock_propagator(inst.marked).assembled.shape == (8 * 3, 8 * 3)
 
     def test_overlong_input_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -399,9 +401,7 @@ class TestDeciders:
         # vote threshold 1/4 separates acceptance probability 1/2
         for p_one, expected in ((0.1, 0.05), (0.9, 0.45)):
             inst = build_lhes_instance(rotation_base(p_one), X0)
-            dist = exact_distribution(
-                inst.compact_matrix(), inst.compact_request.b, "hermitian"
-            )
+            dist = dense_clock_law(inst)
             integer_grid, half_grid = eigenvalue_grids(inst.clock_dim)
             in_band = [(v, w) for v, w in dist.points if abs(v) <= 1.0 + 1e-9]
             half_mass = sum(
@@ -437,27 +437,81 @@ class TestDeciders:
         assert abs(prep.raw_probabilities[window].sum() - p_one) < OVERLAP_TOL
 
     def test_exact_oracles_draw_like_the_per_draw_sampler(self):
-        # one uniform per draw from the same stream: the same 500 values
-        inst = build_lhes_instance(rotation_base(0.3), X0)
-        laws = [
-            (
-                exact_lhes_oracle(inst),
-                exact_distribution(inst.compact_matrix(), inst.compact_request.b, "hermitian"),
-            )
-        ]
-        circuit = haar_base(90, gate_count=2)
-        req = SamplingRequest(1.0 / 8.0, 0.01, BasisLabel("01"))
-        laws.append(
-            (
-                exact_pes_oracle(circuit, req),
-                exact_distribution(circuit_unitary(circuit), req.b, "unitary"),
-            )
-        )
-        for draw, dist in laws:
+        # one uniform per draw from the same stream: the same 500 points
+        def paired_draws(draw, dist):
             assert len(dist.points) >= 4
             rng, ref_rng = np.random.default_rng(91), np.random.default_rng(91)
-            draws = [float(draw(rng)) for _ in range(500)]
-            assert draws == [per_draw_sample(dist, ref_rng) for _ in range(500)]
+            return (
+                [float(draw(rng)) for _ in range(500)],
+                [per_draw_sample(dist, ref_rng) for _ in range(500)],
+            )
+
+        # the LHES law is built from the marked circuit's, not from the dense
+        # clock matrix, so its points match the reference's to rounding;
+        # the reference's points are more than 1e-9 apart, so a draw within
+        # 1e-12 is the same-rank point
+        inst = build_lhes_instance(rotation_base(0.3), X0)
+        draws, expected = paired_draws(exact_lhes_oracle(inst), dense_clock_law(inst))
+        assert np.max(np.abs(np.subtract(draws, expected))) < 1e-12
+
+        circuit = haar_base(90, gate_count=2)
+        req = SamplingRequest(1.0 / 8.0, 0.01, BasisLabel("01"))
+        draws, expected = paired_draws(
+            exact_pes_oracle(circuit, req),
+            exact_distribution(circuit_unitary(circuit), req.b, "unitary"),
+        )
+        assert draws == expected
+
+
+class TestClockLaw:
+    """The exact LHES oracle's law, read off the marked circuit's own
+    spectrum, against one dense eigensolve of the compact clock matrix."""
+
+    def oracle_law(self, instance, monkeypatch):
+        laws = []
+
+        def keep(*args):
+            laws.append(make_distribution(*args))
+            return laws[-1]
+
+        monkeypatch.setattr(red_module, "make_distribution", keep)
+        exact_lhes_oracle(instance)
+        return laws[-1]
+
+    def test_matches_the_dense_clock_law(self, monkeypatch):
+        rng = np.random.default_rng(95)
+        for _ in range(12):
+            qubits = int(rng.integers(1, 5))
+            base = random_circuit(qubits, int(rng.integers(1, 11)), rng)
+            random_bits = "".join(str(b) for b in rng.integers(0, 2, size=qubits))
+            for bits in ("0" * qubits, random_bits):
+                inst = build_lhes_instance(base, BasisLabel(bits))
+                law = self.oracle_law(inst, monkeypatch)
+                ref = dense_clock_law(inst)
+                assert len(law.points) == len(ref.points)
+                assert np.max(np.abs(np.subtract(law.values(), ref.values()))) < 1e-12
+                assert np.max(np.abs(np.subtract(law.weights(), ref.weights()))) < 1e-12
+
+    def test_builds_no_dense_clock_matrix(self, monkeypatch):
+        # neither the compact propagator nor a Hermitian eigensolve
+        def never(*args, **kwargs):
+            raise AssertionError("dense clock matrix built or diagonalized")
+
+        monkeypatch.setattr(red_module, "build_clock_propagator", never)
+        monkeypatch.setattr(distributions, "hermitian_eig", never)
+        base = random_circuit(3, 6, np.random.default_rng(96))
+        draw = exact_lhes_oracle(build_lhes_instance(base, BasisLabel("101")))
+        assert abs(float(draw(np.random.default_rng(97)))) <= 2.0
+        assert decide_via_lhes(ACCEPT_BASE, X0, exact_lhes_oracle, np.random.default_rng(97))
+
+    def test_wide_base_law_is_fast(self, monkeypatch):
+        # 6 system qubits x a 41-step clock: a 2624-dim compact matrix
+        base = random_circuit(5, 20, np.random.default_rng(98))
+        inst = build_lhes_instance(base, BasisLabel("00000"))
+        start = time.perf_counter()
+        law = self.oracle_law(inst, monkeypatch)
+        assert time.perf_counter() - start < 1.0
+        assert abs(sum(law.weights()) - 1.0) < 1e-12
 
     def test_exact_luae_oracle_reads_the_simulated_amplitude(self):
         rng = np.random.default_rng(92)
