@@ -463,6 +463,43 @@ class TestDeciders:
         assert draws == expected
 
 
+    def test_exact_luae_oracle_reads_the_simulated_amplitude(self):
+        rng = np.random.default_rng(92)
+        for n in (1, 2, 3, 4):
+            for _ in range(5):
+                circuit = random_circuit(n, 3 * n, rng)
+                b = BasisLabel("".join(str(v) for v in rng.integers(0, 2, size=n)))
+                state = apply_circuit(circuit, StateVector.from_label(b))
+                lam = exact_luae_oracle(circuit, SamplingRequest(0.25, 0.01, b))(None)
+                assert lam == complex(state.amplitudes[b.basis_index()])
+        with pytest.raises(DimensionMismatch):
+            exact_luae_oracle(circuit, SamplingRequest(0.25, 0.01, BasisLabel("0")))
+
+    def test_broken_oracle_raises(self):
+        def broken(instance):
+            return lambda rng: 5.0
+
+        with pytest.raises(OracleFailure):
+            decide_via_lhes(ACCEPT_BASE, X0, broken, np.random.default_rng(88), votes=3)
+
+    def test_quantum_oracle_prepares_once(self, monkeypatch):
+        # the oracle holds its preparation; draws never prepare again
+        calls = []
+        original = red_module.prepare_lhes
+
+        def spy(h, req):
+            calls.append(req)
+            return original(h, req)
+
+        monkeypatch.setattr(red_module, "prepare_lhes", spy)
+        inst = build_lhes_instance(rotation_base(0.3), X0)
+        draw = quantum_lhes_oracle(inst)
+        rng = np.random.default_rng(89)
+        draws = [float(draw(rng)) for _ in range(20)]
+        assert calls == [inst.unary_request]
+        assert all(abs(a) <= 2.0 + inst.compact_request.epsilon for a in draws)
+
+
 class TestClockLaw:
     """The exact LHES oracle's law, read off the marked circuit's own
     spectrum, against one dense eigensolve of the compact clock matrix."""
@@ -512,42 +549,6 @@ class TestClockLaw:
         law = self.oracle_law(inst, monkeypatch)
         assert time.perf_counter() - start < 1.0
         assert abs(sum(law.weights()) - 1.0) < 1e-12
-
-    def test_exact_luae_oracle_reads_the_simulated_amplitude(self):
-        rng = np.random.default_rng(92)
-        for n in (1, 2, 3, 4):
-            for _ in range(5):
-                circuit = random_circuit(n, 3 * n, rng)
-                b = BasisLabel("".join(str(v) for v in rng.integers(0, 2, size=n)))
-                state = apply_circuit(circuit, StateVector.from_label(b))
-                lam = exact_luae_oracle(circuit, SamplingRequest(0.25, 0.01, b))(None)
-                assert lam == complex(state.amplitudes[b.basis_index()])
-        with pytest.raises(DimensionMismatch):
-            exact_luae_oracle(circuit, SamplingRequest(0.25, 0.01, BasisLabel("0")))
-
-    def test_broken_oracle_raises(self):
-        def broken(instance):
-            return lambda rng: 5.0
-
-        with pytest.raises(OracleFailure):
-            decide_via_lhes(ACCEPT_BASE, X0, broken, np.random.default_rng(88), votes=3)
-
-    def test_quantum_oracle_prepares_once(self, monkeypatch):
-        # the oracle holds its preparation; draws never prepare again
-        calls = []
-        original = red_module.prepare_lhes
-
-        def spy(h, req):
-            calls.append(req)
-            return original(h, req)
-
-        monkeypatch.setattr(red_module, "prepare_lhes", spy)
-        inst = build_lhes_instance(rotation_base(0.3), X0)
-        draw = quantum_lhes_oracle(inst)
-        rng = np.random.default_rng(89)
-        draws = [float(draw(rng)) for _ in range(20)]
-        assert calls == [inst.unary_request]
-        assert all(abs(a) <= 2.0 + inst.compact_request.epsilon for a in draws)
 
 
 class TestGridSeparation:
