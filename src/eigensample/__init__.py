@@ -118,6 +118,7 @@ from .reductions import (
     exact_pes_oracle,
     history_start_label,
     mark_circuit,
+    marked_law,
     quantum_lhes_oracle,
     quantum_luae_oracle,
     quantum_pes_oracle,

@@ -187,9 +187,8 @@ def _circuit_weights(circuit: Circuit, state) -> tuple[np.ndarray, np.ndarray]:
         shape = moved.shape
         moved = dec.eigenvectors.conj().T @ moved.reshape(shape[0], -1)
         overlaps = np.moveaxis(moved.reshape(shape), 0, axis)
-        # the first factor's phases are kept as they are, a phase that
-        # rounded to 1.0 included, so one component changes no bit
-        phases = dec.phases() if axis == 0 else np.add.outer(phases, dec.phases()).ravel() % 1.0
+        # a sum of two phases in [0, 1) reduces exactly to [0, 1)
+        phases = np.add.outer(phases, dec.phases()).ravel() % 1.0
     weights = np.sum(np.abs(overlaps.reshape(phases.size, -1)) ** 2, axis=1)
     order = np.argsort(phases, kind="stable")
     return phases[order], weights[order]

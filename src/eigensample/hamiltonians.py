@@ -4,9 +4,9 @@ Sampling draws from the phase-estimation law of the unitary e^{2 pi i H'},
 where H' is the Hamiltonian rescaled by a cap Lambda chosen so the spectrum
 sits inside (-1/4, 1/4).  That unitary is approximated by `steps` first-order
 Trotter slices; the law is built from the eigenphases of one slice, each
-multiplied by `steps` mod 1, which takes the power exactly.  Measured phases
-unwrap unambiguously to signed eigenvalues: phi below 1/2 is positive, phi
-above wraps to phi - 1.
+multiplied by `steps` mod 1 in double precision, so the power is rounded.
+Measured phases unwrap to signed eigenvalues: phi below 1/2 is positive,
+phi above wraps to phi - 1.
 
 Text format (UTF-8, line based, '#' starts a comment):
 

@@ -56,7 +56,8 @@ class SpectralDecomposition:
         """Eigenphases in [0, 1); only meaningful for the unitary kind."""
         if self.kind != "unitary":
             raise ValueError("phases are defined for unitary decompositions only")
-        return np.angle(self.eigenvalues) / (2.0 * np.pi) % 1.0
+        phases = np.angle(self.eigenvalues) / (2.0 * np.pi) % 1.0
+        return np.where(phases == 1.0, 0.0, phases)  # a tiny negative angle gives 1.0
 
 
 def hermitian_eig(a: np.ndarray) -> SpectralDecomposition:
@@ -113,7 +114,7 @@ def unitary_eig_in_place(u: np.ndarray, product) -> SpectralDecomposition:
         cosines = np.einsum("ij,ij->j", b_vecs.conj(), m @ b_vecs).real
         values[start:stop] = cosines + 1j * b_vals
 
-    order = np.argsort(np.angle(values) / (2.0 * np.pi) % 1.0, kind="stable")
+    order = np.argsort(SpectralDecomposition(values, vectors, "unitary").phases(), kind="stable")
     return SpectralDecomposition(values[order], vectors[:, order], "unitary")
 
 

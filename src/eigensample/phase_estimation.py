@@ -164,8 +164,8 @@ def prepare_phase_estimation(
     """Output law of t-bit phase estimation of unitary**power seen from
     system_state (module docs).  `unitary` is a matrix or a Circuit
     (distributions.spectral_weights).  The power is taken in phase space:
-    each eigenphase is multiplied by `power` mod 1, exactly.  A clock
-    register on the state is a spectator: U acts as U (x) I on it."""
+    each eigenphase times `power` mod 1, rounded in double precision.  A
+    clock register on the state is a spectator: U acts as U (x) I on it."""
     n = system_state.qubit_count
     if operator_shape(unitary) != (2**n, 2**n):
         raise DimensionMismatch("unitary does not match system register")

@@ -17,8 +17,8 @@ reveals whether the computation accepts.  The clock can also be written in
 unary (one-hot) form, which makes every term act on at most four qubits.
 
 The deciders consume sampling oracles through small factory callables so
-the exact oracles (the marked circuit's own spectral law) and the quantum
-estimators (phase-estimation and Hadamard-test output laws) are
+the exact oracles (the marked circuit's two-phase law, marked_law) and the
+quantum estimators (phase-estimation and Hadamard-test output laws) are
 interchangeable.  A factory prepares once; its draws reuse the preparation.
 """
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import (
+    MAX_STATEVECTOR_QUBITS,
     BasisLabel,
     Circuit,
     Gate,
@@ -38,10 +39,10 @@ from .circuits import (
     named_gate,
     output_split,
 )
-from .distributions import exact_distribution, make_distribution, sample_values
+from .distributions import SpectralDistribution, make_distribution, sample_values
 from .errors import DimensionMismatch, EmptyCircuit, OracleFailure, TooLarge
 from .hamiltonians import LocalHamiltonian, LocalTerm, prepare_lhes
-from .phase_estimation import SamplingRequest, prepare_pes
+from .phase_estimation import PreparedPhaseEstimation, SamplingRequest, ancilla_bits, fejer_law
 
 # Largest compact system-times-clock dimension build_clock_propagator
 # assembles densely; no command path builds the propagator.
@@ -244,12 +245,17 @@ class LhesInstance:
     unary_request: SamplingRequest
 
 
-def _padded_input_bits(base: Circuit, x: BasisLabel) -> str:
+def _marked_input(base: Circuit, x: BasisLabel, kind: str) -> tuple[MarkedCircuit, str]:
+    """Marked circuit and zero-padded x, refusing a W above MAX_STATEVECTOR_QUBITS."""
     if len(x.bits) > base.qubit_count:
         raise DimensionMismatch(
             f"x has {len(x.bits)} bits, base circuit acts on {base.qubit_count}"
         )
-    return x.bits + "0" * (base.qubit_count - len(x.bits))
+    marked = mark_circuit(base, kind)
+    if marked.full.qubit_count > MAX_STATEVECTOR_QUBITS:
+        raise TooLarge(f"the {kind} marking of a {base.qubit_count}-qubit base "
+                       f"exceeds {MAX_STATEVECTOR_QUBITS} qubits")
+    return marked, x.bits + "0" * (base.qubit_count - len(x.bits))
 
 
 def lhes_epsilon(marked: MarkedCircuit) -> float:
@@ -258,8 +264,7 @@ def lhes_epsilon(marked: MarkedCircuit) -> float:
 
 
 def build_lhes_instance(base: Circuit, x: BasisLabel) -> LhesInstance:
-    bits = _padded_input_bits(base, x)
-    marked = mark_circuit(base, "lhes-copy")
+    marked, bits = _marked_input(base, x, "lhes-copy")
     clock_dim = len(marked.full.gates)
     epsilon = lhes_epsilon(marked)
     compact_b = BasisLabel("0" + bits, 0)
@@ -317,8 +322,7 @@ def decide_via_pes(
     votes: int = PES_VOTES,
 ) -> bool:
     """Majority vote over phase draws landing in the window around 1/2."""
-    bits = _padded_input_bits(base, x)
-    marked = mark_circuit(base, "pe-reflect")
+    marked, bits = _marked_input(base, x, "pe-reflect")
     req = SamplingRequest(PES_EPSILON, PES_DELTA, BasisLabel(bits))
     draw = oracle(marked.full, req)
     lo, hi = PES_WINDOW
@@ -330,8 +334,7 @@ def decide_via_luae(
     base: Circuit, x: BasisLabel, oracle, rng: np.random.Generator
 ) -> bool:
     """Accept when the estimated average eigenvalue has negative real part."""
-    bits = _padded_input_bits(base, x)
-    marked = mark_circuit(base, "pe-reflect")
+    marked, bits = _marked_input(base, x, "pe-reflect")
     req = SamplingRequest(LUAE_EPSILON, LUAE_DELTA, BasisLabel(bits))
     estimate = oracle(marked.full, req)
     return complex(estimate(rng)).real < 0.0
@@ -340,12 +343,26 @@ def decide_via_luae(
 # ---------------------------------------------------------------------------
 # oracle factories (exact spectral laws vs quantum estimator laws)
 
+def _diagonal_entry(circuit: Circuit, b: BasisLabel) -> complex:
+    """<b|W|b> from one circuit pass over the column W|b>."""
+    if len(b.bits) != circuit.qubit_count:
+        raise DimensionMismatch(f"b has {len(b.bits)} bits, circuit acts on {circuit.qubit_count}")
+    return complex(circuit_diagonal(circuit, [b.basis_index()])[0])
+
+
+def marked_law(circuit: Circuit, b: BasisLabel) -> SpectralDistribution:
+    """Phase law of a marked circuit W from |b>: W^2 = I (trusted, not
+    tested), so its phases are 0 and 1/2 with weights (1 +- <b|W|b>)/2."""
+    a = _diagonal_entry(circuit, b).real
+    return make_distribution([0.0, 0.5], [(1.0 + a) / 2.0, (1.0 - a) / 2.0], "circular")
+
+
 def exact_lhes_oracle(instance: LhesInstance):
     """Law of H = F + F-dagger from |b, 0>, read off the law of W, the
     marked circuit: F^N is W on each clock slice, so an eigenvector e_theta
     of W gives N eigenvectors of F with eigenvalues e^{2 pi i (theta+k)/N},
     each holding 1/N of e_theta's weight."""
-    law = exact_distribution(instance.marked.full, instance.compact_request.b, "unitary")
+    law = marked_law(instance.marked.full, instance.compact_request.b)
     clock_dim = instance.clock_dim
     angles = 2.0 * np.pi * (np.add.outer(law.values(), np.arange(clock_dim)) / clock_dim)
     weights = np.repeat(np.array(law.weights()) / clock_dim, clock_dim)
@@ -359,21 +376,18 @@ def quantum_lhes_oracle(instance: LhesInstance):
 
 
 def exact_pes_oracle(circuit: Circuit, req: SamplingRequest):
-    dist = exact_distribution(circuit, req.b, "unitary")
+    dist = marked_law(circuit, req.b)
     return lambda rng: sample_values(dist, 1, rng)[0]
 
 
 def quantum_pes_oracle(circuit: Circuit, req: SamplingRequest):
-    prep = prepare_pes(circuit, req)
-    return prep.sample
+    """Fejer law of marked_law: all mass on outcomes 0 and 2^(t-1)."""
+    law, t = marked_law(circuit, req.b), ancilla_bits(req.epsilon, req.delta)
+    return PreparedPhaseEstimation(t, fejer_law(law.values(), law.weights(), t)).sample
 
 
 def exact_luae_oracle(circuit: Circuit, req: SamplingRequest):
-    if len(req.b.bits) != circuit.qubit_count:
-        raise DimensionMismatch(
-            f"b has {len(req.b.bits)} bits, circuit acts on {circuit.qubit_count}"
-        )
-    lam = complex(circuit_diagonal(circuit, [req.b.basis_index()])[0])
+    lam = _diagonal_entry(circuit, req.b)
     return lambda rng: lam
 
 

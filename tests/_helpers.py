@@ -200,6 +200,19 @@ def dense_clock_law(instance):
     return exact_distribution(h, instance.compact_request.b, "hermitian")
 
 
+def dense_marked_law(circuit, b):
+    """Law of a marked circuit W from |b> by dense eigensolves of W's qubit
+    groups: the exact PES and LHES oracles' former law, kept as the
+    reference for reductions.marked_law."""
+    return exact_distribution(circuit, b, "unitary")
+
+
+def seam_base():
+    """A 1-qubit base whose pe-reflect W has an eigenangle just below 0, so
+    angle / 2 pi % 1.0 rounds its phase to exactly 1.0."""
+    return Circuit(1, [named_gate(g, 0) for g in ("z", "z", "y", "s", "y", "x", "t", "x")])
+
+
 def history_families(hist):
     """Eigenvectors of F on the integer and half-integer phase grids, one
     per row, formed from a history walk: Fourier transforms of the

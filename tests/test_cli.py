@@ -563,7 +563,7 @@ class TestDecideCommand:
 
     def test_exact_lhes_on_a_five_qubit_base(self, files, capsys):
         # the compact clock matrix would be 2624-dim (6 system qubits x 41
-        # clock steps); the law comes from the marked circuit's spectrum.
+        # clock steps); the law comes from one amplitude of the marked circuit.
         # No gate after "x 0" touches qubit 0, so the answer is definite
         path = files["dir"] / "base5.txt"
         for head, expected in (("x 0\n", True), ("", False)):
@@ -576,11 +576,46 @@ class TestDecideCommand:
             assert json.loads(out)["accept"] is expected
 
     def test_size_limit_exit_code(self, files, capsys):
+        # lhes-copy adds a flag qubit, so a 24-qubit base marks to 25 qubits
+        # of W; pes and luae mark a 25-qubit base on its own 25.  Each exits
+        # before allocating and names the base's own width
+        for width, routes in ((24, ("lhes",)), (25, ("pes", "luae"))):
+            path = files["dir"] / f"wide{width}.txt"
+            path.write_text(f"qubits {width}\nh 0\n")
+            for route in routes:
+                for oracle in ("exact", "quantum"):
+                    argv = ["decide", str(path), "--x", "0", "--route", route, "--oracle", oracle]
+                    start = time.perf_counter()
+                    code, out, err = run_cli(argv, capsys)
+                    assert time.perf_counter() - start < 1.0
+                    assert code == 2
+                    payload = json.loads(err)
+                    assert payload["error"] == "TooLarge"
+                    assert f"{width}-qubit base" in payload["message"]
+        # the quantum LHES oracle still builds the dense one-hot clock
         code, out, err = run_cli(
-            ["decide", files["wide"], "--x", "0", "--route", "lhes"], capsys
+            ["decide", files["wide"], "--x", "0", "--route", "lhes", "--oracle", "quantum"],
+            capsys,
         )
         assert code == 2
         assert json.loads(err)["error"] == "TooLarge"
+
+    def test_connected_sixteen_qubit_base(self, files, capsys):
+        # W has 16 (pes) or 17 (lhes) qubits, beyond any dense eigensolve;
+        # each law is one statevector pass.  Qubit 0 is only ever a control
+        # after "x 0", so the answer is definite
+        gates = "".join(f"h {q}\n" for q in range(1, 16))
+        gates += "".join(f"cnot {q} {q + 1}\n" for q in range(15))
+        path = files["dir"] / "base16.txt"
+        for head, expected in (("x 0\n", True), ("", False)):
+            path.write_text("qubits 16\n" + head + gates)
+            for route, oracle in (("pes", "exact"), ("pes", "quantum"), ("lhes", "exact")):
+                argv = ["decide", str(path), "--x", "0", "--route", route, "--oracle", oracle]
+                start = time.perf_counter()
+                code, out, err = run_cli(argv, capsys)
+                assert time.perf_counter() - start < 3.0
+                assert code == 0
+                assert json.loads(out)["accept"] is expected
 
 
 class TestVerifyCommand:

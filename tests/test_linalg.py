@@ -5,19 +5,24 @@ import numpy as np
 import pytest
 
 from eigensample import (
+    BasisLabel,
     Circuit,
     Gate,
     NotHermitian,
     NotUnitary,
     circuit_unitary,
+    exact_distribution,
     exp_i_hermitian,
     hermitian_eig,
     is_hermitian,
     is_unitary,
+    mark_circuit,
     operator_norm,
+    StateVector,
     unitary_eig,
 )
 from eigensample.circuits import apply_columns
+from eigensample.distributions import spectral_weights
 from eigensample.linalg import UNITARY_TOL, unitary_eig_in_place
 from _helpers import (
     anti_cyclic_shift,
@@ -27,6 +32,7 @@ from _helpers import (
     max_circular_mismatch,
     random_circuit,
     random_hermitian,
+    seam_base,
 )
 
 EXACT_TOL = 1e-12
@@ -152,6 +158,26 @@ class TestUnitaryEig:
             u = (q * np.exp(2j * np.pi * phases)) @ q.conj().T
             assert max_circular_mismatch(unitary_eig(u).phases(), phases) <= 1e-14
 
+
+    def test_phases_lie_below_one_on_marked_circuits(self):
+        # a marked circuit's eigenangles sit at 0 and pi, and one rounding
+        # just below 0 gave angle / 2 pi % 1.0 = 1.0 exactly; seam_base's
+        # pe-reflect W did so, and `spectrum` printed "value": 1 for it
+        rng = np.random.default_rng(43)
+        marked = [mark_circuit(seam_base(), "pe-reflect").full]
+        for _ in range(60):
+            base = random_circuit(int(rng.integers(1, 4)), int(rng.integers(1, 12)), rng,
+                                  named_only=True)
+            marked.append(mark_circuit(base, ("pe-reflect", "lhes-copy")[rng.integers(2)]).full)
+        for full in marked:
+            phases = unitary_eig(circuit_unitary(full)).phases()
+            assert np.all((0.0 <= phases) & (phases < 1.0))
+            assert np.all(np.diff(phases) >= 0.0)
+            b = BasisLabel("0" * full.qubit_count)
+            grouped, _ = spectral_weights(full, StateVector.from_label(b).amplitudes, "unitary")
+            assert np.all((0.0 <= grouped) & (grouped < 1.0))
+            values = exact_distribution(full, b, "unitary").values()
+            assert all(0.0 <= v < 1.0 for v in values)
 
 class TestUnitaryEigInPlace:
     """The circuit path: the call owns the dense buffer and reads U·V from

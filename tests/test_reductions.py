@@ -35,6 +35,7 @@ from eigensample import (
     invert_circuit,
     make_distribution,
     mark_circuit,
+    marked_law,
     named_gate,
     output_split,
     prepare_pes,
@@ -45,13 +46,17 @@ from eigensample import (
     unary_embedding_isometry,
 )
 from eigensample import distributions
+from eigensample.phase_estimation import ancilla_bits
+from _gate_level import ancilla_law
 from _helpers import (
     dense_clock_law,
+    dense_marked_law,
     haar_unitary,
     history_families,
     kron_clock_propagator,
     per_draw_sample,
     random_circuit,
+    seam_base,
 )
 
 STATE_TOL = 1e-10
@@ -439,7 +444,7 @@ class TestDeciders:
     def test_exact_oracles_draw_like_the_per_draw_sampler(self):
         # one uniform per draw from the same stream: the same 500 points
         def paired_draws(draw, dist):
-            assert len(dist.points) >= 4
+            assert len(dist.points) >= 2
             rng, ref_rng = np.random.default_rng(91), np.random.default_rng(91)
             return (
                 [float(draw(rng)) for _ in range(500)],
@@ -454,13 +459,12 @@ class TestDeciders:
         draws, expected = paired_draws(exact_lhes_oracle(inst), dense_clock_law(inst))
         assert np.max(np.abs(np.subtract(draws, expected))) < 1e-12
 
-        circuit = haar_base(90, gate_count=2)
+        circuit = mark_circuit(haar_base(90, gate_count=2), "pe-reflect").full
         req = SamplingRequest(1.0 / 8.0, 0.01, BasisLabel("01"))
         draws, expected = paired_draws(
-            exact_pes_oracle(circuit, req),
-            exact_distribution(circuit_unitary(circuit), req.b, "unitary"),
+            exact_pes_oracle(circuit, req), dense_marked_law(circuit, req.b)
         )
-        assert draws == expected
+        assert np.max(np.abs(np.subtract(draws, expected))) < 1e-12
 
 
     def test_exact_luae_oracle_reads_the_simulated_amplitude(self):
@@ -500,9 +504,106 @@ class TestDeciders:
         assert all(abs(a) <= 2.0 + inst.compact_request.epsilon for a in draws)
 
 
+def two_point_weights(dist):
+    """Weights at phases 0 and 1/2 of a law whose points all lie within
+    1e-12 of one of them on the circle."""
+    weights = [0.0, 0.0]
+    for v, w in dist.points:
+        near_half = abs(v - 0.5) < 0.25
+        assert min(abs(v - 0.5), v % 1.0, 1.0 - v % 1.0) < 1e-12
+        weights[near_half] += w
+    return weights
+
+
+class TestMarkedLaw:
+    """The two-point law read off <b|W|b> against dense eigensolves of W."""
+
+    def random_marked(self, rng):
+        base = random_circuit(
+            int(rng.integers(1, 6)), int(rng.integers(1, 9)), rng,
+            named_only=bool(rng.random() < 0.5),
+        )
+        kind = ("pe-reflect", "lhes-copy")[rng.integers(2)]
+        full = mark_circuit(base, kind).full
+        bits = "".join(str(v) for v in rng.integers(0, 2, size=full.qubit_count))
+        return full, BasisLabel(bits)
+
+    def test_matches_the_dense_law(self):
+        # named-only bases put eigenangles on the 0/1 seam; seam_base's W
+        # listed a phase of exactly 1.0 before phases() mapped it to 0
+        rng = np.random.default_rng(120)
+        cases = [self.random_marked(rng) for _ in range(60)]
+        seam = mark_circuit(seam_base(), "pe-reflect").full
+        cases += [(seam, BasisLabel("0")), (seam, BasisLabel("1"))]
+        for full, b in cases:
+            law = marked_law(full, b)
+            assert law.metric == "circular"
+            assert set(law.values()) <= {0.0, 0.5}
+            ours = two_point_weights(law)
+            ref = two_point_weights(dense_marked_law(full, b))
+            assert 0.5 * (abs(ours[0] - ref[0]) + abs(ours[1] - ref[1])) <= 1e-12
+
+    def test_b_must_name_every_qubit(self):
+        full = mark_circuit(ACCEPT_BASE, "lhes-copy").full
+        with pytest.raises(DimensionMismatch):
+            marked_law(full, BasisLabel("0"))
+
+    def test_no_oracle_but_quantum_lhes_builds_a_dense_matrix(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("dense unitary built")
+
+        monkeypatch.setattr(distributions, "circuit_unitary", never)
+        monkeypatch.setattr(distributions, "unitary_eig_in_place", never)
+        rng = np.random.default_rng(121)
+        base = random_circuit(4, 10, rng)
+        x = BasisLabel("0110")
+        for decide, oracle in (
+            (decide_via_lhes, exact_lhes_oracle),
+            (decide_via_pes, exact_pes_oracle),
+            (decide_via_pes, quantum_pes_oracle),
+            (decide_via_luae, exact_luae_oracle),
+            (decide_via_luae, quantum_luae_oracle),
+        ):
+            decide(base, x, oracle, rng)
+
+    def test_quantum_pes_law_matches_the_gate_level_estimator(self):
+        rng = np.random.default_rng(122)
+        for epsilon, delta in ((0.5, 0.25), (0.25, 0.1), (0.125, 0.1)):
+            t = ancilla_bits(epsilon, delta)
+            assert t <= 6
+            for _ in range(3):
+                base = random_circuit(int(rng.integers(1, 3)), int(rng.integers(1, 4)), rng)
+                full = mark_circuit(base, "pe-reflect").full
+                bits = "".join(str(v) for v in rng.integers(0, 2, size=full.qubit_count))
+                b = BasisLabel(bits)
+                prep = quantum_pes_oracle(full, SamplingRequest(epsilon, delta, b)).__self__
+                assert prep.t == t
+                ref = ancilla_law(full, StateVector.from_label(b), t)
+                assert 0.5 * np.abs(prep.raw_probabilities - ref).sum() < 1e-12
+                # all mass on outcomes 0 and 2^(t-1)
+                off = np.delete(prep.raw_probabilities, [0, 2 ** (t - 1)])
+                assert not off.any()
+
+    def test_wide_marked_circuit(self):
+        # a connected 16-qubit base: 17 qubits of W for lhes-copy, far
+        # beyond a dense eigensolve, in one statevector pass
+        gates = [named_gate("h", q) for q in range(1, 16)]
+        gates += [named_gate("cnot", q, q + 1) for q in range(15)]
+        base = Circuit(16, [named_gate("x", 0)] + gates)
+        start = time.perf_counter()
+        copy = marked_law(mark_circuit(base, "lhes-copy").full, BasisLabel("0" * 17))
+        reflect = marked_law(mark_circuit(base, "pe-reflect").full, BasisLabel("0" * 16))
+        assert time.perf_counter() - start < 2.0
+        # qubit 0 reads 1: the copy always flips the flag, so <0x|W|0x> = 0,
+        # and the reflection always flips the sign, so <x|W|x> = -1
+        assert copy.values() == [0.0, 0.5]
+        assert np.allclose(copy.weights(), [0.5, 0.5], atol=1e-12)
+        assert reflect.values() == [0.5]
+
+
 class TestClockLaw:
-    """The exact LHES oracle's law, read off the marked circuit's own
-    spectrum, against one dense eigensolve of the compact clock matrix."""
+    """The exact LHES oracle's law, split from the marked circuit's
+    two-point law, against one dense eigensolve of the compact clock matrix."""
 
     def oracle_law(self, instance, monkeypatch):
         laws = []
