@@ -101,13 +101,11 @@ from .phase_estimation import (
 from .reductions import (
     ClockPropagator,
     HistoryAnalysis,
-    LhesInstance,
     MarkedCircuit,
     UnaryClockHamiltonian,
     analyze_history,
     build_clock_hamiltonian,
     build_clock_propagator,
-    build_lhes_instance,
     build_unary_clock,
     decide_via_lhes,
     decide_via_luae,

@@ -59,8 +59,8 @@ class SamplingRequest:
     def __post_init__(self):
         # epsilon is an absolute precision: for eigenvalue requests it scales
         # with the spectral radius and may legitimately exceed 1.
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not (0 < self.delta < 1):
             raise ValueError("delta must lie in (0, 1)")
 

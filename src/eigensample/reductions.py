@@ -16,10 +16,11 @@ walk has eigenvalues on two interleaved cosine grids whose relative mass
 reveals whether the computation accepts.  The clock can also be written in
 unary (one-hot) form, which makes every term act on at most four qubits.
 
-The deciders consume sampling oracles through small factory callables so
-the exact oracles (the marked circuit's two-phase law, marked_law) and the
-quantum estimators (phase-estimation and Hadamard-test output laws) are
-interchangeable.  A factory prepares once; its draws reuse the preparation.
+The deciders consume sampling oracles through factories of (W, request),
+so the exact oracles and the quantum estimators (phase-estimation and
+Hadamard-test output laws) are interchangeable; each reads W's two-phase
+law off <b|W|b> (marked_law).  A factory prepares once; its draws reuse
+the preparation.
 """
 from __future__ import annotations
 
@@ -39,9 +40,15 @@ from .circuits import (
     named_gate,
     output_split,
 )
-from .distributions import SpectralDistribution, make_distribution, sample_values
+from .distributions import SpectralDistribution, make_distribution, sample_values, spectral_weights
 from .errors import DimensionMismatch, EmptyCircuit, OracleFailure, TooLarge
-from .hamiltonians import LocalHamiltonian, LocalTerm, prepare_lhes
+from .hamiltonians import (
+    LAMBDA_MARGIN,
+    LocalHamiltonian,
+    LocalTerm,
+    PreparedEigenvalueSampler,
+    trotter_step_count,
+)
 from .phase_estimation import PreparedPhaseEstimation, SamplingRequest, ancilla_bits, fejer_law
 
 # Largest compact system-times-clock dimension build_clock_propagator
@@ -234,17 +241,6 @@ def eigenvalue_grids(clock_dim: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # decision procedures
 
-@dataclass
-class LhesInstance:
-    """Everything an eigenvalue-sampling oracle needs for one decision."""
-
-    marked: MarkedCircuit
-    clock_dim: int
-    compact_request: SamplingRequest
-    unary: UnaryClockHamiltonian
-    unary_request: SamplingRequest
-
-
 def _marked_input(base: Circuit, x: BasisLabel, kind: str) -> tuple[MarkedCircuit, str]:
     """Marked circuit and zero-padded x, refusing a W above MAX_STATEVECTOR_QUBITS."""
     if len(x.bits) > base.qubit_count:
@@ -263,22 +259,6 @@ def lhes_epsilon(marked: MarkedCircuit) -> float:
     return 1.0 / (4.0 * len(marked.full.gates))
 
 
-def build_lhes_instance(base: Circuit, x: BasisLabel) -> LhesInstance:
-    marked, bits = _marked_input(base, x, "lhes-copy")
-    clock_dim = len(marked.full.gates)
-    epsilon = lhes_epsilon(marked)
-    compact_b = BasisLabel("0" + bits, 0)
-    unary_b = BasisLabel("0" + bits + "1" + "0" * (clock_dim - 1), 0)
-    unary = build_unary_clock(marked)
-    return LhesInstance(
-        marked=marked,
-        clock_dim=clock_dim,
-        compact_request=SamplingRequest(epsilon, LHES_DELTA, compact_b),
-        unary=unary,
-        unary_request=SamplingRequest(epsilon, LHES_DELTA, unary_b),
-    )
-
-
 def decide_via_lhes(
     base: Circuit,
     x: BasisLabel,
@@ -292,9 +272,13 @@ def decide_via_lhes(
     separated and are discarded; a long enough run of consecutive discards
     means the oracle is broken.
     """
-    instance = build_lhes_instance(base, x)
-    draw = oracle(instance)
-    integer_grid, half_grid = eigenvalue_grids(instance.clock_dim)
+    marked, bits = _marked_input(base, x, "lhes-copy")
+    req = SamplingRequest(lhes_epsilon(marked), LHES_DELTA, BasisLabel("0" + bits))
+    try:
+        draw = oracle(marked.full, req)
+    except TooLarge as exc:
+        raise TooLarge(f"the clock of a {len(base.gates)}-gate base: {exc}") from exc
+    integer_grid, half_grid = eigenvalue_grids(len(marked.full.gates))
     survivors = 0
     half_votes = 0
     consecutive_discards = 0
@@ -357,22 +341,54 @@ def marked_law(circuit: Circuit, b: BasisLabel) -> SpectralDistribution:
     return make_distribution([0.0, 0.5], [(1.0 + a) / 2.0, (1.0 - a) / 2.0], "circular")
 
 
-def exact_lhes_oracle(instance: LhesInstance):
+def exact_lhes_oracle(circuit: Circuit, req: SamplingRequest):
     """Law of H = F + F-dagger from |b, 0>, read off the law of W, the
     marked circuit: F^N is W on each clock slice, so an eigenvector e_theta
     of W gives N eigenvectors of F with eigenvalues e^{2 pi i (theta+k)/N},
     each holding 1/N of e_theta's weight."""
-    law = marked_law(instance.marked.full, instance.compact_request.b)
-    clock_dim = instance.clock_dim
+    law = marked_law(circuit, req.b)
+    clock_dim = len(circuit.gates)
     angles = 2.0 * np.pi * (np.add.outer(law.values(), np.arange(clock_dim)) / clock_dim)
     weights = np.repeat(np.array(law.weights()) / clock_dim, clock_dim)
     dist = make_distribution(2.0 * np.cos(angles.ravel()), weights, "absolute")
     return lambda rng: sample_values(dist, 1, rng)[0]
 
 
-def quantum_lhes_oracle(instance: LhesInstance):
-    prep = prepare_lhes(instance.unary.hamiltonian, instance.unary_request)
-    return prep.sample
+def _ring_slice(clock_dim: int, angle: float, phase: float) -> np.ndarray:
+    """One Trotter slice on an N-site clock ring: rotations e^{i angle (|j><j-1|
+    + h.c.)} of sites (j-1, j) in gate order, bond (N-1, 0) times e^{2 pi i phase}."""
+    c, s = np.cos(angle), np.sin(angle)
+    ring = np.eye(clock_dim, dtype=complex)
+    for src in range(clock_dim):
+        dst = (src + 1) % clock_dim
+        bond = np.exp(2j * np.pi * phase) if dst == 0 else 1.0
+        ring[[src, dst]] = [[c, 1j * s * np.conj(bond)], [1j * s * bond, c]] @ ring[[src, dst]]
+    return ring
+
+
+def quantum_lhes_oracle(circuit: Circuit, req: SamplingRequest):
+    """Law of hamiltonians.prepare_lhes on the unary clock (build_unary_clock)
+    from |b>|10...0>, on two N-site clock rings.  With u_k = V_k...V_1|b> and
+    w_k = V_k...V_1 W|b> at clock k, gate j maps slot j-1 onto slot j, and
+    the closing gate maps (u, w) to (w, u) since W^2 = I.  So u +- w span one
+    ring per phase theta of W, weighted as in marked_law, whose closing bond
+    carries e^{2 pi i theta}.  Every unary term has norm 1: lambda_cap is 4N
+    (plus margin), and a Trotter factor rotates two ring sites."""
+    clock_dim = len(circuit.gates)
+    cap = 4.0 * clock_dim * (1.0 + LAMBDA_MARGIN)
+    # at the decider's epsilon, t <= MAX_ESTIMATOR_BITS means N <= 89, so the
+    # kernel work of 2N phases stays under MAX_KERNEL_WORK
+    t = ancilla_bits(req.epsilon / cap, req.delta / 2.0)
+    steps = trotter_step_count(t, clock_dim / cap, req.delta)
+    start = np.eye(clock_dim)[0]
+    phases, weights = [], []
+    for theta, weight in marked_law(circuit, req.b).points:
+        ring = _ring_slice(clock_dim, 2.0 * np.pi / steps / cap, theta)
+        ring_phases, ring_weights = spectral_weights(ring, start, "unitary")
+        phases.append(ring_phases * steps % 1.0)
+        weights.append(weight * ring_weights)
+    law = fejer_law(np.concatenate(phases), np.concatenate(weights), t)
+    return PreparedEigenvalueSampler(cap, t, steps, PreparedPhaseEstimation(t, law)).sample
 
 
 def exact_pes_oracle(circuit: Circuit, req: SamplingRequest):

@@ -5,17 +5,21 @@ from unittest import mock
 import numpy as np
 
 from eigensample import (
+    BasisLabel,
     Circuit,
     Gate,
     LocalHamiltonian,
     LocalTerm,
+    SamplingRequest,
     StateVector,
     build_clock_hamiltonian,
     build_clock_propagator,
+    build_unary_clock,
     exact_distribution,
     gate_unitary,
     invert_circuit,
     named_gate,
+    prepare_lhes,
     substream,
 )
 from eigensample import distributions
@@ -190,14 +194,23 @@ def kron_clock_propagator(marked):
     return f
 
 
-def dense_clock_law(instance):
-    """Law of the compact clock Hamiltonian H = F + F-dagger from the
-    instance's start label, by one dense eigensolve of the whole matrix
-    (2^n N dimensions for n marked qubits and N clock steps): the exact
-    LHES oracle's former law, kept as the reference for the law it reads
-    off the marked circuit."""
-    h = build_clock_hamiltonian(build_clock_propagator(instance.marked))
-    return exact_distribution(h, instance.compact_request.b, "hermitian")
+def dense_clock_law(marked, b):
+    """Law of the compact clock Hamiltonian H = F + F-dagger from |b, 0>,
+    by one dense eigensolve of the whole matrix (2^n N dimensions for n
+    marked qubits and N clock steps): the exact LHES oracle's former law,
+    kept as the reference for the law it reads off the marked circuit."""
+    h = build_clock_hamiltonian(build_clock_propagator(marked))
+    return exact_distribution(h, b, "hermitian")
+
+
+def dense_unary_sampler(marked, req):
+    """prepare_lhes on the whole one-hot clock Hamiltonian from
+    |b>|10...0> (n + 1 + N qubits for n base qubits and N clock steps):
+    the quantum LHES oracle's former preparation, kept as the reference for
+    its law on two clock rings."""
+    unary = build_unary_clock(marked)
+    b = BasisLabel(req.b.bits + "1" + "0" * (unary.clock_dim - 1))
+    return prepare_lhes(unary.hamiltonian, SamplingRequest(req.epsilon, req.delta, b))
 
 
 def dense_marked_law(circuit, b):

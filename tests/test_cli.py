@@ -371,6 +371,16 @@ class TestSamplingCommands:
         assert payload["error"] == "TooLarge"
         assert payload["exit_code"] == 2
 
+    @pytest.mark.parametrize("command, epsilon", [("pes", "nan"), ("lhes", "inf")])
+    def test_non_finite_epsilon_is_a_validation_failure(self, command, epsilon, files, capsys):
+        path = files["bell"] if command == "pes" else files["zham"]
+        b = "00" if command == "pes" else "1"
+        argv = [command, path, "--epsilon", epsilon, "--delta", "0.1", "--b", b]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "epsilon" in json.loads(err)["message"]
+
     @pytest.mark.parametrize("seed", [1, 2**32 + 7])
     @pytest.mark.parametrize("command", ["pes", "lhes"])
     def test_reports_match_per_sample_reference(
@@ -550,16 +560,32 @@ class TestDecideCommand:
         assert payload["exit_code"] == 3
 
     def test_quantum_lhes_on_a_wide_base_fails_fast(self, files, capsys):
-        # 5 qubits, 20 gates: the unary clock Hamiltonian has 47 qubits; no
-        # compact clock matrix is assembled before the size check fires
-        base = files["dir"] / "base5.txt"
-        base.write_text(serialize_circuit(random_circuit(5, 20, np.random.default_rng(8))))
-        argv = ["decide", str(base), "--x", "00000", "--route", "lhes", "--oracle", "quantum"]
+        # 45 gates: a 91-step clock needs t = 25 ancilla bits, one above the
+        # cap; the refusal comes before any law is built and names the base
+        base = files["dir"] / "base45.txt"
+        base.write_text(serialize_circuit(random_circuit(1, 45, np.random.default_rng(8))))
+        argv = ["decide", str(base), "--x", "0", "--route", "lhes", "--oracle", "quantum"]
         start = time.perf_counter()
         code, out, err = run_cli(argv, capsys)
         assert time.perf_counter() - start < 1.0
         assert code == 2
-        assert json.loads(err)["error"] == "TooLarge"
+        payload = json.loads(err)
+        assert payload["error"] == "TooLarge"
+        assert "45-gate base" in payload["message"]
+
+    def test_quantum_lhes_on_a_five_qubit_base(self, files, capsys):
+        # W has 6 qubits and a 41-step clock, far beyond the one-hot clock's
+        # 47 qubits; the law lives on two 41-site clock rings.  No gate after
+        # "x 0" touches qubit 0, so the answer is definite
+        path = files["dir"] / "base5.txt"
+        for head, expected in (("x 0\n", True), ("", False)):
+            path.write_text("qubits 5\n" + head + FIVE_QUBIT_GATES)
+            argv = ["decide", str(path), "--x", "00000", "--route", "lhes", "--oracle", "quantum"]
+            start = time.perf_counter()
+            code, out, err = run_cli(argv, capsys)
+            assert time.perf_counter() - start < 10.0
+            assert code == 0
+            assert json.loads(out)["accept"] is expected
 
     def test_exact_lhes_on_a_five_qubit_base(self, files, capsys):
         # the compact clock matrix would be 2624-dim (6 system qubits x 41
@@ -592,13 +618,13 @@ class TestDecideCommand:
                     payload = json.loads(err)
                     assert payload["error"] == "TooLarge"
                     assert f"{width}-qubit base" in payload["message"]
-        # the quantum LHES oracle still builds the dense one-hot clock
+        # the 13-qubit base whose one-hot clock (17 qubits) used to exit 2
+        # now decides on the quantum oracle too
         code, out, err = run_cli(
             ["decide", files["wide"], "--x", "0", "--route", "lhes", "--oracle", "quantum"],
             capsys,
         )
-        assert code == 2
-        assert json.loads(err)["error"] == "TooLarge"
+        assert code == 0
 
     def test_connected_sixteen_qubit_base(self, files, capsys):
         # W has 16 (pes) or 17 (lhes) qubits, beyond any dense eigensolve;

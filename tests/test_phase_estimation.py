@@ -130,6 +130,13 @@ class TestRequestAndConfig:
         with pytest.raises(ValueError):
             SamplingRequest(0.1, 1.0, BasisLabel("0"))
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_epsilon_is_refused(self, epsilon):
+        # NaN compares false with everything, so a plain epsilon <= 0 test
+        # let it through to ceil_log2
+        with pytest.raises(ValueError, match="epsilon"):
+            SamplingRequest(epsilon, 0.1, BasisLabel("0"))
+
 
 class TestQft:
     def test_single_qubit_is_hadamard(self):

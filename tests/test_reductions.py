@@ -19,7 +19,6 @@ from eigensample import (
     apply_circuit,
     build_clock_hamiltonian,
     build_clock_propagator,
-    build_lhes_instance,
     build_unary_clock,
     circuit_unitary,
     decide_via_lhes,
@@ -45,12 +44,14 @@ from eigensample import (
     reduction_report,
     unary_embedding_isometry,
 )
-from eigensample import distributions
+from eigensample import distributions, phase_estimation
 from eigensample.phase_estimation import ancilla_bits
+from eigensample.reductions import LHES_DELTA, lhes_epsilon
 from _gate_level import ancilla_law
 from _helpers import (
     dense_clock_law,
     dense_marked_law,
+    dense_unary_sampler,
     haar_unitary,
     history_families,
     kron_clock_propagator,
@@ -79,6 +80,11 @@ def rotation_base(one_probability):
     c = np.sqrt(1.0 - one_probability)
     s = np.sqrt(one_probability)
     return Circuit(1, [Gate("u1", (0,), np.array([[c, -s], [s, c]]))])
+
+
+def lhes_request(marked, bits):
+    """The LHES decider's request for |0 bits>: flag first, precision 1/(4N)."""
+    return SamplingRequest(lhes_epsilon(marked), LHES_DELTA, BasisLabel("0" + bits))
 
 
 def basis_column(index, dim):
@@ -369,17 +375,28 @@ class TestInstances:
         assert np.allclose(half, [root2, -root2, -root2, root2], atol=1e-12)
 
     def test_instance_layout(self):
-        inst = build_lhes_instance(haar_base(26), BasisLabel("1"))
-        assert inst.clock_dim == 3
-        assert inst.compact_request.epsilon == 1.0 / 12.0
+        seen = []
+
+        def spy(circuit, req):
+            seen.append((circuit, req))
+            return exact_lhes_oracle(circuit, req)
+
+        base = haar_base(26)
+        decide_via_lhes(base, BasisLabel("1"), spy, np.random.default_rng(84), votes=1)
+        (circuit, req), = seen
+        assert circuit.gates == mark_circuit(base, "lhes-copy").full.gates
+        assert req.epsilon == 1.0 / 12.0
         # input padded with zeros behind the given bits, flag in front
-        assert inst.compact_request.b == BasisLabel("010", 0)
-        assert inst.unary_request.b == BasisLabel("010" + "100", 0)
-        assert build_clock_propagator(inst.marked).assembled.shape == (8 * 3, 8 * 3)
+        assert req.b == BasisLabel("010", 0)
+        # on the one-hot clock that start is |010>|100>
+        iso = unary_embedding_isometry(3, 3)
+        compact = StateVector.from_label(req.b, clock_dim=3).amplitudes
+        assert np.array_equal(iso @ compact, StateVector.from_label(BasisLabel("010100")).amplitudes)
+        assert build_clock_propagator(mark_circuit(base, "lhes-copy")).assembled.shape == (24, 24)
 
     def test_overlong_input_rejected(self):
         with pytest.raises(DimensionMismatch):
-            build_lhes_instance(ACCEPT_BASE, BasisLabel("01"))
+            decide_via_lhes(ACCEPT_BASE, BasisLabel("01"), exact_lhes_oracle, np.random.default_rng(0))
 
 
 class TestDeciders:
@@ -405,9 +422,9 @@ class TestDeciders:
         # the in-band mass splits (1+a)/2 integer vs (1-a)/2 half, so the
         # vote threshold 1/4 separates acceptance probability 1/2
         for p_one, expected in ((0.1, 0.05), (0.9, 0.45)):
-            inst = build_lhes_instance(rotation_base(p_one), X0)
-            dist = dense_clock_law(inst)
-            integer_grid, half_grid = eigenvalue_grids(inst.clock_dim)
+            marked = mark_circuit(rotation_base(p_one), "lhes-copy")
+            dist = dense_clock_law(marked, BasisLabel("00"))
+            integer_grid, half_grid = eigenvalue_grids(len(marked.full.gates))
             in_band = [(v, w) for v, w in dist.points if abs(v) <= 1.0 + 1e-9]
             half_mass = sum(
                 w
@@ -455,8 +472,11 @@ class TestDeciders:
         # clock matrix, so its points match the reference's to rounding;
         # the reference's points are more than 1e-9 apart, so a draw within
         # 1e-12 is the same-rank point
-        inst = build_lhes_instance(rotation_base(0.3), X0)
-        draws, expected = paired_draws(exact_lhes_oracle(inst), dense_clock_law(inst))
+        marked = mark_circuit(rotation_base(0.3), "lhes-copy")
+        req = lhes_request(marked, "0")
+        draws, expected = paired_draws(
+            exact_lhes_oracle(marked.full, req), dense_clock_law(marked, req.b)
+        )
         assert np.max(np.abs(np.subtract(draws, expected))) < 1e-12
 
         circuit = mark_circuit(haar_base(90, gate_count=2), "pe-reflect").full
@@ -480,28 +500,29 @@ class TestDeciders:
             exact_luae_oracle(circuit, SamplingRequest(0.25, 0.01, BasisLabel("0")))
 
     def test_broken_oracle_raises(self):
-        def broken(instance):
+        def broken(circuit, req):
             return lambda rng: 5.0
 
         with pytest.raises(OracleFailure):
             decide_via_lhes(ACCEPT_BASE, X0, broken, np.random.default_rng(88), votes=3)
 
     def test_quantum_oracle_prepares_once(self, monkeypatch):
-        # the oracle holds its preparation; draws never prepare again
+        # the oracle holds its law; draws never build it again
         calls = []
-        original = red_module.prepare_lhes
+        original = red_module.fejer_law
 
-        def spy(h, req):
-            calls.append(req)
-            return original(h, req)
+        def spy(phases, weights, t):
+            calls.append(t)
+            return original(phases, weights, t)
 
-        monkeypatch.setattr(red_module, "prepare_lhes", spy)
-        inst = build_lhes_instance(rotation_base(0.3), X0)
-        draw = quantum_lhes_oracle(inst)
+        monkeypatch.setattr(red_module, "fejer_law", spy)
+        marked = mark_circuit(rotation_base(0.3), "lhes-copy")
+        req = lhes_request(marked, "0")
+        draw = quantum_lhes_oracle(marked.full, req)
         rng = np.random.default_rng(89)
         draws = [float(draw(rng)) for _ in range(20)]
-        assert calls == [inst.unary_request]
-        assert all(abs(a) <= 2.0 + inst.compact_request.epsilon for a in draws)
+        assert calls == [draw.__self__.t]
+        assert all(abs(a) <= 2.0 + req.epsilon for a in draws)
 
 
 def two_point_weights(dist):
@@ -548,7 +569,8 @@ class TestMarkedLaw:
         with pytest.raises(DimensionMismatch):
             marked_law(full, BasisLabel("0"))
 
-    def test_no_oracle_but_quantum_lhes_builds_a_dense_matrix(self, monkeypatch):
+    def test_no_oracle_builds_a_dense_matrix(self, monkeypatch):
+        # the quantum LHES oracle diagonalizes only its N x N clock rings
         def never(*args, **kwargs):
             raise AssertionError("dense unitary built")
 
@@ -559,6 +581,7 @@ class TestMarkedLaw:
         x = BasisLabel("0110")
         for decide, oracle in (
             (decide_via_lhes, exact_lhes_oracle),
+            (decide_via_lhes, quantum_lhes_oracle),
             (decide_via_pes, exact_pes_oracle),
             (decide_via_pes, quantum_pes_oracle),
             (decide_via_luae, exact_luae_oracle),
@@ -605,7 +628,7 @@ class TestClockLaw:
     """The exact LHES oracle's law, split from the marked circuit's
     two-point law, against one dense eigensolve of the compact clock matrix."""
 
-    def oracle_law(self, instance, monkeypatch):
+    def oracle_law(self, marked, req, monkeypatch):
         laws = []
 
         def keep(*args):
@@ -613,7 +636,7 @@ class TestClockLaw:
             return laws[-1]
 
         monkeypatch.setattr(red_module, "make_distribution", keep)
-        exact_lhes_oracle(instance)
+        exact_lhes_oracle(marked.full, req)
         return laws[-1]
 
     def test_matches_the_dense_clock_law(self, monkeypatch):
@@ -623,9 +646,10 @@ class TestClockLaw:
             base = random_circuit(qubits, int(rng.integers(1, 11)), rng)
             random_bits = "".join(str(b) for b in rng.integers(0, 2, size=qubits))
             for bits in ("0" * qubits, random_bits):
-                inst = build_lhes_instance(base, BasisLabel(bits))
-                law = self.oracle_law(inst, monkeypatch)
-                ref = dense_clock_law(inst)
+                marked = mark_circuit(base, "lhes-copy")
+                req = lhes_request(marked, bits)
+                law = self.oracle_law(marked, req, monkeypatch)
+                ref = dense_clock_law(marked, req.b)
                 assert len(law.points) == len(ref.points)
                 assert np.max(np.abs(np.subtract(law.values(), ref.values()))) < 1e-12
                 assert np.max(np.abs(np.subtract(law.weights(), ref.weights()))) < 1e-12
@@ -638,18 +662,80 @@ class TestClockLaw:
         monkeypatch.setattr(red_module, "build_clock_propagator", never)
         monkeypatch.setattr(distributions, "hermitian_eig", never)
         base = random_circuit(3, 6, np.random.default_rng(96))
-        draw = exact_lhes_oracle(build_lhes_instance(base, BasisLabel("101")))
+        marked = mark_circuit(base, "lhes-copy")
+        draw = exact_lhes_oracle(marked.full, lhes_request(marked, "101"))
         assert abs(float(draw(np.random.default_rng(97)))) <= 2.0
         assert decide_via_lhes(ACCEPT_BASE, X0, exact_lhes_oracle, np.random.default_rng(97))
 
     def test_wide_base_law_is_fast(self, monkeypatch):
         # 6 system qubits x a 41-step clock: a 2624-dim compact matrix
         base = random_circuit(5, 20, np.random.default_rng(98))
-        inst = build_lhes_instance(base, BasisLabel("00000"))
+        marked = mark_circuit(base, "lhes-copy")
+        req = lhes_request(marked, "00000")
         start = time.perf_counter()
-        law = self.oracle_law(inst, monkeypatch)
+        law = self.oracle_law(marked, req, monkeypatch)
         assert time.perf_counter() - start < 1.0
         assert abs(sum(law.weights()) - 1.0) < 1e-12
+
+
+def circular_offsets(a, b):
+    """Signed circular differences a - b in [-1/2, 1/2), all pairs."""
+    return (np.subtract.outer(a, b) + 0.5) % 1.0 - 0.5
+
+
+def clustered_tv(p, q, tol):
+    """TV between two weighted phase lists (phases, weights) after joining
+    phases that lie within tol of their neighbour, from -1/2 upwards."""
+    tagged = sorted(
+        [((v + 0.5) % 1.0 - 0.5, w, 0.0) for v, w in zip(*p)]
+        + [((v + 0.5) % 1.0 - 0.5, 0.0, w) for v, w in zip(*q)]
+    )
+    gaps = [0.0]
+    for (prev, _, _), (v, wp, wq) in zip([tagged[0]] + tagged, tagged):
+        if v - prev > tol:
+            gaps.append(0.0)
+        gaps[-1] += wp - wq
+    return 0.5 * sum(abs(g) for g in gaps)
+
+
+class TestClockRings:
+    """The quantum LHES oracle's law on two clock rings against
+    prepare_lhes on the whole one-hot clock Hamiltonian."""
+
+    def test_matches_the_dense_unary_law(self, monkeypatch):
+        def spying(module, laws):
+            original = module.spectral_weights
+
+            def spy(*args):
+                laws.append(original(*args))
+                return laws[-1]
+
+            monkeypatch.setattr(module, "spectral_weights", spy)
+
+        rng = np.random.default_rng(99)
+        for qubits, gate_count in ((1, 1), (1, 2), (1, 2), (2, 1), (2, 2), (3, 1)):
+            base = random_circuit(qubits, gate_count, rng)
+            bits = "".join(str(v) for v in rng.integers(0, 2, size=qubits))
+            marked = mark_circuit(base, "lhes-copy")
+            req = lhes_request(marked, bits)
+            ring_laws, dense_laws = [], []
+            spying(red_module, ring_laws)
+            spying(phase_estimation, dense_laws)
+            ring = quantum_lhes_oracle(marked.full, req).__self__
+            dense = dense_unary_sampler(marked, req)
+            assert (ring.t, ring.trotter_steps) == (dense.t, dense.trotter_steps)
+            assert ring.lambda_cap == pytest.approx(dense.lambda_cap, rel=1e-15)
+            # the slice law before the power: each ring holds its phase's
+            # share of marked_law
+            shares = marked_law(marked.full, req.b).weights()
+            ring_law = (np.concatenate([phases for phases, _ in ring_laws]),
+                        np.concatenate([w * weights for w, (_, weights) in zip(shares, ring_laws)]))
+            (dense_law,) = dense_laws
+            held = dense_law[0][dense_law[1] > 1e-9]
+            assert np.max(np.min(np.abs(circular_offsets(held, ring_law[0])), axis=1)) < 1e-12
+            assert clustered_tv(ring_law, dense_law, 1e-12) <= 1e-8
+            tv = 0.5 * np.abs(ring.prepared.raw_probabilities - dense.prepared.raw_probabilities).sum()
+            assert tv <= 1e-4
 
 
 class TestGridSeparation:
