@@ -32,7 +32,7 @@ from .circuits import (
 )
 from .errors import DimensionMismatch, TooLarge
 from .phase_estimation import SamplingRequest
-from .seeding import MAX_SAMPLES
+from .seeding import MAX_SAMPLES, UniformStream
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def _plus_minus_mean(lam, uniforms: np.ndarray) -> complex:
 
 
 def luae_estimate(
-    circuit: Circuit, req: SamplingRequest, rng: np.random.Generator
+    circuit: Circuit, req: SamplingRequest, rng: UniformStream
 ) -> AverageEstimate:
     """Estimate <b|U|b> to epsilon with failure probability delta."""
     if len(req.b.bits) != circuit.qubit_count:

@@ -18,15 +18,14 @@ import contextlib
 import json
 import math
 import sys
+from importlib import import_module
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .averages import luae_estimate, luae_unguided
 from .circuits import BasisLabel, parse_circuit
-from .distributions import empirical_feasibility, exact_distribution
 from .errors import (
     DimensionMismatch,
     EigensampleError,
@@ -35,36 +34,75 @@ from .errors import (
     TermTooLarge,
     TooLarge,
 )
-from .hamiltonians import (
-    dense_hamiltonian,
-    parse_hamiltonian,
-    prepare_lhes,
-    scale_hamiltonian,
-    serialize_hamiltonian,
-    trotter_deviation,
+
+
+def _submodule(name: str):
+    return import_module(f".{name}", __package__)
+
+
+def _deferred(module: str, name: str):
+    """Stand-in for `module.name` that imports `module` at its first call."""
+
+    def call(*args, **kwargs):
+        return getattr(_submodule(module), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+# What the commands call from modules that not every command needs.  Each
+# name is bound here as a _deferred stand-in, so a command loads only the
+# modules it runs (`check` on a circuit: circuits, linalg and errors), and
+# any of the names can still be replaced on this module.
+_DEFERRED = {
+    "averages": ("luae_estimate", "luae_unguided"),
+    "distributions": ("empirical_feasibility", "exact_distribution"),
+    "hamiltonians": (
+        "dense_hamiltonian",
+        "parse_hamiltonian",
+        "prepare_lhes",
+        "scale_hamiltonian",
+        "serialize_hamiltonian",
+        "trotter_deviation",
+    ),
+    "phase_estimation": ("SamplingRequest", "prepare_pes"),
+    "reductions": (
+        "build_unary_clock",
+        "decide_via_lhes",
+        "decide_via_luae",
+        "decide_via_pes",
+        "exact_lhes_oracle",
+        "exact_luae_oracle",
+        "exact_pes_oracle",
+        "lhes_epsilon",
+        "mark_circuit",
+        "quantum_lhes_oracle",
+        "quantum_luae_oracle",
+        "quantum_pes_oracle",
+        "reduction_report",
+    ),
+    "seeding": ("master_rng", "substream", "substream_uniforms"),
+}
+globals().update(
+    (name, _deferred(module, name)) for module, names in _DEFERRED.items() for name in names
 )
-from .phase_estimation import SamplingRequest, prepare_pes
-from .reductions import (
-    LHES_DELTA,
-    LUAE_DELTA,
-    LUAE_EPSILON,
-    PES_DELTA,
-    PES_EPSILON,
-    build_unary_clock,
-    decide_via_lhes,
-    decide_via_luae,
-    decide_via_pes,
-    exact_lhes_oracle,
-    exact_luae_oracle,
-    exact_pes_oracle,
-    lhes_epsilon,
-    mark_circuit,
-    quantum_lhes_oracle,
-    quantum_luae_oracle,
-    quantum_pes_oracle,
-    reduction_report,
-)
-from .seeding import MAX_SAMPLES, master_rng, substream, substream_uniforms
+# Their constants, read as attributes of this module on first use (PEP 562).
+_DEFERRED_CONSTANTS = {
+    "LHES_DELTA": "reductions",
+    "LUAE_DELTA": "reductions",
+    "LUAE_EPSILON": "reductions",
+    "PES_DELTA": "reductions",
+    "PES_EPSILON": "reductions",
+    "MAX_SAMPLES": "seeding",
+}
+
+
+def __getattr__(name):
+    module = _DEFERRED_CONSTANTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_submodule(module), name)
+
 
 EXIT_PARSE = 1
 EXIT_SIZE = 2
@@ -225,8 +263,9 @@ def _check_samples(args) -> None:
     """Refuse a negative or oversized --samples before any preparation."""
     if args.samples < 0:
         raise UsageError(f"--samples must be nonnegative, got {args.samples}")
-    if args.samples > MAX_SAMPLES:
-        raise TooLarge(f"--samples {args.samples} exceeds the cap of {MAX_SAMPLES}")
+    cap = _submodule("seeding").MAX_SAMPLES
+    if args.samples > cap:
+        raise TooLarge(f"--samples {args.samples} exceeds the cap of {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +360,20 @@ def _cmd_decide(args) -> int:
     circuit = _load_circuit(args.file)
     x = BasisLabel(args.x)
     rng = master_rng(args.seed)
+    reductions = _submodule("reductions")
     exact = args.oracle == "exact"
     if args.route == "lhes":
         factory = exact_lhes_oracle if exact else quantum_lhes_oracle
         accept = decide_via_lhes(circuit, x, factory, rng)
-        epsilon, delta = lhes_epsilon(mark_circuit(circuit, "lhes-copy")), LHES_DELTA
+        epsilon, delta = lhes_epsilon(mark_circuit(circuit, "lhes-copy")), reductions.LHES_DELTA
     elif args.route == "pes":
         factory = exact_pes_oracle if exact else quantum_pes_oracle
         accept = decide_via_pes(circuit, x, factory, rng)
-        epsilon, delta = PES_EPSILON, PES_DELTA
+        epsilon, delta = reductions.PES_EPSILON, reductions.PES_DELTA
     else:
         factory = exact_luae_oracle if exact else quantum_luae_oracle
         accept = decide_via_luae(circuit, x, factory, rng)
-        epsilon, delta = LUAE_EPSILON, LUAE_DELTA
+        epsilon, delta = reductions.LUAE_EPSILON, reductions.LUAE_DELTA
     report = _base_report(args.seed, epsilon, delta)
     report["route"] = args.route
     report["oracle"] = args.oracle

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,6 +32,9 @@ from .circuits import (
 )
 from .errors import DimensionMismatch, MetricMismatch
 from .linalg import hermitian_eig, unitary_eig, unitary_eig_in_place
+
+if TYPE_CHECKING:
+    from .seeding import UniformStream
 
 DEDUP_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-9
@@ -220,7 +224,7 @@ def inverse_cdf(cumulative: np.ndarray, uniforms):
     return np.minimum(idx, len(cumulative) - 1)
 
 
-def sample_values(dist: SpectralDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
+def sample_values(dist: SpectralDistribution, count: int, rng: UniformStream) -> np.ndarray:
     """`count` i.i.d. inverse-CDF draws, one uniform each in stream order:
     k calls with count 1 draw the same values as one call with count k."""
     return np.array(dist.values())[inverse_cdf(np.cumsum(dist.weights()), rng.random(count))]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,6 +46,9 @@ from .phase_estimation import (
     check_kernel_work,
     prepare_phase_estimation,
 )
+
+if TYPE_CHECKING:
+    from .seeding import UniformStream
 
 MAX_TERM_QUBITS = 4
 # Headroom factor keeping the scaled spectrum strictly inside (-1/4, 1/4).
@@ -236,7 +240,7 @@ class PreparedEigenvalueSampler:
         phi = self.prepared.raw_outcomes(uniforms) / 2**self.t
         return np.where(phi < 0.5, phi, phi - 1.0) * self.lambda_cap
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: UniformStream) -> float:
         """One eigenvalue estimate at the input scale."""
         return float(self.eigenvalues(rng.random()))
 

@@ -26,12 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .circuits import BasisLabel, Circuit, StateVector, check_dense_width
 from .distributions import inverse_cdf, operator_shape, spectral_weights
 from .errors import DimensionMismatch, TooLarge
+
+if TYPE_CHECKING:
+    from .seeding import UniformStream
 
 # Largest ancilla count t: the law holds 2^t float64s, 128 MiB at the cap.
 MAX_ESTIMATOR_BITS = 24
@@ -93,11 +97,11 @@ class PreparedPhaseEstimation:
         """Ancilla outcomes that uniforms in [0, 1) select under the law."""
         return inverse_cdf(self._cumulative, uniforms)
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: UniformStream) -> float:
         """One measured phase raw / 2^t."""
         return int(self.raw_outcomes(rng.random())) / 2**self.t
 
-    def sample_raw_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
+    def sample_raw_batch(self, count: int, rng: UniformStream) -> np.ndarray:
         return self.raw_outcomes(rng.random(count))
 
 
@@ -126,7 +130,8 @@ def fejer_law(phases: np.ndarray, weights: np.ndarray, t: int) -> np.ndarray:
     half = dim // 2
     pos = dim - half  # offsets 0 .. pos - 1 are nonnegative
     angles = np.arange(half + 1) * (np.pi / dim)
-    sin_o, cos_o = np.sin(angles), np.cos(angles)
+    sin_o = np.sin(angles)
+    cos_o = np.cos(angles, out=angles)  # no third table outlives its use
     law = np.zeros(dim)
     # den[j] is the denominator at offset o = pos - 1 - j: o descends from
     # pos - 1 to 0 in `lo`, then from -1 to -half in `hi` (sign dropped).

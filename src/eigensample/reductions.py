@@ -25,6 +25,7 @@ the preparation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,6 +51,9 @@ from .hamiltonians import (
     trotter_step_count,
 )
 from .phase_estimation import PreparedPhaseEstimation, SamplingRequest, ancilla_bits, fejer_law
+
+if TYPE_CHECKING:
+    from .seeding import UniformStream
 
 # Largest compact system-times-clock dimension build_clock_propagator
 # assembles densely; no command path builds the propagator.
@@ -263,7 +267,7 @@ def decide_via_lhes(
     base: Circuit,
     x: BasisLabel,
     oracle,
-    rng: np.random.Generator,
+    rng: UniformStream,
     votes: int = LHES_VOTES,
 ) -> bool:
     """Accept when the half-grid share of in-range eigenvalue draws is large.
@@ -302,7 +306,7 @@ def decide_via_pes(
     base: Circuit,
     x: BasisLabel,
     oracle,
-    rng: np.random.Generator,
+    rng: UniformStream,
     votes: int = PES_VOTES,
 ) -> bool:
     """Majority vote over phase draws landing in the window around 1/2."""
@@ -315,7 +319,7 @@ def decide_via_pes(
 
 
 def decide_via_luae(
-    base: Circuit, x: BasisLabel, oracle, rng: np.random.Generator
+    base: Circuit, x: BasisLabel, oracle, rng: UniformStream
 ) -> bool:
     """Accept when the estimated average eigenvalue has negative real part."""
     marked, bits = _marked_input(base, x, "pe-reflect")

@@ -1,21 +1,25 @@
 """Deterministic random streams.
 
-Every sampling routine takes an explicit numpy Generator.  Batch drivers
-(the CLI, long test loops) derive one independent substream per sample,
-keyed by (master seed, sample index), so results do not depend on how the
-loop is chunked or parallelized.
+Every sampling routine takes an explicit stream: any object with
+`.random(size=None)`, or a numpy Generator where a routine needs more than
+uniforms.  Batch callers (the CLI, long test loops) derive one independent
+substream per sample, keyed by (master seed, sample index), so results do
+not depend on how the loop is chunked or parallelized.
 
-`pes` and `lhes` read one uniform from each sample's substream.
-`substream_uniforms` computes all of them in one vectorized pass that is
-bit-identical to `substream(seed, i).random()`.  It mirrors the two
-algorithms behind `default_rng(SeedSequence((seed, i)))` in numpy integer
-arithmetic: numpy's SeedSequence hash (entropy pool mixing and
-`generate_state`, stable since numpy 1.17) and the PCG64 XSL-RR generator
-(O'Neill 2014) seeded from its state.
+Both streams mirror the two algorithms behind numpy's `default_rng`:
+numpy's SeedSequence hash (entropy pool mixing and `generate_state`, stable
+since numpy 1.17) and the PCG64 XSL-RR generator (O'Neill 2014) seeded from
+its state.  `master_rng(seed)` steps PCG64 in Python integers, so its
+uniforms equal `default_rng(seed).random(...)` bit for bit without loading
+numpy.random.  `pes` and `lhes` read one uniform from each sample's
+substream, and `substream_uniforms` computes all of them in one vectorized
+pass, in numpy integer arithmetic, that is bit-identical to
+`substream(seed, i).random()`.
 """
 from __future__ import annotations
 
 import operator
+from typing import Protocol
 
 import numpy as np
 
@@ -45,10 +49,52 @@ _PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
 _PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _U64 = {k: np.uint64(k) for k in (1, 11, 32, 58, 63, 64)}
+_PCG_MULT = int(_PCG_MULT_HI) << 64 | int(_PCG_MULT_LO)
+_MASK64 = 2**64 - 1
+_MASK128 = 2**128 - 1
 
 
-def master_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
+class UniformStream(Protocol):
+    """Any object with `.random(size=None)`, numpy's Generator signature:
+    a Pcg64Stream, or a numpy Generator."""
+
+    def random(self, size=None): ...
+
+
+class Pcg64Stream:
+    """The uniform stream of `np.random.default_rng(seed)` in Python ints.
+
+    `.random(size=None)` equals `default_rng(seed).random(size)` bit for
+    bit, scalar and batch calls interleaved; a scalar call returns a float.
+    A negative seed raises numpy's ValueError.
+    """
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, seed: int):
+        words = [np.full(1, w, dtype=np.uint32) for w in _seed_words(seed)]
+        s0, s1, s2, s3 = (int(word[0]) for word in _generate_state(words))
+        self._inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        # srandom: state = 0, step (state = inc), add s0:s1, step
+        self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT + self._inc) & _MASK128
+
+    def _next53(self) -> int:
+        """Step, then the top 53 bits of the XSL-RR output."""
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        xsl, rot = ((state >> 64) ^ state) & _MASK64, state >> 122
+        return (((xsl >> rot) | (xsl << (64 - rot))) & _MASK64) >> 11
+
+    def random(self, size=None):
+        if size is None:
+            return self._next53() * 2.0**-53
+        out = np.empty(size)  # a negative size raises numpy's ValueError
+        out.flat = [self._next53() * 2.0**-53 for _ in range(out.size)]
+        return out
+
+
+def master_rng(seed: int) -> Pcg64Stream:
+    """The decide stream: `default_rng(seed)`'s uniforms (Pcg64Stream)."""
+    return Pcg64Stream(seed)
 
 
 def substream(seed: int, index: int) -> np.random.Generator:

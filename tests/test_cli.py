@@ -844,3 +844,80 @@ def test_spectrum_keeps_one_dense_matrix_besides_eigh(tmp_path):
     # split into groups of at most 4 qubits, it holds no 10-qubit matrix
     split = grouped_circuit(10, ((0, 5, 9), (1, 2), (3, 4, 7, 8), (6,)), 40, rng)
     assert spectrum_above_check(split) < 0.5 * 16
+
+
+# One CLI run in a fresh interpreter that prints the modules it loaded.
+_FOOTPRINT_RUN = (
+    "import json, sys; from eigensample.cli import main; code = main(sys.argv[1:]); "
+    "print(json.dumps(sorted(sys.modules))); sys.exit(code)"
+)
+HEAVY = {"reductions", "hamiltonians", "averages"}
+# argv, with file names from the `files` fixture, and the modules it must not load
+FOOTPRINTS = {
+    "check": (("check", "bell"), HEAVY | {"distributions", "phase_estimation", "seeding"}),
+    "spectrum": (("spectrum", "bell", "--b", "00"), HEAVY),
+    "pes": (("pes", "bell", "--epsilon", "0.125", "--delta", "0.1", "--b", "00",
+             "--samples", "5"), HEAVY),
+    "verify": (("verify", "bell", "samples", "--b", "00"), HEAVY),
+    "lhes": (("lhes", "zham", "--epsilon", "0.4", "--delta", "0.1", "--b", "1",
+              "--samples", "5"), {"reductions", "averages"}),
+    **{f"decide-{route}-{oracle}": (
+        ("decide", "x", "--x", "0", "--route", route, "--oracle", oracle), set())
+       for route in ("lhes", "pes", "luae") for oracle in ("exact", "quantum")},
+}
+
+
+def modules_after(code: str, *args) -> set[str]:
+    """sys.modules after `code`, which prints them as JSON, runs in a fresh
+    interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(eigensample.__file__).parents[1]))
+    stdout = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                            capture_output=True, text=True, check=True).stdout
+    return set(json.loads(stdout))
+
+
+def loaded_modules(argv, tmp_path) -> set[str]:
+    return modules_after(_FOOTPRINT_RUN, *argv, "--out", str(tmp_path / "report.json"))
+
+
+def package_modules(modules: set[str]) -> set[str]:
+    return {m.removeprefix("eigensample.") for m in modules if m.startswith("eigensample.")}
+
+
+@pytest.fixture(scope="module")
+def numpy_loads_its_random():
+    """numpy before 2.0 imports numpy.random along with numpy itself."""
+    code = "import json, sys, numpy; print(json.dumps('numpy.random' in sys.modules))"
+    return json.loads(subprocess.check_output([sys.executable, "-c", code]))
+
+
+class TestImportFootprint:
+    """Each command loads only the modules it runs; no command but luae and
+    luae-u loads numpy.random."""
+
+    def test_package_import_loads_no_submodule(self):
+        code = "import json, sys, eigensample; print(json.dumps(sorted(sys.modules)))"
+        assert not package_modules(modules_after(code))
+        for name in eigensample.__all__:  # each resolves on first use
+            getattr(eigensample, name)
+
+    @pytest.mark.parametrize("argv, absent", FOOTPRINTS.values(), ids=FOOTPRINTS.keys())
+    def test_loads_only_what_it_runs(self, argv, absent, files, tmp_path, numpy_loads_its_random):
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps({"samples": [0.0, 0.5] * 500, "epsilon": 0.1, "delta": 0.1}))
+        paths = dict(files, samples=str(samples))
+        modules = loaded_modules([paths.get(arg, arg) for arg in argv], tmp_path)
+        ours = package_modules(modules)
+        assert "cli" in ours and not ours & absent
+        if argv[0] == "check":
+            assert ours == {"cli", "circuits", "linalg", "errors"}
+        assert numpy_loads_its_random or "numpy.random" not in modules
+
+    @pytest.mark.parametrize("command", ["luae", "luae-u"])
+    def test_luae_keeps_numpy_generators(self, command, files, tmp_path):
+        argv = [command, files["x"], "--epsilon", "0.2", "--delta", "0.1"]
+        argv += ["--b", "0"] if command == "luae" else []
+        modules = loaded_modules(argv, tmp_path)
+        assert "numpy.random" in modules
+        assert "averages" in package_modules(modules)
+        assert not package_modules(modules) & {"reductions", "hamiltonians"}

@@ -1,5 +1,7 @@
 """Phase-estimation law and sampling, checked against closed forms and the
 gate-level reference estimator (Fourier transform, controlled powers)."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -374,6 +376,23 @@ class TestFejerLaw:
     def test_sharp_phases_land_on_one_outcome(self):
         law = fejer_law([0.0, 0.75, 0.5], [0.5, 0.25, 0.25], 3)
         assert np.array_equal(law, [0.5, 0, 0, 0, 0.25, 0, 0.25, 0])
+
+    def test_cos_table_reuses_the_angle_buffer(self, monkeypatch):
+        # at t = 20 the peak holds the law and den (8 MiB each), tmp and the
+        # sin and cos tables (4 MiB each): 28 MiB, where a separate angle
+        # table made it 32 MiB; the law is the one separate tables give
+        rng = np.random.default_rng(9)
+        phases, weights = rng.random(5), np.full(5, 0.2)
+        tracemalloc.start()
+        try:
+            law = fejer_law(phases, weights, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 29 * 2**20
+        cos = np.cos
+        monkeypatch.setattr(np, "cos", lambda x, out=None: cos(x))
+        assert np.array_equal(fejer_law(phases, weights, 20), law)
 
 
 class TestKernelWorkCap:

@@ -9,6 +9,8 @@ from _helpers import per_sample_uniforms
 # seeds of one to four 32-bit words: with the index word, 2**127 - 1 gives
 # more entropy words than SeedSequence's pool of four holds
 SEEDS = (0, 1, 3, 11, 2**32 - 1, 2**32, 2**64 + 5, 10**22, 2**127 - 1)
+# one to four 32-bit words, the last a 100-bit seed
+STREAM_SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**99 + 12345)
 
 
 class TestMasterRng:
@@ -21,6 +23,26 @@ class TestMasterRng:
         a = master_rng(7).random(100)
         b = master_rng(8).random(100)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_equals_numpy_default_rng(self, seed):
+        # scalar and batch calls interleaved, numpy as the reference
+        ours, numpy_rng = master_rng(seed), np.random.default_rng(seed)
+        for size in (None, 0, 5, None, 1, 1000, None):
+            got, want = ours.random(size), numpy_rng.random(size)
+            if size is None:
+                assert type(got) is float
+                assert got == want
+            else:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    def test_negative_seed_raises_numpy_message(self):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError) as ours:
+            master_rng(-1)
+        assert str(ours.value) == str(numpy_error.value)
 
 
 class TestSubstream:
