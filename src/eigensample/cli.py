@@ -7,19 +7,24 @@ significant digits so identical configurations produce byte-identical
 output.  Randomized subcommands derive one substream per sample from
 (seed, sample index), so reports do not depend on batching.
 
-Exit codes: 0 success, 1 parse or validation failure, 2 dimension or size
-failure, 3 oracle failure.  Failures print a machine-readable JSON object
-to stderr.
+Exit codes: 0 success, 1 parse or validation failure (an unreadable input
+or an unwritable output among them), 2 dimension or size failure, 3 oracle
+failure.  Failures print a machine-readable JSON object to stderr.
+
+`run` is the process entry point (`python -m eigensample`, the
+`eigensample` script); `main` is the same command without the exit, for
+callers in the same interpreter.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import sys
 from importlib import import_module
-from itertools import repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +117,7 @@ _SIZE_ERRORS = (DimensionMismatch, TooLarge, TermTooLarge)
 
 
 class UsageError(Exception):
-    """Bad flags, unreadable files, malformed auxiliary JSON."""
+    """Bad flags, unreadable inputs, unwritable outputs, malformed auxiliary JSON."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,7 +134,8 @@ RENDER_CHUNK = 2**16
 
 def iter_json(obj):
     """render_json(obj) in pieces, in order.  A list goes out RENDER_CHUNK
-    items at a time, and a chunk of plain floats in one format pass."""
+    items at a time, and a chunk of a 1-D float64 array with each distinct
+    value formatted once."""
     if isinstance(obj, dict):
         yield "{"
         for i, (k, v) in enumerate(obj.items()):
@@ -140,16 +146,24 @@ def iter_json(obj):
         yield "["
         for start in range(0, len(obj), RENDER_CHUNK):
             chunk = obj[start : start + RENDER_CHUNK]
-            if isinstance(chunk, np.ndarray):
-                chunk = chunk.tolist()
-            if all(type(v) is float for v in chunk):
-                items = map(format, chunk, repeat(".17g"))
+            if isinstance(chunk, np.ndarray) and chunk.ndim == 1 and chunk.dtype == np.float64:
+                items = _format_distinct(chunk)
             else:
                 items = ("".join(iter_json(v)) for v in chunk)
             yield (", " if start else "") + ", ".join(items)
         yield "]"
     else:
         yield _render_scalar(obj)
+
+
+def _format_distinct(values: np.ndarray) -> list[str]:
+    """format(x, ".17g") for each x in a 1-D float64 array, formatting each
+    distinct bit pattern once: a sampled report holds at most 2^t distinct
+    values.  Bit patterns keep -0.0 apart from 0.0."""
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    table = np.empty(len(bits), dtype=object)
+    table[:] = [format(x, ".17g") for x in bits.view(np.float64).tolist()]
+    return table[index].tolist()
 
 
 def _render_scalar(obj) -> str:
@@ -184,18 +198,26 @@ def _base_report(seed, epsilon, delta) -> dict:
     }
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _emit(pieces, out: str | None) -> None:
+    """Write the pieces to the file `out`, or to stdout when out is None.
+
+    An output that cannot be opened or written raises UsageError.  A failed
+    stdout is closed, with what it still holds, so that the interpreter does
+    not fail once more flushing it at exit."""
+    try:
+        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as stream:
+            stream.writelines(pieces)
+            stream.flush()
+    except OSError as exc:
+        if not out:
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        raise UsageError(f"cannot write {out or 'stdout'}: {exc}") from exc
 
 
 def _emit_report(report: dict, out: str | None) -> int:
     """Write the report as one JSON line, piece by piece (iter_json)."""
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as stream:
-        stream.writelines(iter_json(report))
-        stream.write("\n")
+    _emit(chain(iter_json(report), ["\n"]), out)
     return 0
 
 
@@ -347,7 +369,7 @@ def _cmd_reduce(args) -> int:
     circuit = _load_circuit(args.file)
     marked = mark_circuit(circuit, args.kind)
     unary = build_unary_clock(marked)
-    Path(args.out).write_text(serialize_hamiltonian(unary.hamiltonian))
+    _emit([serialize_hamiltonian(unary.hamiltonian)], args.out)
     report = _base_report(args.seed, None, None)
     report.update(reduction_report(marked))
     report["out"] = args.out
@@ -428,7 +450,7 @@ def _cmd_trotter_bench(args) -> int:
         else:
             ratio = ""
         lines.append(f"{m},{_format_float(dev)},{ratio}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -545,5 +567,16 @@ def main(argv=None) -> int:
         return _fail(exc, EXIT_PARSE)
 
 
+def run(argv=None):
+    """main(argv), then exit the process with its code.
+
+    The objects still alive then go with the process, so they are frozen
+    first (gc.freeze): the interpreter's collections at exit then skip them
+    instead of scanning every object that numpy and eigensample made."""
+    code = main(argv)
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -1,4 +1,5 @@
 """End-to-end checks of the command-line front door."""
+import gc
 import json
 import math
 import os
@@ -74,6 +75,13 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
+def cli_env(*paths) -> dict:
+    """The environment of a CLI child that imports this eigensample, with
+    `paths` ahead of it on the import path."""
+    src = str(Path(eigensample.__file__).parents[1])
+    return dict(os.environ, EIGENSAMPLE_THREADS="1", PYTHONPATH=os.pathsep.join([*paths, src]))
+
+
 class TestRenderJson:
     def test_float_formatting(self):
         assert render_json(1.0) == "1"
@@ -129,6 +137,41 @@ class TestRenderJson:
         pieces = list(iter_json({"samples": values}))
         assert max(len(piece) for piece in pieces) < 100 * 26
         assert "".join(pieces) == recursive_render_json({"samples": values})
+
+    @pytest.mark.parametrize("chunk", [1, 3, 2**16])
+    def test_float64_arrays_match_the_recursive_renderer(self, chunk, monkeypatch):
+        monkeypatch.setattr(cli_module, "RENDER_CHUNK", chunk)
+        rng = np.random.default_rng(5)
+        payload_nan = np.array([0x7FF8000000000001, -1], dtype=np.int64).view(np.float64)
+        grid = np.linspace(0.0, 1.0, 41)
+        arrays = [
+            # grid values that repeat within and across chunk boundaries
+            rng.integers(0, 8, 2 * chunk + 5) / 8.0,
+            np.array([0.0, -0.0, -0.0, 0.0, 1.0, -0.0]),
+            np.concatenate([[math.nan, math.inf, -math.inf] * 3, payload_nan, [-math.nan]]),
+            grid[::3],  # non-contiguous views
+            grid[::-2],
+            np.stack([grid, -grid])[:, 1],
+            grid.astype(">f8"),  # not native float64: rendered value by value
+            grid.astype(np.float32),
+        ]
+        for values in arrays:
+            expected = recursive_render_json(values)
+            assert render_json(values) == expected
+            assert "".join(iter_json({"samples": values})) == recursive_render_json(
+                {"samples": values})
+
+    def test_each_distinct_value_formatted_once(self, monkeypatch):
+        calls = []
+
+        def counted(value, spec):
+            calls.append(value)
+            return format(value, spec)
+
+        monkeypatch.setattr(cli_module, "format", counted, raising=False)
+        values = np.random.default_rng(6).integers(0, 16, 5000) / 16.0
+        assert render_json(values) == recursive_render_json(values)
+        assert len(calls) == len(np.unique(values)) <= 16
 
 
 class TestCheckCommand:
@@ -796,6 +839,46 @@ class TestTrotterBenchCommand:
 
 
 class TestUsageErrors:
+    # argv with file names from the `files` fixture, each writing to --out
+    WRITERS = {
+        "check": ("check", "bell"),
+        "pes": ("pes", "bell", "--epsilon", "0.125", "--delta", "0.1", "--b", "00"),
+        "trotter-bench": ("trotter-bench", "zham", "--m", "4,8"),
+        "reduce": ("reduce", "x"),
+    }
+
+    @pytest.mark.parametrize("argv", WRITERS.values(), ids=WRITERS.keys())
+    def test_out_in_a_missing_directory(self, argv, files, capsys):
+        target = files["dir"] / "missing" / "report.json"
+        code, out, err = run_cli([files.get(arg, arg) for arg in argv] + ["--out", str(target)],
+                                 capsys)
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "UsageError"
+        assert payload["message"].startswith(f"cannot write {target}: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [WRITERS["check"], WRITERS["trotter-bench"]],
+                             ids=["check", "trotter-bench"])
+    @pytest.mark.parametrize("to_stdout", [True, False], ids=["stdout", "out"])
+    def test_full_device(self, argv, to_stdout, files):
+        argv = [files.get(arg, arg) for arg in argv]
+        # a buffered stdout holds the report until the flush, so the
+        # interpreter must not flush it again at exit
+        env = cli_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "eigensample", *argv,
+                 *([] if to_stdout else ["--out", "/dev/full"])],
+                env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 1
+        payload = json.loads(proc.stderr)  # one JSON line, no traceback
+        assert payload["error"] == "UsageError"
+        target = "stdout" if to_stdout else "/dev/full"
+        assert payload["message"].startswith(f"cannot write {target}: ")
+
     def test_unknown_flag(self, files, capsys):
         code, out, err = run_cli(["check", files["x"], "--bogus"], capsys)
         assert code == 1
@@ -805,6 +888,55 @@ class TestUsageErrors:
         code, out, err = run_cli(["frobnicate"], capsys)
         assert code == 1
         assert json.loads(err)["error"] == "UsageError"
+
+
+# Prints the interpreter's permanent-generation count from an atexit hook.
+_FREEZE_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}\\n'))\n"
+)
+
+
+class TestEntryPoint:
+    """`run` is `main` plus a frozen heap at exit."""
+
+    # argv with file names from the `files` fixture, and main's exit code
+    CASES = {
+        "ok": (("check", "bell"), 0),
+        "parse": (("check", "missing"), 1),
+        "size": (("spectrum", "bell", "--b", "0"), 2),
+    }
+
+    @pytest.mark.parametrize("argv, expected", CASES.values(), ids=CASES.keys())
+    def test_module_run_freezes_and_keeps_exit_codes(self, argv, expected, files, tmp_path,
+                                                     capsys):
+        argv = [files.get(arg, str(tmp_path / arg) if arg == "missing" else arg) for arg in argv]
+        probe = tmp_path / "probe"
+        probe.mkdir()
+        (probe / "sitecustomize.py").write_text(_FREEZE_PROBE)
+        proc = subprocess.run([sys.executable, "-m", "eigensample", *argv],
+                              env=cli_env(str(probe)), capture_output=True, text=True)
+        code, out, err = run_cli(argv, capsys)
+        assert proc.returncode == code == expected
+        assert proc.stdout == out
+        *failure, probe_line = proc.stderr.splitlines()
+        assert failure == err.splitlines()
+        assert int(probe_line.removeprefix("frozen ")) > 0
+
+    @pytest.mark.parametrize("code", [0, 1, 2, 3])
+    def test_run_exits_with_mains_code_and_freezes_after_it(self, code, monkeypatch):
+        calls = []
+
+        def fake_main(argv=None):
+            calls.append(("main", argv))
+            return code
+
+        monkeypatch.setattr(cli_module, "main", fake_main)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append(("freeze",)))
+        with pytest.raises(SystemExit) as exit_info:
+            cli_module.run(["check", "x.txt"])
+        assert exit_info.value.code == code
+        assert calls == [("main", ["check", "x.txt"]), ("freeze",)]
 
 
 # One CLI run in a fresh interpreter that prints its own high-water RSS.
@@ -818,9 +950,7 @@ _PEAK_RUN = (
 
 def child_peak_mib(argv):
     """Peak RSS of `eigensample <argv>` in its own process, one BLAS thread."""
-    env = dict(os.environ, EIGENSAMPLE_THREADS="1",
-               PYTHONPATH=str(Path(eigensample.__file__).parents[1]))
-    status = subprocess.run([sys.executable, "-c", _PEAK_RUN, *argv], env=env,
+    status = subprocess.run([sys.executable, "-c", _PEAK_RUN, *argv], env=cli_env(),
                             capture_output=True, text=True, check=True).stdout
     return int(re.search(r"VmHWM:\s+(\d+) kB", status).group(1)) / 1024
 
