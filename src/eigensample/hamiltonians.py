@@ -30,6 +30,7 @@ from .circuits import (
     circuit_unitary,
     gate_unitary,
 )
+from .distributions import spectral_weights
 from .errors import (
     DimensionMismatch,
     EmptyHamiltonian,
@@ -44,7 +45,6 @@ from .phase_estimation import (
     SamplingRequest,
     ancilla_bits,
     check_kernel_work,
-    prepare_phase_estimation,
 )
 
 if TYPE_CHECKING:
@@ -208,16 +208,12 @@ def trotter_circuit(scale: ScaleInfo, steps: int) -> Circuit:
     return Circuit(scale.scaled.qubit_count, gates)
 
 
-def exact_evolution_unitary(scale: ScaleInfo) -> np.ndarray:
-    """Dense e^{2 pi i H'} for deviation measurements."""
-    return exp_i_hermitian(dense_hamiltonian(scale.scaled), 2.0 * np.pi)
-
-
 def trotter_deviation(scale: ScaleInfo, steps: int) -> float:
-    """Operator-norm gap between the composed slices and the exact evolution."""
+    """Operator-norm gap between the composed slices and e^{2 pi i H'}."""
     slice_u = circuit_unitary(trotter_circuit(scale, steps))
     composed = np.linalg.matrix_power(slice_u, steps)
-    return operator_norm(composed - exact_evolution_unitary(scale))
+    exact = exp_i_hermitian(dense_hamiltonian(scale.scaled), 2.0 * np.pi)
+    return operator_norm(composed - exact)
 
 
 def trotter_step_count(t: int, scaled_norm_sum: float, delta: float) -> int:
@@ -245,29 +241,38 @@ class PreparedEigenvalueSampler:
         return float(self.eigenvalues(rng.random()))
 
 
-def prepare_lhes(h: LocalHamiltonian, req: SamplingRequest) -> PreparedEigenvalueSampler:
-    """Scale, Trotterize, and build the phase-estimation law of the
-    Trotterized evolution: one slice, raised to the step count.
+def lhes_sampler(lambda_cap: float, norm_sum: float, req: SamplingRequest, slice_law):
+    """The LHES estimator rule: t-bit phase estimation of `steps` Trotter
+    slices of e^{2 pi i H'}, H' = H / lambda_cap, whose term norms sum to
+    norm_sum.  t = ancilla_bits(epsilon / lambda_cap, delta / 2), and the
+    other delta / 2 covers the Trotter deviation (trotter_step_count).
+    slice_law(t, steps) gives the eigenphases and weights of one slice seen
+    from b; each phase times `steps` mod 1 is a phase of the evolution."""
+    t = ancilla_bits(req.epsilon / lambda_cap, req.delta / 2.0)
+    steps = trotter_step_count(t, norm_sum, req.delta)
+    phases, weights = slice_law(t, steps)
+    prepared = PreparedPhaseEstimation(t, phases * steps % 1.0, weights)
+    return PreparedEigenvalueSampler(lambda_cap, t, steps, prepared)
 
-    The phase estimator gets precision epsilon / lambda_cap and failure
-    budget delta / 2; the other delta / 2 covers the Trotter deviation.
-    A law whose kernel work exceeds phase_estimation.MAX_KERNEL_WORK raises
-    TooLarge before the slice is built.
-    """
+
+def prepare_lhes(h: LocalHamiltonian, req: SamplingRequest) -> PreparedEigenvalueSampler:
+    """lhes_sampler on the scaled Hamiltonian's dense Trotter slice.  A law
+    whose kernel work exceeds phase_estimation.MAX_KERNEL_WORK raises
+    TooLarge before the slice is built."""
     if len(req.b.bits) != h.qubit_count:
         raise DimensionMismatch(
             f"b has {len(req.b.bits)} bits, Hamiltonian acts on {h.qubit_count}"
         )
     scale = scale_hamiltonian(h)
-    t = ancilla_bits(req.epsilon / scale.lambda_cap, req.delta / 2.0)
-    check_kernel_work(h.qubit_count, t)
-    check_dense_width(h.qubit_count)
     s_norm = sum(operator_norm(term.matrix) for term in scale.scaled.terms)
-    steps = trotter_step_count(t, s_norm, req.delta)
-    prep = prepare_phase_estimation(
-        trotter_circuit(scale, steps), StateVector.from_label(req.b), t, power=steps
-    )
-    return PreparedEigenvalueSampler(scale.lambda_cap, t, steps, prep)
+
+    def slice_law(t, steps):
+        check_kernel_work(h.qubit_count, t)
+        check_dense_width(h.qubit_count)
+        b = StateVector.from_label(req.b).amplitudes
+        return spectral_weights(trotter_circuit(scale, steps), b, "unitary")
+
+    return lhes_sampler(scale.lambda_cap, s_norm, req, slice_law)
 
 
 def exact_average_eigenvalue(h: LocalHamiltonian, b) -> float:

@@ -12,8 +12,8 @@ F_t(y) = sin^2(pi y) / (2^2t sin^2(pi y / 2^t)).  Feeding a basis state |b>
 instead of an eigenvector therefore samples the spectral law of U seen from
 |b>, blurred by the kernel.
 
-prepare_phase_estimation, the only place such a law is made, blurs the output
-of distributions.spectral_weights through fejer_law; ancilla_bits is the
+PreparedPhaseEstimation, the only place such a law is made, blurs a
+spectral mixture (phases, weights) through fejer_law; ancilla_bits is the
 one rule for t.  fejer_law reads every kernel denominator off one table of
 sin and cos at pi o / 2^t, so its loop over eigenphases and outcomes calls
 no transcendental function per element.  The loop's work, (operator
@@ -25,7 +25,7 @@ through distributions.inverse_cdf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -78,19 +78,16 @@ def ancilla_bits(epsilon: float, delta: float) -> int:
     return t
 
 
-@dataclass
 class PreparedPhaseEstimation:
-    """Output law of one phase-estimation run over the 2^t ancilla outcomes.
+    """Output law of t-bit phase estimation: fejer_law of (phases, weights).
 
     All randomness is in the final ancilla measurement, so draws from the
     same preparation are i.i.d. samples of the estimator's output law.
     """
 
-    t: int
-    raw_probabilities: np.ndarray
-    _cumulative: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, t: int, phases, weights):
+        self.t = t
+        self.raw_probabilities = fejer_law(phases, weights, t)
         self._cumulative = np.cumsum(self.raw_probabilities)
 
     def raw_outcomes(self, uniforms):
@@ -163,20 +160,17 @@ def fejer_law(phases: np.ndarray, weights: np.ndarray, t: int) -> np.ndarray:
     return law
 
 
-def prepare_phase_estimation(
-    unitary, system_state: StateVector, t: int, power: int = 1
-) -> PreparedPhaseEstimation:
-    """Output law of t-bit phase estimation of unitary**power seen from
+def prepare_phase_estimation(unitary, system_state: StateVector, t: int) -> PreparedPhaseEstimation:
+    """Output law of t-bit phase estimation of `unitary` seen from
     system_state (module docs).  `unitary` is a matrix or a Circuit
-    (distributions.spectral_weights).  The power is taken in phase space:
-    each eigenphase times `power` mod 1, rounded in double precision.  A
-    clock register on the state is a spectator: U acts as U (x) I on it."""
+    (distributions.spectral_weights).  A clock register on the state is a
+    spectator: U acts as U (x) I on it."""
     n = system_state.qubit_count
     if operator_shape(unitary) != (2**n, 2**n):
         raise DimensionMismatch("unitary does not match system register")
     check_kernel_work(n, t)
     phases, weights = spectral_weights(unitary, system_state.amplitudes, "unitary")
-    return PreparedPhaseEstimation(t, fejer_law(phases * power % 1.0, weights, t))
+    return PreparedPhaseEstimation(t, phases, weights)
 
 
 def prepare_pes(circuit: Circuit, req: SamplingRequest) -> PreparedPhaseEstimation:

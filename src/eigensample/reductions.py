@@ -47,10 +47,9 @@ from .hamiltonians import (
     LAMBDA_MARGIN,
     LocalHamiltonian,
     LocalTerm,
-    PreparedEigenvalueSampler,
-    trotter_step_count,
+    lhes_sampler,
 )
-from .phase_estimation import PreparedPhaseEstimation, SamplingRequest, ancilla_bits, fejer_law
+from .phase_estimation import PreparedPhaseEstimation, SamplingRequest, ancilla_bits
 
 if TYPE_CHECKING:
     from .seeding import UniformStream
@@ -380,19 +379,20 @@ def quantum_lhes_oracle(circuit: Circuit, req: SamplingRequest):
     (plus margin), and a Trotter factor rotates two ring sites."""
     clock_dim = len(circuit.gates)
     cap = 4.0 * clock_dim * (1.0 + LAMBDA_MARGIN)
-    # at the decider's epsilon, t <= MAX_ESTIMATOR_BITS means N <= 89, so the
-    # kernel work of 2N phases stays under MAX_KERNEL_WORK
-    t = ancilla_bits(req.epsilon / cap, req.delta / 2.0)
-    steps = trotter_step_count(t, clock_dim / cap, req.delta)
     start = np.eye(clock_dim)[0]
-    phases, weights = [], []
-    for theta, weight in marked_law(circuit, req.b).points:
-        ring = _ring_slice(clock_dim, 2.0 * np.pi / steps / cap, theta)
-        ring_phases, ring_weights = spectral_weights(ring, start, "unitary")
-        phases.append(ring_phases * steps % 1.0)
-        weights.append(weight * ring_weights)
-    law = fejer_law(np.concatenate(phases), np.concatenate(weights), t)
-    return PreparedEigenvalueSampler(cap, t, steps, PreparedPhaseEstimation(t, law)).sample
+
+    def slice_law(t, steps):
+        # at the decider's epsilon, t <= MAX_ESTIMATOR_BITS means N <= 89, so
+        # the kernel work of 2N phases stays under MAX_KERNEL_WORK
+        phases, weights = [], []
+        for theta, weight in marked_law(circuit, req.b).points:
+            ring = _ring_slice(clock_dim, 2.0 * np.pi / steps / cap, theta)
+            ring_phases, ring_weights = spectral_weights(ring, start, "unitary")
+            phases.append(ring_phases)
+            weights.append(weight * ring_weights)
+        return np.concatenate(phases), np.concatenate(weights)
+
+    return lhes_sampler(cap, clock_dim / cap, req, slice_law).sample
 
 
 def exact_pes_oracle(circuit: Circuit, req: SamplingRequest):
@@ -403,7 +403,7 @@ def exact_pes_oracle(circuit: Circuit, req: SamplingRequest):
 def quantum_pes_oracle(circuit: Circuit, req: SamplingRequest):
     """Fejer law of marked_law: all mass on outcomes 0 and 2^(t-1)."""
     law, t = marked_law(circuit, req.b), ancilla_bits(req.epsilon, req.delta)
-    return PreparedPhaseEstimation(t, fejer_law(law.values(), law.weights(), t)).sample
+    return PreparedPhaseEstimation(t, law.values(), law.weights()).sample
 
 
 def exact_luae_oracle(circuit: Circuit, req: SamplingRequest):

@@ -253,7 +253,8 @@ class TestSampler:
         single = [sample_values(d, 1, rng)[0] for _ in range(5)]
         rng = np.random.default_rng(26)
         per_draw = [per_draw_sample(d, rng) for _ in range(5)]
-        prepared = PreparedPhaseEstimation(2, np.array(weights))
+        # grid phases k/4 put each weight on its own outcome, bit for bit
+        prepared = PreparedPhaseEstimation(2, np.arange(4) / 4.0, weights)
         raws = prepared.sample_raw_batch(5, np.random.default_rng(26))
         assert np.array_equal(batch, single)
         assert np.array_equal(batch, per_draw)

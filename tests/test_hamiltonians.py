@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import eigensample.distributions as distributions
+from eigensample.hamiltonians import lhes_sampler
 from eigensample import (
     BasisLabel,
     DimensionMismatch,
@@ -23,7 +24,6 @@ from eigensample import (
     is_hermitian,
     parse_hamiltonian,
     prepare_lhes,
-    prepare_phase_estimation,
     scale_hamiltonian,
     serialize_hamiltonian,
     trotter_circuit,
@@ -306,16 +306,24 @@ class TestAverage:
 
 
 class TestUnitaryPower:
-    """prepare_phase_estimation raises the step unitary to `power` by
-    multiplying its eigenphases, never by forming the matrix power."""
+    """lhes_sampler raises the slice to the step count by multiplying its
+    eigenphases, never by forming the matrix power."""
 
-    def law(self, u, power=1):
+    def law(self, u, steps=1):
+        # t = 8 at epsilon 1/64, delta 1/2, and a norm sum at which
+        # trotter_step_count gives `steps` (0 for a zero norm sum)
+        t, delta = 8, 0.5
+        norm_sum = np.sqrt(max(steps - 0.5, 0.0) * delta / 2 ** (t + 1)) / (2 * np.pi)
         b = random_state(2, np.random.default_rng(60))
-        return prepare_phase_estimation(u, b, 8, power=power).raw_probabilities
+        law = distributions.spectral_weights(u, b.amplitudes, "unitary")
+        req = SamplingRequest(1.0 / 64.0, delta, BasisLabel("00"))
+        sampler = lhes_sampler(1.0, norm_sum, req, lambda t, steps: law)
+        assert (sampler.t, sampler.trotter_steps) == (t, steps)
+        return sampler.prepared.raw_probabilities
 
     def test_zero_exponent_is_identity(self):
         u = haar_unitary(4, np.random.default_rng(57))
-        law = self.law(u, power=0)
+        law = self.law(u, steps=0)
         assert np.allclose(law, self.law(np.eye(4)), atol=DENSE_TOL)
         assert abs(law[0] - 1.0) < DENSE_TOL
 
@@ -323,14 +331,14 @@ class TestUnitaryPower:
         u = haar_unitary(4, np.random.default_rng(58))
         for e in (1, 2, 3, 7, 12):
             direct = self.law(np.linalg.matrix_power(u, e))
-            assert np.max(np.abs(self.law(u, power=e) - direct)) < POWER_TOL
+            assert np.max(np.abs(self.law(u, steps=e) - direct)) < POWER_TOL
 
     def test_huge_exponent_stays_unitary_and_matches_spectrum(self):
         # the powered law is still a probability law, and matches the law of
         # the power assembled from the spectrum
         u = haar_unitary(4, np.random.default_rng(59))
         e = 12634
-        law = self.law(u, power=e)
+        law = self.law(u, steps=e)
         assert abs(law.sum() - 1.0) < DENSE_TOL
         dec = unitary_eig(u)
         v = dec.eigenvectors

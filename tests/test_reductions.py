@@ -44,7 +44,7 @@ from eigensample import (
     reduction_report,
     unary_embedding_isometry,
 )
-from eigensample import distributions, phase_estimation
+from eigensample import distributions, hamiltonians, phase_estimation
 from eigensample.phase_estimation import ancilla_bits
 from eigensample.reductions import LHES_DELTA, lhes_epsilon
 from _gate_level import ancilla_law
@@ -509,13 +509,13 @@ class TestDeciders:
     def test_quantum_oracle_prepares_once(self, monkeypatch):
         # the oracle holds its law; draws never build it again
         calls = []
-        original = red_module.fejer_law
+        original = phase_estimation.fejer_law
 
         def spy(phases, weights, t):
             calls.append(t)
             return original(phases, weights, t)
 
-        monkeypatch.setattr(red_module, "fejer_law", spy)
+        monkeypatch.setattr(phase_estimation, "fejer_law", spy)
         marked = mark_circuit(rotation_base(0.3), "lhes-copy")
         req = lhes_request(marked, "0")
         draw = quantum_lhes_oracle(marked.full, req)
@@ -720,7 +720,7 @@ class TestClockRings:
             req = lhes_request(marked, bits)
             ring_laws, dense_laws = [], []
             spying(red_module, ring_laws)
-            spying(phase_estimation, dense_laws)
+            spying(hamiltonians, dense_laws)
             ring = quantum_lhes_oracle(marked.full, req).__self__
             dense = dense_unary_sampler(marked, req)
             assert (ring.t, ring.trotter_steps) == (dense.t, dense.trotter_steps)
