@@ -4,7 +4,9 @@ Sampling draws from the phase-estimation law of the unitary e^{2 pi i H'},
 where H' is the Hamiltonian rescaled by a cap Lambda chosen so the spectrum
 sits inside (-1/4, 1/4).  That unitary is approximated by `steps` first-order
 Trotter slices; the law is built from the eigenphases of one slice, each
-multiplied by `steps` mod 1 in double precision, so the power is rounded.
+multiplied by `steps` mod 1 exactly and then rounded once (power_phases).
+lhes_sampler is that one rule, for prepare_lhes and for the quantum LHES
+oracle of reductions.
 Measured phases unwrap to signed eigenvalues: phi below 1/2 is positive,
 phi above wraps to phi - 1.
 
@@ -241,6 +243,13 @@ class PreparedEigenvalueSampler:
         return float(self.eigenvalues(rng.random()))
 
 
+def power_phases(phases, steps: int) -> np.ndarray:
+    """Each phase times `steps` mod 1, rounded once: a double is a ratio of
+    integers (float.as_integer_ratio), so the product is reduced exactly."""
+    ratios = map(float.as_integer_ratio, np.asarray(phases, dtype=float).tolist())
+    return np.array([num * steps % den / den for num, den in ratios])
+
+
 def lhes_sampler(lambda_cap: float, norm_sum: float, req: SamplingRequest, slice_law):
     """The LHES estimator rule: t-bit phase estimation of `steps` Trotter
     slices of e^{2 pi i H'}, H' = H / lambda_cap, whose term norms sum to
@@ -251,7 +260,7 @@ def lhes_sampler(lambda_cap: float, norm_sum: float, req: SamplingRequest, slice
     t = ancilla_bits(req.epsilon / lambda_cap, req.delta / 2.0)
     steps = trotter_step_count(t, norm_sum, req.delta)
     phases, weights = slice_law(t, steps)
-    prepared = PreparedPhaseEstimation(t, phases * steps % 1.0, weights)
+    prepared = PreparedPhaseEstimation(t, power_phases(phases, steps), weights)
     return PreparedEigenvalueSampler(lambda_cap, t, steps, prepared)
 
 

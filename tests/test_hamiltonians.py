@@ -1,9 +1,11 @@
 """Local Hamiltonians: parsing, scaling, Trotterization, eigenvalue sampling."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import eigensample.distributions as distributions
-from eigensample.hamiltonians import lhes_sampler
+from eigensample.hamiltonians import lhes_sampler, power_phases
 from eigensample import (
     BasisLabel,
     DimensionMismatch,
@@ -344,6 +346,26 @@ class TestUnitaryPower:
         v = dec.eigenvectors
         spectral = v @ np.diag(dec.eigenvalues**e) @ v.conj().T
         assert np.max(np.abs(law - self.law(spectral))) < 1e-9
+
+
+class TestPowerPhases:
+    """power_phases against exact rational arithmetic: a double phase times
+    the step count mod 1, by fractions.Fraction."""
+
+    def test_matches_fractions(self):
+        phases = np.random.default_rng(61).random(1000)
+        phases[:3] = [0.0, np.nextafter(1.0, 0.0), 2.0**-60]
+        # lhes-clock's step count, 2^26 - 3, and one of 50 bits
+        for steps in (32_340_720, 2**26 - 3, 2**49 + 12345):
+            powered = power_phases(phases, steps)
+            exact = np.array([float(Fraction(p) * steps % 1) for p in phases.tolist()])
+            gap = np.abs(powered - exact)
+            assert np.max(np.minimum(gap, 1.0 - gap)) <= 2.2e-16
+
+    def test_zero_and_one_steps(self):
+        phases = np.random.default_rng(62).random(50)
+        assert np.array_equal(power_phases(phases, 1), phases)
+        assert np.array_equal(power_phases(phases, 0), np.zeros(50))
 
 
 def _embed(mp, matrix, support, qubits):
