@@ -91,23 +91,6 @@ _DEFERRED = {
 globals().update(
     (name, _deferred(module, name)) for module, names in _DEFERRED.items() for name in names
 )
-# Their constants, read as attributes of this module on first use (PEP 562).
-_DEFERRED_CONSTANTS = {
-    "LHES_DELTA": "reductions",
-    "LUAE_DELTA": "reductions",
-    "LUAE_EPSILON": "reductions",
-    "PES_DELTA": "reductions",
-    "PES_EPSILON": "reductions",
-    "MAX_SAMPLES": "seeding",
-}
-
-
-def __getattr__(name):
-    module = _DEFERRED_CONSTANTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(_submodule(module), name)
-
 
 EXIT_PARSE = 1
 EXIT_SIZE = 2
@@ -123,6 +106,12 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def _print_message(self, message, file=None):
+        """--help and --version text, through _emit: argparse itself would
+        swallow a failed write and exit 0."""
+        if message:
+            _emit([message], None)
 
 
 # ---------------------------------------------------------------------------

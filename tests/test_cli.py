@@ -879,6 +879,32 @@ class TestUsageErrors:
         target = "stdout" if to_stdout else "/dev/full"
         assert payload["message"].startswith(f"cannot write {target}: ")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["pes", "--help"]],
+                             ids=["version", "help", "pes-help"])
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_help_and_version_on_a_full_device(self, argv, buffered):
+        env = cli_env()
+        if buffered:
+            env.pop("PYTHONUNBUFFERED", None)
+        else:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "eigensample", *argv],
+                                  env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 1
+        payload = json.loads(proc.stderr)
+        assert payload["error"] == "UsageError"
+        assert payload["message"].startswith("cannot write stdout: ")
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["pes", "--help"]],
+                             ids=["version", "help", "pes-help"])
+    def test_help_and_version_exit_zero(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "eigensample", *argv], env=cli_env(),
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("eigensample 0." if argv == ["--version"] else "usage: ")
+
     def test_unknown_flag(self, files, capsys):
         code, out, err = run_cli(["check", files["x"], "--bogus"], capsys)
         assert code == 1
