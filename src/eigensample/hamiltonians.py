@@ -250,7 +250,9 @@ def power_phases(phases, steps: int) -> np.ndarray:
     return np.array([num * steps % den / den for num, den in ratios])
 
 
-def lhes_sampler(lambda_cap: float, norm_sum: float, req: SamplingRequest, slice_law):
+def lhes_sampler(
+    lambda_cap: float, norm_sum: float, req: SamplingRequest, slice_law
+) -> PreparedEigenvalueSampler:
     """The LHES estimator rule: t-bit phase estimation of `steps` Trotter
     slices of e^{2 pi i H'}, H' = H / lambda_cap, whose term norms sum to
     norm_sum.  t = ancilla_bits(epsilon / lambda_cap, delta / 2), and the
