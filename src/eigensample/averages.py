@@ -51,7 +51,13 @@ def samples_per_component(epsilon: float, delta: float) -> int:
         raise ValueError("epsilon must lie in (0, 2]")
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
-    m = math.ceil((8.0 / epsilon**2) * math.log(4.0 / delta))
+    # here 8 / epsilon^2 alone exceeds the cap, and may overflow
+    if epsilon**2 * MAX_SAMPLES < 8.0:
+        raise TooLarge(f"more Hoeffding sample pairs than the cap of {MAX_SAMPLES}")
+    # 4 / delta overflows for a subnormal delta; its logarithm does not
+    quotient = 4.0 / delta
+    log_term = math.log(quotient) if quotient < math.inf else math.log(4.0) - math.log(delta)
+    m = math.ceil((8.0 / epsilon**2) * log_term)
     if m > MAX_SAMPLES:
         raise TooLarge(f"{m} Hoeffding sample pairs exceed the cap of {MAX_SAMPLES}")
     return m

@@ -13,7 +13,11 @@ Text format (UTF-8, line based, '#' starts a comment):
 
 Named gates: h x y z s sdg t tdg cnot cz swap.  For two-qubit gates the
 first listed qubit is the more significant index of the 4-dim gate basis
-(control first for cnot/cz).
+(control first for cnot/cz).  One reader serves this format and the
+Hamiltonian format of hamiltonians: read_register owns the line loop, the
+comment rule and the qubits header and hands each later line to the
+format's directive; read_operator decodes k qubits then 2 * 4^k reals, and
+operator_line writes such a line back.
 
 Simulation is one pass, _circuit_pass, behind circuit_unitary,
 gate_unitary, circuit_diagonal, apply_columns, apply_circuit and
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotUnitary, ParseError, TooLarge
+from .errors import DimensionMismatch, EigensampleError, ParseError, TooLarge
 from .linalg import is_unitary
 
 NORM_TOL = 1e-10
@@ -379,81 +383,104 @@ def circuit_diagonal(circuit: Circuit, indices) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # text format
 
-def parse_circuit(text: str) -> Circuit:
-    qubit_count = None
-    gates: list[Gate] = []
+def text_lines(text: str):
+    """(line number, tokens) of each line of the text format that holds
+    more than a comment: '#' starts a comment, which runs to the line's end."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        head = tokens[0]
-        if head == "qubits":
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
+def read_register(text: str, directive) -> int:
+    """Read a circuit or Hamiltonian file; return its qubit count n.
+
+    The first line is `qubits <n>` with n >= 1.  Every later line goes to
+    directive(tokens, n), and a ValueError or package error that it raises
+    becomes a ParseError naming the line."""
+    qubit_count = None
+    for lineno, tokens in text_lines(text):
+        if tokens[0] == "qubits":
             if qubit_count is not None:
                 raise ParseError("duplicate qubits directive", lineno)
-            qubit_count = _parse_int(tokens, 1, lineno, "qubit count")
+            qubit_count = _read_int(tokens, 1, "qubit count", lineno)
             if len(tokens) != 2 or qubit_count < 1:
                 raise ParseError("expected: qubits <n> with n >= 1", lineno)
-            continue
-        if qubit_count is None:
+        elif qubit_count is None:
             raise ParseError("qubits directive must come first", lineno)
-        if head in GATE_MATRICES:
-            arity = GATE_ARITY[head]
-            if len(tokens) != 1 + arity:
-                raise ParseError(f"gate {head} takes {arity} qubit argument(s)", lineno)
-            support = tuple(
-                _parse_qubit(tokens, i + 1, lineno, qubit_count) for i in range(arity)
-            )
-            try:
-                gates.append(Gate(head, support, GATE_MATRICES[head]))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
-        elif head in ("u1", "u2"):
-            arity = 1 if head == "u1" else 2
-            entries = 2 * (4**arity)
-            if len(tokens) != 1 + arity + entries:
-                raise ParseError(
-                    f"{head} takes {arity} qubit(s) then {entries} reals", lineno
-                )
-            support = tuple(
-                _parse_qubit(tokens, i + 1, lineno, qubit_count) for i in range(arity)
-            )
-            try:
-                reals = [float(tok) for tok in tokens[1 + arity :]]
-            except ValueError as exc:
-                raise ParseError(f"bad matrix entry: {exc}", lineno) from exc
-            flat = np.array(reals[0::2]) + 1j * np.array(reals[1::2])
-            matrix = flat.reshape(2**arity, 2**arity)
-            # the eigensolvers' own test, so what parses also diagonalizes
-            if not is_unitary(matrix):
-                raise ParseError(f"{head} matrix is not unitary", lineno)
-            try:
-                gates.append(Gate(head, support, matrix))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
         else:
-            raise ParseError(f"unknown gate {head!r}", lineno)
+            try:
+                directive(tokens, qubit_count)
+            except (ValueError, EigensampleError) as exc:
+                raise ParseError(str(exc), lineno) from exc
     if qubit_count is None:
         raise ParseError("missing qubits directive")
-    return Circuit(qubit_count, gates)
+    return qubit_count
 
 
-def _parse_int(tokens: list[str], pos: int, lineno: int, what: str) -> int:
+def _read_int(tokens: list[str], pos: int, what: str, lineno: int | None = None) -> int:
     try:
         return int(tokens[pos])
     except (IndexError, ValueError) as exc:
         raise ParseError(f"expected integer {what}", lineno) from exc
 
 
-def _parse_qubit(tokens: list[str], pos: int, lineno: int, qubit_count: int) -> int:
-    q = _parse_int(tokens, pos, lineno, "qubit index")
-    if q < 0 or q >= qubit_count:
-        raise ParseError(f"qubit {q} out of range for {qubit_count} qubits", lineno)
-    return q
+def _read_qubits(tokens: list[str], qubit_count: int) -> tuple[int, ...]:
+    """Each token as a qubit index of a qubit_count-qubit register."""
+    support = []
+    for pos in range(len(tokens)):
+        q = _read_int(tokens, pos, "qubit index")
+        if q < 0 or q >= qubit_count:
+            raise ParseError(f"qubit {q} out of range for {qubit_count} qubits")
+        support.append(q)
+    return tuple(support)
 
 
-def _format_real(x: float) -> str:
-    return format(float(x), ".17g")
+def read_operator(
+    tokens: list[str], k: int, qubit_count: int, what: str
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """(support, matrix) from k qubit indices, then 2 * 4^k reals: the
+    2^k x 2^k matrix's entries in row-major order, each as a re/im pair."""
+    entries = 2 * 4**k
+    if len(tokens) != k + entries:
+        raise ParseError(f"{what} takes {k} qubits then {entries} reals")
+    support = _read_qubits(tokens[:k], qubit_count)
+    try:
+        reals = [float(tok) for tok in tokens[k:]]
+    except ValueError as exc:
+        raise ParseError(f"bad matrix entry: {exc}") from exc
+    flat = np.array(reals[0::2]) + 1j * np.array(reals[1::2])
+    return support, flat.reshape(2**k, 2**k)
+
+
+def operator_line(fields, matrix: np.ndarray) -> str:
+    """One line of the text format: the fields, then the matrix's entries
+    in row-major order as re/im pairs at 17 significant digits."""
+    amps = matrix.reshape(-1).tolist()
+    pairs = (format(x, ".17g") for amp in amps for x in (amp.real, amp.imag))
+    return " ".join([*map(str, fields), *pairs])
+
+
+def parse_circuit(text: str) -> Circuit:
+    gates: list[Gate] = []
+
+    def directive(tokens: list[str], qubit_count: int) -> None:
+        head = tokens[0]
+        if head in GATE_MATRICES:
+            arity = GATE_ARITY[head]
+            if len(tokens) != 1 + arity:
+                raise ParseError(f"gate {head} takes {arity} qubit argument(s)")
+            support, matrix = _read_qubits(tokens[1:], qubit_count), GATE_MATRICES[head]
+        elif head in ("u1", "u2"):
+            support, matrix = read_operator(tokens[1:], int(head[1]), qubit_count, head)
+            # the eigensolvers' own test, so what parses also diagonalizes
+            if not is_unitary(matrix):
+                raise ParseError(f"{head} matrix is not unitary")
+        else:
+            raise ParseError(f"unknown gate {head!r}")
+        gates.append(Gate(head, support, matrix))
+
+    return Circuit(read_register(text, directive), gates)
 
 
 def serialize_circuit(circuit: Circuit) -> str:
@@ -462,11 +489,7 @@ def serialize_circuit(circuit: Circuit) -> str:
         if gate.name in GATE_MATRICES:
             lines.append(" ".join([gate.name, *map(str, gate.support)]))
         elif gate.name in ("u1", "u2"):
-            entries = []
-            for amp in gate.matrix.reshape(-1):
-                entries.append(_format_real(amp.real))
-                entries.append(_format_real(amp.imag))
-            lines.append(" ".join([gate.name, *map(str, gate.support), *entries]))
+            lines.append(operator_line([gate.name, *gate.support], gate.matrix))
         else:
             raise ValueError(f"gate {gate.name} has no text form")
     return "\n".join(lines) + "\n"

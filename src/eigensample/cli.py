@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .circuits import BasisLabel, parse_circuit
+from . import _SUBMODULE_OF, __version__
+from .circuits import BasisLabel, parse_circuit, text_lines
 from .errors import (
     DimensionMismatch,
     EigensampleError,
@@ -45,8 +45,10 @@ def _submodule(name: str):
     return import_module(f".{name}", __package__)
 
 
-def _deferred(module: str, name: str):
-    """Stand-in for `module.name` that imports `module` at its first call."""
+def _deferred(name: str):
+    """Stand-in for the package's public `name` that imports its submodule
+    at its first call."""
+    module = _SUBMODULE_OF[name]
 
     def call(*args, **kwargs):
         return getattr(_submodule(module), name)(*args, **kwargs)
@@ -59,38 +61,16 @@ def _deferred(module: str, name: str):
 # name is bound here as a _deferred stand-in, so a command loads only the
 # modules it runs (`check` on a circuit: circuits, linalg and errors), and
 # any of the names can still be replaced on this module.
-_DEFERRED = {
-    "averages": ("luae_estimate", "luae_unguided"),
-    "distributions": ("empirical_feasibility", "exact_distribution"),
-    "hamiltonians": (
-        "dense_hamiltonian",
-        "parse_hamiltonian",
-        "prepare_lhes",
-        "scale_hamiltonian",
-        "serialize_hamiltonian",
-        "trotter_deviation",
-    ),
-    "phase_estimation": ("SamplingRequest", "prepare_pes"),
-    "reductions": (
-        "build_unary_clock",
-        "decide_via_lhes",
-        "decide_via_luae",
-        "decide_via_pes",
-        "exact_lhes_oracle",
-        "exact_luae_oracle",
-        "exact_pes_oracle",
-        "lhes_epsilon",
-        "mark_circuit",
-        "quantum_lhes_oracle",
-        "quantum_luae_oracle",
-        "quantum_pes_oracle",
-        "reduction_report",
-    ),
-    "seeding": ("master_rng", "substream", "substream_uniforms"),
-}
-globals().update(
-    (name, _deferred(module, name)) for module, names in _DEFERRED.items() for name in names
+_DEFERRED = (
+    "SamplingRequest", "build_unary_clock", "decide_via_lhes", "decide_via_luae",
+    "decide_via_pes", "dense_hamiltonian", "empirical_feasibility",
+    "exact_distribution", "exact_lhes_oracle", "exact_luae_oracle", "exact_pes_oracle",
+    "lhes_epsilon", "luae_estimate", "luae_unguided", "mark_circuit", "master_rng",
+    "parse_hamiltonian", "prepare_lhes", "prepare_pes", "quantum_lhes_oracle",
+    "quantum_luae_oracle", "quantum_pes_oracle", "reduction_report", "scale_hamiltonian",
+    "serialize_hamiltonian", "substream", "substream_uniforms", "trotter_deviation",
 )
+globals().update((name, _deferred(name)) for name in _DEFERRED)
 
 EXIT_PARSE = 1
 EXIT_SIZE = 2
@@ -221,11 +201,8 @@ def _read_file(path: str) -> str:
 
 
 def _detect_kind(text: str) -> str:
-    for raw in text.splitlines():
-        tokens = raw.split("#", 1)[0].split()
-        if tokens and tokens[0] == "term":
-            return "hamiltonian"
-    return "circuit"
+    heads = (tokens[0] for _, tokens in text_lines(text))
+    return "hamiltonian" if "term" in heads else "circuit"
 
 
 def _load_input(path: str, kind: str):

@@ -10,7 +10,8 @@ oracle of reductions.
 Measured phases unwrap to signed eigenvalues: phi below 1/2 is positive,
 phi above wraps to phi - 1.
 
-Text format (UTF-8, line based, '#' starts a comment):
+Text format (UTF-8, line based, '#' starts a comment; read through
+circuits.read_register and circuits.read_operator):
 
     qubits <n>
     term <k> <q1> ... <qk> <2*4^k reals>   row-major re/im pairs, Hermitian
@@ -31,6 +32,9 @@ from .circuits import (
     check_dense_width,
     circuit_unitary,
     gate_unitary,
+    operator_line,
+    read_operator,
+    read_register,
 )
 from .distributions import spectral_weights
 from .errors import (
@@ -128,61 +132,27 @@ def dense_hamiltonian(h: LocalHamiltonian) -> np.ndarray:
 
 
 def parse_hamiltonian(text: str) -> LocalHamiltonian:
-    qubit_count = None
     terms: list[LocalTerm] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "qubits":
-            if qubit_count is not None:
-                raise ParseError("duplicate qubits directive", lineno)
-            try:
-                qubit_count = int(tokens[1])
-            except (IndexError, ValueError) as exc:
-                raise ParseError("expected: qubits <n>", lineno) from exc
-            if len(tokens) != 2 or qubit_count < 1:
-                raise ParseError("expected: qubits <n> with n >= 1", lineno)
-            continue
+
+    def directive(tokens: list[str], qubit_count: int) -> None:
         if tokens[0] != "term":
-            raise ParseError(f"unknown directive {tokens[0]!r}", lineno)
-        if qubit_count is None:
-            raise ParseError("qubits directive must come first", lineno)
+            raise ParseError(f"unknown directive {tokens[0]!r}")
         try:
             k = int(tokens[1])
         except (IndexError, ValueError) as exc:
-            raise ParseError("expected: term <k> <qubits...> <entries...>", lineno) from exc
-        entries = 2 * 4**k
-        if len(tokens) != 2 + k + entries:
-            raise ParseError(
-                f"term with k={k} takes {k} qubits then {entries} reals", lineno
-            )
-        try:
-            support = tuple(int(tok) for tok in tokens[2 : 2 + k])
-            reals = [float(tok) for tok in tokens[2 + k :]]
-        except ValueError as exc:
-            raise ParseError(f"bad token: {exc}", lineno) from exc
-        if any(q < 0 or q >= qubit_count for q in support):
-            raise ParseError("term qubit out of range", lineno)
-        flat = np.array(reals[0::2]) + 1j * np.array(reals[1::2])
-        try:
-            terms.append(LocalTerm(support, flat.reshape(2**k, 2**k)))
-        except (ValueError, NotHermitian, TermTooLarge, DimensionMismatch) as exc:
-            raise ParseError(str(exc), lineno) from exc
-    if qubit_count is None:
-        raise ParseError("missing qubits directive")
-    return LocalHamiltonian(qubit_count, terms)
+            raise ParseError("expected: term <k> <qubits...> <entries...>") from exc
+        # before 4^k is sized
+        if not 1 <= k <= MAX_TERM_QUBITS:
+            raise ParseError(f"term acts on {k} qubits, limit is 1 to {MAX_TERM_QUBITS}")
+        terms.append(LocalTerm(*read_operator(tokens[2:], k, qubit_count, f"term with k={k}")))
+
+    return LocalHamiltonian(read_register(text, directive), terms)
 
 
 def serialize_hamiltonian(h: LocalHamiltonian) -> str:
     lines = [f"qubits {h.qubit_count}"]
     for term in h.terms:
-        fields = ["term", str(len(term.support)), *map(str, term.support)]
-        for amp in term.matrix.reshape(-1):
-            fields.append(format(float(amp.real), ".17g"))
-            fields.append(format(float(amp.imag), ".17g"))
-        lines.append(" ".join(fields))
+        lines.append(operator_line(["term", len(term.support), *term.support], term.matrix))
     return "\n".join(lines) + "\n"
 
 
@@ -191,6 +161,8 @@ def scale_hamiltonian(h: LocalHamiltonian) -> ScaleInfo:
     if not h.terms:
         raise EmptyHamiltonian("cannot scale a Hamiltonian with no terms")
     cap = 4.0 * sum(operator_norm(t.matrix) for t in h.terms) * (1.0 + LAMBDA_MARGIN)
+    if cap == 0.0:
+        raise EmptyHamiltonian("cannot scale a Hamiltonian whose every term is zero")
     scaled = LocalHamiltonian(
         h.qubit_count,
         [LocalTerm(t.support, t.matrix / cap) for t in h.terms],

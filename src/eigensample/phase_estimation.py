@@ -71,7 +71,11 @@ class SamplingRequest:
 
 def ancilla_bits(epsilon: float, delta: float) -> int:
     """Ancilla count t for precision epsilon and failure budget delta: the
-    precision bits plus the delta bits, refused above MAX_ESTIMATOR_BITS."""
+    precision bits plus the delta bits, refused above MAX_ESTIMATOR_BITS.
+    An epsilon or 2 delta below 2^-MAX_ESTIMATOR_BITS alone needs more bits
+    than the cap, and is refused before 1 / epsilon or 1 / delta can overflow."""
+    if min(epsilon, 2.0 * delta) < 2.0**-MAX_ESTIMATOR_BITS:
+        raise TooLarge(f"more ancilla bits than the cap of {MAX_ESTIMATOR_BITS}")
     t = ceil_log2(1.0 / epsilon) + ceil_log2(2.0 + 1.0 / (2.0 * delta))
     if t > MAX_ESTIMATOR_BITS:
         raise TooLarge(f"{t} ancilla bits exceed the cap of {MAX_ESTIMATOR_BITS}")

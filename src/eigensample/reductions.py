@@ -35,6 +35,7 @@ from .circuits import (
     Circuit,
     Gate,
     StateVector,
+    apply_gate,
     circuit_diagonal,
     gate_unitary,
     invert_circuit,
@@ -157,16 +158,18 @@ def history_start_label(marked: MarkedCircuit, x: BasisLabel) -> BasisLabel:
 
 
 def analyze_history(marked: MarkedCircuit, x: BasisLabel) -> HistoryAnalysis:
-    propagator = build_clock_propagator(marked)
-    clock_dim = propagator.clock_dim
-    start = StateVector.from_label(history_start_label(marked, x), clock_dim=clock_dim)
-    amps = [start.amplitudes]
-    for _ in range(2 * clock_dim - 1):
-        amps.append(propagator.assembled @ amps[-1])
-    phi_states = [
-        StateVector(propagator.system_qubits, clock_dim, a) for a in amps
-    ]
-    stacked = np.stack(amps)
+    """The walk gate by gate: phi_j = V_j ... V_1 |0x> at clock j mod N,
+    gate indices taken cyclically, with no clock matrix assembled."""
+    gates = marked.full.gates
+    clock_dim = len(gates)
+    psi = StateVector.from_label(history_start_label(marked, x))
+    amps = np.zeros((2 * clock_dim, psi.amplitudes.size, clock_dim), dtype=complex)
+    for j in range(2 * clock_dim):
+        if j:
+            psi = apply_gate(psi, gates[(j - 1) % clock_dim])
+        amps[j, :, j % clock_dim] = psi.amplitudes
+    stacked = amps.reshape(2 * clock_dim, -1)
+    phi_states = [StateVector(psi.qubit_count, clock_dim, a) for a in stacked]
     overlaps = stacked.conj() @ stacked.T
 
     split = output_split(marked.base, x)

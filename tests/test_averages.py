@@ -64,6 +64,32 @@ class TestBudget:
         with pytest.raises(TooLarge, match="exceed the cap"):
             samples_per_component(edge * (1 - 1e-12), delta)
 
+    @pytest.mark.parametrize("epsilon", [1e-200, 1e-160, 1e-3])
+    def test_tiny_epsilon_is_refused_by_size(self, epsilon):
+        # epsilon^2 underflowed to zero (ZeroDivisionError) or 8 / epsilon^2
+        # overflowed (OverflowError)
+        with pytest.raises(TooLarge, match="cap"):
+            samples_per_component(epsilon, 0.1)
+
+    def test_subnormal_delta_keeps_its_budget(self):
+        # 4 / delta overflows; ln 4 - ln delta does not, and the budget
+        # is within the cap
+        for delta in (1e-320, 5e-324):
+            expected = math.ceil(32.0 * (math.log(4.0) - math.log(delta)))
+            assert samples_per_component(0.5, delta) == expected
+
+    def test_early_refusal_keeps_the_formula(self):
+        # below epsilon = sqrt(8 / MAX_SAMPLES) the budget is over the cap
+        # for every delta; above it the formula decides
+        edge = math.sqrt(8.0 / MAX_SAMPLES)
+        for epsilon in (edge * 0.999, edge, edge * 1.001, edge * 1.3):
+            for delta in (0.9, 0.5, 0.1):
+                m = math.ceil((8.0 / epsilon**2) * math.log(4.0 / delta))
+                if m > MAX_SAMPLES:
+                    with pytest.raises(TooLarge):
+                        samples_per_component(epsilon, delta)
+                else:
+                    assert samples_per_component(epsilon, delta) == m
 
 class TestLoader:
     def test_x_on_one_bits(self):

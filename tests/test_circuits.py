@@ -29,6 +29,9 @@ from eigensample.circuits import (
     FUSED_QUBITS,
     MAX_STATEVECTOR_QUBITS,
     _fuse,
+    operator_line,
+    read_operator,
+    read_register,
 )
 from eigensample.linalg import is_unitary
 from _gate_level import apply_gate_controlled
@@ -122,6 +125,49 @@ class TestParse:
         c = random_circuit(3, 12, rng)
         assert parse_circuit(serialize_circuit(c)) == c
 
+
+class TestReader:
+    """circuits.read_register and its operator decoder and writer, which
+    parse_circuit and parse_hamiltonian share."""
+
+    def test_lines_after_the_header_go_to_the_directive(self):
+        seen = []
+        text = "# lead\n\n  qubits 3 # three\nfoo 1  2\n\t# only a comment\nbar#x\n"
+        assert read_register(text, lambda tokens, n: seen.append((tokens, n))) == 3
+        assert seen == [(["foo", "1", "2"], 3), (["bar"], 3)]
+
+    def test_directive_errors_name_their_line(self):
+        def directive(tokens, n):
+            raise ValueError(f"no {tokens[0]}")
+
+        with pytest.raises(ParseError, match="line 3: no foo") as info:
+            read_register("qubits 1\n\nfoo\n", directive)
+        assert info.value.line == 3
+
+    @pytest.mark.parametrize("text, message, line", [
+        ("foo\nqubits 1\n", "must come first", 1),
+        ("qubits x\n", "expected integer qubit count", 1),
+        ("qubits 0\n", "n >= 1", 1),
+        ("qubits 1 2\n", "n >= 1", 1),
+    ])
+    def test_header(self, text, message, line):
+        with pytest.raises(ParseError, match=message) as info:
+            read_register(text, lambda tokens, n: None)
+        assert info.value.line == line
+
+    def test_operator_line_round_trip(self):
+        # 17 significant digits give every nonzero double back exactly
+        matrix = np.array([[1 / 3, -1e-300 + 2j], [np.pi * 1j, -np.e + 5e-324j]])
+        line = operator_line(["u1", 0], matrix)
+        assert line.split()[:4] == ["u1", "0", "0.33333333333333331", "0"]
+        support, again = read_operator(line.split()[1:], 1, 1, "u1")
+        assert support == (0,)
+        assert again.tobytes() == matrix.tobytes()
+        assert operator_line(["x"], np.array([[-0.0]])) == "x -0 0"
+
+    def test_operator_entry_count(self):
+        with pytest.raises(ParseError, match="u2 takes 2 qubits then 32 reals"):
+            read_operator(["0", "1", "1", "0"], 2, 2, "u2")
 
 class TestInvert:
     def test_self_adjoint_names(self):

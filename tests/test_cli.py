@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,18 @@ class TestCheckCommand:
         )
         assert code == 1
         assert json.loads(err)["error"] == "ParseError"
+
+    def test_huge_term_arity_fails_fast_with_its_line(self, files, capsys):
+        # 2 * 4^(10^9) reals: 12 s and 823 MB before a message with no line
+        path = files["dir"] / "arity.txt"
+        path.write_text("qubits 1\nterm 1000000000 0 1 0\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(["check", str(path)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ParseError"
+        assert payload["line"] == 2
 
     def test_missing_file(self, files, capsys):
         code, out, err = run_cli(
@@ -496,6 +509,30 @@ class TestEstimateCommands:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "TooLarge"
+
+    TINY = {
+        "pes-epsilon": ["pes", "bell", "--epsilon", "1e-320", "--delta", "0.1", "--b", "00"],
+        "pes-delta": ["pes", "bell", "--epsilon", "0.1", "--delta", "5e-324", "--b", "00"],
+        "lhes": ["lhes", "zham", "--epsilon", "5e-324", "--delta", "0.1", "--b", "0"],
+        "luae": ["luae", "x", "--epsilon", "1e-200", "--delta", "0.1", "--b", "0"],
+        "luae-u": ["luae-u", "x", "--epsilon", "1e-200", "--delta", "0.1"],
+    }
+
+    @pytest.mark.parametrize("argv", TINY.values(), ids=TINY.keys())
+    def test_tiny_precision_is_a_size_failure(self, argv, files, capsys):
+        # 1 / epsilon, 1 / delta or epsilon^2 over- or underflowed here: exit 1
+        # with a domain message, or a raw traceback
+        code, out, err = run_cli([files.get(arg, arg) for arg in argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "TooLarge"
+
+    @pytest.mark.parametrize("command", ["luae", "luae-u"])
+    def test_subnormal_delta_runs(self, command, files, capsys):
+        argv = [command, files["x"], "--epsilon", "0.5", "--delta", "1e-320"]
+        code, out, err = run_cli(argv + (["--b", "0"] if command == "luae" else []), capsys)
+        assert code == 0
+        assert json.loads(out)["m_samples"] == math.ceil(32.0 * (math.log(4.0) - math.log(1e-320)))
 
     def test_unguided_estimate(self, files, capsys):
         argv = [
@@ -808,6 +845,22 @@ class TestVerifyCommand:
 
 
 class TestTrotterBenchCommand:
+    @pytest.mark.parametrize("argv", [
+        ["lhes", "--epsilon", "0.1", "--delta", "0.1", "--b", "0"], ["trotter-bench"],
+    ])
+    def test_all_zero_hamiltonian_is_named(self, argv, files, capsys):
+        # a zero scale cap turned every term into NaNs, with a RuntimeWarning
+        # and a NotHermitian failure
+        path = files["dir"] / "zero.txt"
+        path.write_text("qubits 1\nterm 1 0 0 0 0 0 0 0 0 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli([argv[0], str(path), *argv[1:]], capsys)
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "EmptyHamiltonian"
+        assert "every term is zero" in payload["message"]
+
     def test_halving_table(self, files, capsys):
         code, out, err = run_cli(
             ["trotter-bench", files["zxham"], "--m", "8,16"], capsys

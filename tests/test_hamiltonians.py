@@ -1,4 +1,5 @@
 """Local Hamiltonians: parsing, scaling, Trotterization, eigenvalue sampling."""
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +111,16 @@ class TestParse:
         with pytest.raises(ParseError, match="must come first"):
             parse_hamiltonian("term 1 0 1 0 0 0 0 0 1 0\n")
 
+    @pytest.mark.parametrize("k", [-1, 0, 5, 10**9])
+    def test_term_arity_checked_before_sizing(self, k):
+        # 2 * 4^k reals: at k = 10^9 the count alone took 12 s and 823 MB,
+        # then failed with no line number
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"term acts on {k} qubits") as info:
+            parse_hamiltonian(f"qubits 1\nterm {k} 0 1 0\n")
+        assert time.perf_counter() - start < 1.0
+        assert info.value.line == 2
+
     def test_parses_what_the_eigensolver_accepts(self):
         # a 5e-9 asymmetry fails the eigensolver's Hermitian check (1e-10),
         # so parsing refuses it, naming the line
@@ -171,6 +182,12 @@ class TestScaling:
     def test_empty_rejected(self):
         with pytest.raises(EmptyHamiltonian):
             scale_hamiltonian(LocalHamiltonian(1, []))
+
+    def test_all_zero_rejected_before_dividing(self):
+        # a zero cap used to turn every term into NaNs, refused as not Hermitian
+        zero = LocalTerm((0,), np.zeros((2, 2)))
+        with pytest.raises(EmptyHamiltonian, match="every term is zero"):
+            scale_hamiltonian(LocalHamiltonian(2, [zero, LocalTerm((1,), np.zeros((2, 2)))]))
 
 
 class TestTrotter:

@@ -100,6 +100,27 @@ class TestRequestAndConfig:
         with pytest.raises(TooLarge):
             ancilla_bits(2.0**-22, 0.1)
 
+    @pytest.mark.parametrize(
+        "epsilon, delta", [(1e-320, 0.1), (0.1, 5e-324), (0.0, 0.1), (2.0**-24.5, 0.5)]
+    )
+    def test_tiny_precision_is_refused_by_size(self, epsilon, delta):
+        # 1 / epsilon or 1 / (2 delta) overflowed to inf (ValueError), or
+        # divided by an underflowed zero (ZeroDivisionError)
+        with pytest.raises(TooLarge, match="ancilla bits"):
+            ancilla_bits(epsilon, delta)
+
+    def test_early_refusal_keeps_the_formula(self):
+        # around 2^-24, where the early refusal begins, ancilla_bits agrees
+        # with the formula: the same t, or TooLarge where t passes the cap
+        for epsilon in np.geomspace(2.0**-25, 2.0**-20, 301).tolist() + [4.0, 2.0**-24]:
+            for delta in np.geomspace(2.0**-27, 0.9, 61).tolist() + [2.0**-25]:
+                t = ceil_log2(1.0 / epsilon) + ceil_log2(2.0 + 1.0 / (2.0 * delta))
+                if t > MAX_ESTIMATOR_BITS:
+                    with pytest.raises(TooLarge):
+                        ancilla_bits(epsilon, delta)
+                else:
+                    assert ancilla_bits(epsilon, delta) == t
+
     def test_phase_estimate_shares_the_cap(self, monkeypatch):
         # pes and lhes both take t from ancilla_bits, and the cap fires
         # before any dense matrix is built

@@ -230,6 +230,22 @@ class TestHistoryWalk:
         for got, want in zip(hist.phi_states, expected):
             assert np.max(np.abs(got.amplitudes - want)) < STATE_TOL
 
+    def test_walk_needs_no_propagator(self, monkeypatch):
+        # phi_j = F^j phi_0, with F's powers taken from the dense propagator
+        # before it is barred
+        marked = mark_circuit(haar_base(22), "lhes-copy")
+        f = build_clock_propagator(marked).assembled
+
+        def never(*args, **kwargs):
+            raise AssertionError("dense clock propagator built")
+
+        monkeypatch.setattr(red_module, "build_clock_propagator", never)
+        hist = analyze_history(marked, BasisLabel("01"))
+        want = hist.phi_states[0].amplitudes
+        for got in hist.phi_states:
+            assert np.max(np.abs(got.amplitudes - want)) < STATE_TOL
+            want = f @ want
+
     def test_overlap_table(self):
         for seed in (20, 21, 22):
             marked = mark_circuit(haar_base(seed), "lhes-copy")
