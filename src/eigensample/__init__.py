@@ -28,7 +28,7 @@ _EXPORTS = {
         "GATE_MATRICES", "BasisLabel", "Circuit", "Gate", "OutputSplit",
         "StateVector", "apply_circuit", "apply_gate", "circuit_diagonal",
         "circuit_unitary", "gate_unitary", "invert_circuit", "named_gate",
-        "output_split", "parse_circuit", "serialize_circuit",
+        "output_split", "parse_circuit",
     ),
     "distributions": (
         "ApproxCheckInstance", "FlowNetwork", "SpectralDistribution",

@@ -8,8 +8,8 @@ lam = <psi|U|psi>; those biases are computed here from lam directly.  Both
 components are plus/minus-one Bernoulli variables, so Hoeffding fixes the
 sample budget.
 
-For a basis state psi = |b>, lam is a diagonal entry of U, read from
-circuits.circuit_diagonal; hadamard_test_probabilities serves a general
+For a basis state psi = |b>, lam is a diagonal entry of U, read by
+circuits.diagonal_entry; hadamard_test_probabilities serves a general
 preparation circuit.  Only the measurement is random: each sample pair
 takes one uniform for the x branch, then one for the y branch, so a run is
 reproducible from the seed alone.
@@ -29,6 +29,7 @@ from .circuits import (
     check_statevector_width,
     circuit_components,
     circuit_diagonal,
+    diagonal_entry,
 )
 from .errors import DimensionMismatch, TooLarge
 from .phase_estimation import SamplingRequest
@@ -89,14 +90,10 @@ def luae_estimate(
     circuit: Circuit, req: SamplingRequest, rng: UniformStream
 ) -> AverageEstimate:
     """Estimate <b|U|b> to epsilon with failure probability delta."""
-    if len(req.b.bits) != circuit.qubit_count:
-        raise DimensionMismatch(
-            f"b has {len(req.b.bits)} bits, circuit acts on {circuit.qubit_count}"
-        )
+    # a b of the wrong length is refused before the budget
+    req.b.check_width(circuit.qubit_count, "circuit")
     m = samples_per_component(req.epsilon, req.delta)
-    # b on its own: a one-column pass matches a Hadamard test on |b> bit for
-    # bit, while a block shared with other indices can differ in the last place
-    lam = circuit_diagonal(circuit, [req.b.basis_index()])[0]
+    lam = diagonal_entry(circuit, req.b)
     return AverageEstimate(
         _plus_minus_mean(lam, rng.random(2 * m).reshape(m, 2)), m, req.epsilon, req.delta
     )

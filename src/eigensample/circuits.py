@@ -2,7 +2,7 @@
 
 Basis convention: qubit 0 is the MOST significant bit of the basis index.
 A state may also carry a clock register of dimension N >= 1 that gates never
-touch; the flat amplitude index is  basis_index * N + clock_index.
+touch; the flat amplitude index is  basis_index * N + clock level.
 
 Text format (UTF-8, line based, '#' starts a comment):
 
@@ -133,16 +133,21 @@ class Circuit:
 
 @dataclass(frozen=True)
 class BasisLabel:
-    """A computational basis point: qubit bits (qubit 0 first) plus a clock index."""
+    """A computational basis point: one bit per qubit, qubit 0 first."""
 
     bits: str
-    clock_index: int = 0
 
     def __post_init__(self):
         if any(c not in "01" for c in self.bits):
             raise ValueError(f"bits must be 0/1, got {self.bits!r}")
-        if self.clock_index < 0:
-            raise ValueError("clock_index must be nonnegative")
+
+    def check_width(self, qubit_count: int, register: str, name: str = "b") -> None:
+        """Raise DimensionMismatch unless the label has one bit per qubit of
+        the qubit_count-qubit register; name and register word the message."""
+        if len(self.bits) != qubit_count:
+            raise DimensionMismatch(
+                f"{name} has {len(self.bits)} bits, {register} acts on {qubit_count}"
+            )
 
     @property
     def qubit_count(self) -> int:
@@ -176,11 +181,8 @@ class StateVector:
 
     @classmethod
     def from_label(cls, label: BasisLabel, clock_dim: int = 1) -> "StateVector":
-        if label.clock_index >= clock_dim:
-            raise DimensionMismatch("clock index outside clock register")
-        amps = np.zeros((2 ** len(label.bits)) * clock_dim, dtype=complex)
-        amps[label.basis_index() * clock_dim + label.clock_index] = 1.0
-        return cls(len(label.bits), clock_dim, amps)
+        """|label>, with a clock register of clock_dim levels at level 0."""
+        return cls.basis(len(label.bits), label.basis_index(), clock_dim)
 
     @classmethod
     def basis(cls, qubit_count: int, index: int = 0, clock_dim: int = 1) -> "StateVector":
@@ -224,12 +226,13 @@ def check_statevector_width(qubit_count: int) -> None:
         )
 
 
-def check_dense_width(qubit_count: int) -> None:
-    """Raise TooLarge for dense unitaries wider than MAX_DENSE_QUBITS."""
+def check_dense_width(qubit_count: int, register: str) -> None:
+    """Raise TooLarge for dense matrices wider than MAX_DENSE_QUBITS;
+    register ("circuit", "Hamiltonian") words the message."""
     if qubit_count > MAX_DENSE_QUBITS:
         raise TooLarge(
-            f"dense unitary limited to {MAX_DENSE_QUBITS} qubits, "
-            f"circuit has {qubit_count}"
+            f"dense matrices limited to {MAX_DENSE_QUBITS} qubits, "
+            f"{register} has {qubit_count}"
         )
 
 
@@ -355,7 +358,7 @@ def gate_unitary(gate: Gate, qubit_count: int) -> np.ndarray:
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit (desk scale only)."""
-    check_dense_width(circuit.qubit_count)
+    check_dense_width(circuit.qubit_count, "circuit")
     dim = 2**circuit.qubit_count
     out = np.empty((dim, dim), dtype=complex)
     load = lambda cols: _basis_columns(dim, np.arange(cols.start, cols.stop))
@@ -378,6 +381,15 @@ def circuit_diagonal(circuit: Circuit, indices) -> np.ndarray:
     for cols, block in _circuit_pass(circuit, indices.size, load):
         out[cols] = block[indices[cols], np.arange(block.shape[1])]
     return out
+
+
+def diagonal_entry(circuit: Circuit, b: BasisLabel) -> complex:
+    """<b|U|b> from one circuit pass over the column U|b>, for a b with one
+    bit per qubit.  b on its own: a one-column pass matches a Hadamard test
+    on |b> bit for bit, while a block shared with other indices can differ
+    in the last place."""
+    b.check_width(circuit.qubit_count, "circuit")
+    return complex(circuit_diagonal(circuit, [b.basis_index()])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +461,8 @@ def read_operator(
         reals = [float(tok) for tok in tokens[k:]]
     except ValueError as exc:
         raise ParseError(f"bad matrix entry: {exc}") from exc
-    flat = np.array(reals[0::2]) + 1j * np.array(reals[1::2])
+    # re/im pairs are complex128's memory layout, signed zeros included
+    flat = np.array(reals, dtype=float).view(np.complex128)
     return support, flat.reshape(2**k, 2**k)
 
 
@@ -483,18 +496,6 @@ def parse_circuit(text: str) -> Circuit:
     return Circuit(read_register(text, directive), gates)
 
 
-def serialize_circuit(circuit: Circuit) -> str:
-    lines = [f"qubits {circuit.qubit_count}"]
-    for gate in circuit.gates:
-        if gate.name in GATE_MATRICES:
-            lines.append(" ".join([gate.name, *map(str, gate.support)]))
-        elif gate.name in ("u1", "u2"):
-            lines.append(operator_line([gate.name, *gate.support], gate.matrix))
-        else:
-            raise ValueError(f"gate {gate.name} has no text form")
-    return "\n".join(lines) + "\n"
-
-
 def invert_circuit(circuit: Circuit) -> Circuit:
     """Adjoint circuit: reversed order, each gate conjugate-transposed."""
     gates = []
@@ -509,10 +510,7 @@ def invert_circuit(circuit: Circuit) -> Circuit:
 
 def output_split(circuit: Circuit, x: BasisLabel) -> OutputSplit:
     """Run `circuit` on basis input x and split the output by qubit 0."""
-    if len(x.bits) != circuit.qubit_count:
-        raise DimensionMismatch(
-            f"label has {len(x.bits)} bits, circuit acts on {circuit.qubit_count} qubits"
-        )
+    x.check_width(circuit.qubit_count, "circuit", "x")
     state = apply_circuit(circuit, StateVector.from_label(x))
     blocks = state.amplitudes.reshape(2, -1)
 

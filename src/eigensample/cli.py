@@ -228,8 +228,7 @@ def _exact_law(kind: str, obj, b: BasisLabel):
     A b of the wrong length raises DimensionMismatch, and inputs wider than
     circuits.MAX_DENSE_QUBITS raise TooLarge, before any dense matrix is
     allocated."""
-    if len(b.bits) != obj.qubit_count:
-        raise DimensionMismatch(f"b has {len(b.bits)} bits, {kind} acts on {obj.qubit_count}")
+    b.check_width(obj.qubit_count, "circuit" if kind == "circuit" else "Hamiltonian")
     if kind == "circuit":
         return exact_distribution(obj, b, "unitary")
     return exact_distribution(dense_hamiltonian(obj), b, "hermitian")

@@ -129,7 +129,7 @@ def operator_shape(operator) -> tuple[int, ...]:
     which raises TooLarge above circuits.MAX_DENSE_QUBITS before anything
     is allocated."""
     if isinstance(operator, Circuit):
-        check_dense_width(operator.qubit_count)
+        check_dense_width(operator.qubit_count, "circuit")
         return (2**operator.qubit_count,) * 2
     return np.shape(operator)
 
@@ -175,7 +175,7 @@ def _circuit_weights(circuit: Circuit, state) -> tuple[np.ndarray, np.ndarray]:
     whole register: above circuits.MAX_DENSE_QUBITS qubits it raises
     TooLarge, however narrow the components."""
     n = circuit.qubit_count
-    check_dense_width(n)
+    check_dense_width(n, "circuit")
     components = circuit_components(circuit)
     active = [q for qubits, _ in components for q in qubits]
     idle = sorted(set(range(n)).difference(active))

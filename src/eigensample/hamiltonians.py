@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .circuits import (
-    MAX_DENSE_QUBITS,
     Circuit,
     Gate,
     StateVector,
@@ -43,7 +42,6 @@ from .errors import (
     NotHermitian,
     ParseError,
     TermTooLarge,
-    TooLarge,
 )
 from .linalg import exp_i_hermitian, is_hermitian, operator_norm
 from .phase_estimation import (
@@ -119,11 +117,7 @@ class ScaleInfo:
 
 def dense_hamiltonian(h: LocalHamiltonian) -> np.ndarray:
     """Assembled 2^n x 2^n matrix (desk scale only)."""
-    if h.qubit_count > MAX_DENSE_QUBITS:
-        raise TooLarge(
-            f"dense Hamiltonian limited to {MAX_DENSE_QUBITS} qubits, "
-            f"Hamiltonian has {h.qubit_count}"
-        )
+    check_dense_width(h.qubit_count, "Hamiltonian")
     dim = 2**h.qubit_count
     out = np.zeros((dim, dim), dtype=complex)
     for term in h.terms:
@@ -184,9 +178,9 @@ def trotter_circuit(scale: ScaleInfo, steps: int) -> Circuit:
 
 def trotter_deviation(scale: ScaleInfo, steps: int) -> float:
     """Operator-norm gap between the composed slices and e^{2 pi i H'}."""
+    exact = exp_i_hermitian(dense_hamiltonian(scale.scaled), 2.0 * np.pi)
     slice_u = circuit_unitary(trotter_circuit(scale, steps))
     composed = np.linalg.matrix_power(slice_u, steps)
-    exact = exp_i_hermitian(dense_hamiltonian(scale.scaled), 2.0 * np.pi)
     return operator_norm(composed - exact)
 
 
@@ -242,16 +236,13 @@ def prepare_lhes(h: LocalHamiltonian, req: SamplingRequest) -> PreparedEigenvalu
     """lhes_sampler on the scaled Hamiltonian's dense Trotter slice.  A law
     whose kernel work exceeds phase_estimation.MAX_KERNEL_WORK raises
     TooLarge before the slice is built."""
-    if len(req.b.bits) != h.qubit_count:
-        raise DimensionMismatch(
-            f"b has {len(req.b.bits)} bits, Hamiltonian acts on {h.qubit_count}"
-        )
+    req.b.check_width(h.qubit_count, "Hamiltonian")
     scale = scale_hamiltonian(h)
     s_norm = sum(operator_norm(term.matrix) for term in scale.scaled.terms)
 
     def slice_law(t, steps):
         check_kernel_work(h.qubit_count, t)
-        check_dense_width(h.qubit_count)
+        check_dense_width(h.qubit_count, "Hamiltonian")
         b = StateVector.from_label(req.b).amplitudes
         return spectral_weights(trotter_circuit(scale, steps), b, "unitary")
 
@@ -260,10 +251,7 @@ def prepare_lhes(h: LocalHamiltonian, req: SamplingRequest) -> PreparedEigenvalu
 
 def exact_average_eigenvalue(h: LocalHamiltonian, b) -> float:
     """<b|H|b> summed term-locally: one small diagonal entry per term."""
-    if len(b.bits) != h.qubit_count:
-        raise DimensionMismatch(
-            f"label has {len(b.bits)} bits, Hamiltonian acts on {h.qubit_count}"
-        )
+    b.check_width(h.qubit_count, "Hamiltonian")
     total = 0.0
     for term in h.terms:
         idx = 0

@@ -73,10 +73,11 @@ def ancilla_bits(epsilon: float, delta: float) -> int:
     """Ancilla count t for precision epsilon and failure budget delta: the
     precision bits plus the delta bits, refused above MAX_ESTIMATOR_BITS.
     An epsilon or 2 delta below 2^-MAX_ESTIMATOR_BITS alone needs more bits
-    than the cap, and is refused before 1 / epsilon or 1 / delta can overflow."""
+    than the cap, and is refused before 1 / epsilon or 1 / delta can overflow;
+    an epsilon of 1 or more, infinite included, needs no precision bits."""
     if min(epsilon, 2.0 * delta) < 2.0**-MAX_ESTIMATOR_BITS:
         raise TooLarge(f"more ancilla bits than the cap of {MAX_ESTIMATOR_BITS}")
-    t = ceil_log2(1.0 / epsilon) + ceil_log2(2.0 + 1.0 / (2.0 * delta))
+    t = ceil_log2(max(1.0, 1.0 / epsilon)) + ceil_log2(2.0 + 1.0 / (2.0 * delta))
     if t > MAX_ESTIMATOR_BITS:
         raise TooLarge(f"{t} ancilla bits exceed the cap of {MAX_ESTIMATOR_BITS}")
     return t
@@ -186,12 +187,9 @@ def prepare_pes(circuit: Circuit, req: SamplingRequest) -> PreparedPhaseEstimati
     and so does a law whose kernel work, 2^n eigenphases times 2^t
     outcomes, exceeds MAX_KERNEL_WORK, before any unitary is built.
     """
-    if len(req.b.bits) != circuit.qubit_count:
-        raise DimensionMismatch(
-            f"b has {len(req.b.bits)} bits, circuit acts on {circuit.qubit_count}"
-        )
+    req.b.check_width(circuit.qubit_count, "circuit")
     t = ancilla_bits(req.epsilon, req.delta)
     check_kernel_work(circuit.qubit_count, t)
-    check_dense_width(circuit.qubit_count)
+    check_dense_width(circuit.qubit_count, "circuit")
     return prepare_phase_estimation(circuit, StateVector.from_label(req.b), t)
 

@@ -36,14 +36,14 @@ from .circuits import (
     Gate,
     StateVector,
     apply_gate,
-    circuit_diagonal,
+    diagonal_entry,
     gate_unitary,
     invert_circuit,
     named_gate,
     output_split,
 )
 from .distributions import SpectralDistribution, make_distribution, sample_values, spectral_weights
-from .errors import DimensionMismatch, EmptyCircuit, OracleFailure, TooLarge
+from .errors import EmptyCircuit, OracleFailure, TooLarge
 from .hamiltonians import (
     LAMBDA_MARGIN,
     LocalHamiltonian,
@@ -150,11 +150,8 @@ class HistoryAnalysis:
 def history_start_label(marked: MarkedCircuit, x: BasisLabel) -> BasisLabel:
     if marked.kind != "lhes-copy":
         raise ValueError("history analysis applies to lhes-copy markings")
-    if len(x.bits) != marked.base.qubit_count:
-        raise DimensionMismatch(
-            f"x has {len(x.bits)} bits, base circuit acts on {marked.base.qubit_count}"
-        )
-    return BasisLabel("0" + x.bits, 0)
+    x.check_width(marked.base.qubit_count, "base circuit", "x")
+    return BasisLabel("0" + x.bits)
 
 
 def analyze_history(marked: MarkedCircuit, x: BasisLabel) -> HistoryAnalysis:
@@ -249,15 +246,13 @@ def eigenvalue_grids(clock_dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _marked_input(base: Circuit, x: BasisLabel, kind: str) -> tuple[MarkedCircuit, str]:
     """Marked circuit and zero-padded x, refusing a W above MAX_STATEVECTOR_QUBITS."""
-    if len(x.bits) > base.qubit_count:
-        raise DimensionMismatch(
-            f"x has {len(x.bits)} bits, base circuit acts on {base.qubit_count}"
-        )
+    bits = x.bits + "0" * (base.qubit_count - len(x.bits))
+    BasisLabel(bits).check_width(base.qubit_count, "base circuit", "x")
     marked = mark_circuit(base, kind)
     if marked.full.qubit_count > MAX_STATEVECTOR_QUBITS:
         raise TooLarge(f"the {kind} marking of a {base.qubit_count}-qubit base "
                        f"exceeds {MAX_STATEVECTOR_QUBITS} qubits")
-    return marked, x.bits + "0" * (base.qubit_count - len(x.bits))
+    return marked, bits
 
 
 def lhes_epsilon(marked: MarkedCircuit) -> float:
@@ -333,17 +328,10 @@ def decide_via_luae(
 # ---------------------------------------------------------------------------
 # oracle factories (exact spectral laws vs quantum estimator laws)
 
-def _diagonal_entry(circuit: Circuit, b: BasisLabel) -> complex:
-    """<b|W|b> from one circuit pass over the column W|b>."""
-    if len(b.bits) != circuit.qubit_count:
-        raise DimensionMismatch(f"b has {len(b.bits)} bits, circuit acts on {circuit.qubit_count}")
-    return complex(circuit_diagonal(circuit, [b.basis_index()])[0])
-
-
 def marked_law(circuit: Circuit, b: BasisLabel) -> SpectralDistribution:
     """Phase law of a marked circuit W from |b>: W^2 = I (trusted, not
     tested), so its phases are 0 and 1/2 with weights (1 +- <b|W|b>)/2."""
-    a = _diagonal_entry(circuit, b).real
+    a = diagonal_entry(circuit, b).real
     return make_distribution([0.0, 0.5], [(1.0 + a) / 2.0, (1.0 - a) / 2.0], "circular")
 
 
@@ -410,7 +398,7 @@ def quantum_pes_oracle(circuit: Circuit, req: SamplingRequest):
 
 
 def exact_luae_oracle(circuit: Circuit, req: SamplingRequest):
-    lam = _diagonal_entry(circuit, req.b)
+    lam = diagonal_entry(circuit, req.b)
     return lambda rng: lam
 
 

@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 
 from eigensample import (
+    GATE_MATRICES,
     BasisLabel,
     Circuit,
     Gate,
@@ -23,6 +24,7 @@ from eigensample import (
     substream,
 )
 from eigensample import distributions
+from eigensample.circuits import operator_line
 from eigensample.distributions import EDGE_DISTANCE_TOL, inverse_cdf, point_distance
 
 NAMED_ONE = ("h", "x", "y", "z", "s", "t")
@@ -85,6 +87,19 @@ def random_circuit(qubits, gate_count, rng, named_only=False):
         else:
             gates.append(Gate("u1", (int(rng.integers(qubits)),), haar_unitary(2, rng)))
     return Circuit(qubits, gates)
+
+
+def serialize_circuit(circuit):
+    """The circuit in the text format that parse_circuit reads."""
+    lines = [f"qubits {circuit.qubit_count}"]
+    for gate in circuit.gates:
+        if gate.name in GATE_MATRICES:
+            lines.append(" ".join([gate.name, *map(str, gate.support)]))
+        elif gate.name in ("u1", "u2"):
+            lines.append(operator_line([gate.name, *gate.support], gate.matrix))
+        else:
+            raise ValueError(f"gate {gate.name} has no text form")
+    return "\n".join(lines) + "\n"
 
 
 def grouped_circuit(qubits, groups, gate_count, rng):

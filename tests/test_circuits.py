@@ -20,7 +20,6 @@ from eigensample import (
     named_gate,
     output_split,
     parse_circuit,
-    serialize_circuit,
 )
 from eigensample import circuits
 from eigensample.circuits import (
@@ -41,6 +40,7 @@ from _helpers import (
     haar_unitary,
     random_circuit,
     random_state,
+    serialize_circuit,
 )
 
 EXACT_TOL = 1e-12
@@ -156,7 +156,7 @@ class TestReader:
         assert info.value.line == line
 
     def test_operator_line_round_trip(self):
-        # 17 significant digits give every nonzero double back exactly
+        # 17 significant digits give every double back exactly
         matrix = np.array([[1 / 3, -1e-300 + 2j], [np.pi * 1j, -np.e + 5e-324j]])
         line = operator_line(["u1", 0], matrix)
         assert line.split()[:4] == ["u1", "0", "0.33333333333333331", "0"]
@@ -164,6 +164,13 @@ class TestReader:
         assert support == (0,)
         assert again.tobytes() == matrix.tobytes()
         assert operator_line(["x"], np.array([[-0.0]])) == "x -0 0"
+        # signed zeros too, in either part of an entry
+        zeros = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)],
+                          [complex(-0.0, -0.0), complex(-0.0, 1.0)]])
+        line = operator_line(["u1", 0], zeros)
+        assert line.split()[2:] == ["-0", "0", "0", "-0", "-0", "-0", "-0", "1"]
+        _, again = read_operator(line.split()[1:], 1, 1, "u1")
+        assert again.tobytes() == zeros.tobytes()
 
     def test_operator_entry_count(self):
         with pytest.raises(ParseError, match="u2 takes 2 qubits then 32 reals"):
@@ -496,16 +503,19 @@ class TestStateVector:
             StateVector(1, 1, np.array([1.0, 1.0]))
 
     def test_from_label_with_clock(self):
-        psi = StateVector.from_label(BasisLabel("10", 2), clock_dim=3)
-        # flat index = basis * clock_dim + clock = 2 * 3 + 2
-        assert psi.amplitudes[8] == 1.0
+        psi = StateVector.from_label(BasisLabel("10"), clock_dim=3)
+        # flat index = basis * clock_dim + clock = 2 * 3 + 0
+        assert psi.amplitudes[6] == 1.0
         assert np.sum(np.abs(psi.amplitudes)) == 1.0
 
     def test_label_validation(self):
         with pytest.raises(ValueError):
             BasisLabel("012")
-        with pytest.raises(DimensionMismatch):
-            StateVector.from_label(BasisLabel("0", 4), clock_dim=2)
+        BasisLabel("01").check_width(2, "circuit")
+        for bits in ("0", "011"):
+            with pytest.raises(DimensionMismatch) as info:
+                BasisLabel(bits).check_width(2, "Hamiltonian", "x")
+            assert str(info.value) == f"x has {len(bits)} bits, Hamiltonian acts on 2"
 
 
 def test_gate_validation():

@@ -27,12 +27,17 @@ from eigensample import (
     parse_hamiltonian,
     prepare_lhes,
     prepare_pes,
-    serialize_circuit,
     substream,
 )
 from eigensample import seeding
 from eigensample.cli import iter_json, main, render_json
-from _helpers import grouped_circuit, per_sample_uniforms, random_circuit, recursive_render_json
+from _helpers import (
+    grouped_circuit,
+    per_sample_uniforms,
+    random_circuit,
+    recursive_render_json,
+    serialize_circuit,
+)
 
 FILE_TEXTS = {
     "bell": "qubits 2\nh 0\ncnot 0 1\n",
@@ -41,6 +46,9 @@ FILE_TEXTS = {
     "ident": "qubits 1\nu1 0 1 0 0 0 0 0 1 0\n",
     "wide": "qubits 13\nh 0\n",
     "zham": "qubits 1\nterm 1 0 1 0 0 0 0 0 -1 0\n",
+    "zham2": "qubits 2\nterm 1 0 1 0 0 0 0 0 -1 0\n",
+    # lambda_cap 0.004: epsilon / lambda_cap overflows for epsilon 1e308
+    "smallham": "qubits 1\nterm 1 0 0.001 0 0 0 0 0 -0.001 0\n",
     "wideham": "qubits 13\nterm 1 0 1 0 0 0 0 0 -1 0\n",
     "zxham": "qubits 1\nterm 1 0 1 0 0 0 0 0 -1 0\nterm 1 0 0 0 1 0 1 0 0 0\n",
     "bad": "qubits 1\nterm 1 0 1 0\n",
@@ -436,6 +444,21 @@ class TestSamplingCommands:
         assert code == 1
         assert out == ""
         assert "epsilon" in json.loads(err)["message"]
+
+    def test_huge_epsilon_needs_no_precision_bits(self, files, capsys):
+        # epsilon / lambda_cap is inf at 1e308 and 2.5e302 at 1e300; both
+        # ask for no precision bits
+        reports = []
+        for epsilon in ("1e300", "1e308"):
+            argv = ["lhes", files["smallham"], "--epsilon", epsilon, "--delta", "0.1",
+                    "--b", "0", "--samples", "20", "--seed", "4"]
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0
+            reports.append(json.loads(out))
+        big, huge = reports
+        assert big["t"] == huge["t"] == 4
+        assert big["trotter_steps"] == huge["trotter_steps"]
+        assert big["samples"] == huge["samples"]
 
     @pytest.mark.parametrize("seed", [1, 2**32 + 7])
     @pytest.mark.parametrize("command", ["pes", "lhes"])
@@ -842,6 +865,68 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert json.loads(err)["error"] == "ValueError"
+
+
+class TestLabelWidth:
+    """Every command checks its basis label with BasisLabel.check_width."""
+
+    FLAGS = {
+        "pes": ["--epsilon", "0.25", "--delta", "0.1"],
+        "lhes": ["--epsilon", "0.4", "--delta", "0.1"],
+        "luae": ["--epsilon", "0.5", "--delta", "0.1"],
+        "spectrum": [],
+        "verify": [],
+        "trotter-bench": ["--m", "2"],
+    }
+    CASES = [
+        (command, name, bits)
+        for command, name in [
+            ("pes", "bell"), ("lhes", "zham2"), ("luae", "bell"), ("spectrum", "bell"),
+            ("spectrum", "zham2"), ("verify", "bell"), ("verify", "zham2"),
+        ]
+        for bits in ("0", "000")
+    ]
+
+    def run_command(self, command, name, b, files, capsys):
+        """command on files[name], with a samples file for verify and no
+        --b where b is None."""
+        samples = files["dir"] / "samples.json"
+        samples.write_text('{"samples": [0.0], "epsilon": 0.1, "delta": 0.1}')
+        paths = [files[name]] + ([str(samples)] if command == "verify" else [])
+        flags = self.FLAGS[command] + ([] if b is None else ["--b", b])
+        return run_cli([command, *paths, *flags], capsys)
+
+    @pytest.mark.parametrize("command, name, bits", CASES)
+    def test_wrong_b_is_refused(self, command, name, bits, files, capsys):
+        code, out, err = self.run_command(command, name, bits, files, capsys)
+        assert code == 2
+        assert out == ""
+        register = "Hamiltonian" if name == "zham2" else "circuit"
+        payload = json.loads(err)
+        assert payload["error"] == "DimensionMismatch"
+        assert payload["message"] == f"b has {len(bits)} bits, {register} acts on 2"
+
+    @pytest.mark.parametrize("oracle", ["exact", "quantum"])
+    @pytest.mark.parametrize("route", ["lhes", "pes", "luae"])
+    def test_long_x_is_refused(self, route, oracle, files, capsys):
+        # a short x is padded with zeros; a long one cannot be
+        argv = ["decide", files["bell"], "--x", "000", "--route", route, "--oracle", oracle]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "DimensionMismatch"
+        assert payload["message"] == "x has 3 bits, base circuit acts on 2"
+
+    @pytest.mark.parametrize("command", ["lhes", "spectrum", "verify", "trotter-bench"])
+    def test_dense_cap_names_the_hamiltonian(self, command, files, capsys):
+        b = None if command == "trotter-bench" else "0" * 13
+        code, out, err = self.run_command(command, "wideham", b, files, capsys)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "TooLarge"
+        assert payload["message"] == "dense matrices limited to 12 qubits, Hamiltonian has 13"
 
 
 class TestTrotterBenchCommand:

@@ -158,10 +158,8 @@ class TestExactDistribution:
         # dim 6 = 2 qubits x clock 3 fails; dim 8 = 2 x clock 2 succeeds
         with pytest.raises(DimensionMismatch):
             exact_distribution(np.eye(6), BasisLabel("00"), "hermitian")
-        d = exact_distribution(np.eye(8), BasisLabel("01", 1), "hermitian")
+        d = exact_distribution(np.eye(8), BasisLabel("01"), "hermitian")
         assert d.points == [(1.0, 1.0)]
-        with pytest.raises(DimensionMismatch):
-            exact_distribution(np.eye(8), BasisLabel("01", 2), "hermitian")
 
     def test_kind_checked(self):
         with pytest.raises(ValueError):

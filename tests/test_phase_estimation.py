@@ -1,5 +1,6 @@
 """Phase-estimation law and sampling, checked against closed forms and the
 gate-level reference estimator (Fourier transform, controlled powers)."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -93,6 +94,10 @@ class TestRequestAndConfig:
         req = SamplingRequest(2.5, 0.1, BasisLabel("01"))
         assert req.epsilon == 2.5
         assert ancilla_bits(2.5, 0.1) == ceil_log2(2 + 1.0 / 0.2)
+        # no precision bits from 1 up, also where lhes's epsilon / lambda_cap
+        # overflows to inf
+        for epsilon in (1.0, 1e308, math.inf):
+            assert ancilla_bits(epsilon, 0.1) == ceil_log2(2 + 1.0 / 0.2)
 
     def test_ancilla_cap(self):
         # 2^-21 and delta 0.1 give 21 + 3 = 24 bits, the cap; 2^-22 gives 25

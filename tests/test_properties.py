@@ -27,13 +27,18 @@ from eigensample import (
     parse_circuit,
     parse_hamiltonian,
     point_distance,
-    serialize_circuit,
     serialize_hamiltonian,
 )
 from eigensample.circuits import GATE_ARITY
 from eigensample import distributions
 from eigensample.distributions import DEDUP_TOL, EDGE_DISTANCE_TOL
-from _helpers import all_pairs_edges, haar_unitary, random_hermitian, reference_transport
+from _helpers import (
+    all_pairs_edges,
+    haar_unitary,
+    random_hermitian,
+    reference_transport,
+    serialize_circuit,
+)
 
 # Capacities are integers over this denominator, exact at the solver's scale.
 UNIT = 16

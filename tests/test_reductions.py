@@ -349,7 +349,7 @@ class TestHistoryWalk:
         copy = mark_circuit(ACCEPT_BASE, "lhes-copy")
         with pytest.raises(DimensionMismatch):
             history_start_label(copy, BasisLabel("00"))
-        assert history_start_label(copy, X0) == BasisLabel("00", 0)
+        assert history_start_label(copy, X0) == BasisLabel("00")
 
 
 class TestUnaryClock:
@@ -403,7 +403,7 @@ class TestInstances:
         assert circuit.gates == mark_circuit(base, "lhes-copy").full.gates
         assert req.epsilon == 1.0 / 12.0
         # input padded with zeros behind the given bits, flag in front
-        assert req.b == BasisLabel("010", 0)
+        assert req.b == BasisLabel("010")
         # on the one-hot clock that start is |010>|100>
         iso = unary_embedding_isometry(3, 3)
         compact = StateVector.from_label(req.b, clock_dim=3).amplitudes
