@@ -54,7 +54,7 @@ _EXPORTS = {
     ),
     "phase_estimation": (
         "PreparedPhaseEstimation", "SamplingRequest", "ancilla_bits",
-        "ceil_log2", "prepare_pes", "prepare_phase_estimation",
+        "ceil_log2", "prepare_pes",
     ),
     "reductions": (
         "ClockPropagator", "HistoryAnalysis", "MarkedCircuit",

@@ -458,11 +458,14 @@ def read_operator(
         raise ParseError(f"{what} takes {k} qubits then {entries} reals")
     support = _read_qubits(tokens[:k], qubit_count)
     try:
-        reals = [float(tok) for tok in tokens[k:]]
+        reals = np.array([float(tok) for tok in tokens[k:]], dtype=float)
     except ValueError as exc:
         raise ParseError(f"bad matrix entry: {exc}") from exc
+    # refused here: the unitarity and Hermiticity tests warn on inf and misname nan
+    if not np.isfinite(reals).all():
+        raise ParseError(f"{what} matrix entries must be finite")
     # re/im pairs are complex128's memory layout, signed zeros included
-    flat = np.array(reals, dtype=float).view(np.complex128)
+    flat = reals.view(np.complex128)
     return support, flat.reshape(2**k, 2**k)
 
 

@@ -11,6 +11,16 @@ distance epsilon.  That is a transportation feasibility question, decided
 here exactly by max flow on integer-scaled capacities.  Total variation is
 deliberately NOT the acceptance notion: two distributions can sit at TV
 distance 1 while every point moved only epsilon.
+
+Spectral values lie on the line (eigenvalues) or on the circle [0, 1)
+(eigenphases), and each rule about them is written once:
+- grouping, _group: values within DEDUP_TOL of a neighbour are one point,
+  joined across the 0/1 seam on the circle (make_distribution,
+  total_variation);
+- distance, point_distance: |a - b|, or the shorter way round the circle,
+  on scalars or element by element on arrays (_transport_edges);
+- the ball, _transport_edges: a candidate's epsilon-ball is one
+  searchsorted run of the sorted targets, over three turns on the circle.
 """
 from __future__ import annotations
 
@@ -50,12 +60,32 @@ EMPIRICAL_SLACK_FACTOR = 3.0
 METRICS = ("absolute", "circular")
 
 
-def point_distance(a: float, b: float, metric: str) -> float:
+def point_distance(a, b, metric: str):
+    """|a - b| on the line, or the shorter way round the circle of
+    circumference 1; element by element on arrays."""
     d = abs(a - b)
     if metric == "circular":
         d = d % 1.0
-        d = min(d, 1.0 - d)
+        d = np.minimum(d, 1.0 - d)
     return d
+
+
+def _group(items: list[tuple], circular: bool) -> tuple[list[list[tuple]], bool]:
+    """Sort tuples that lead with a spectral value and cut them into runs
+    whose neighbouring values lie within DEDUP_TOL.  On the circle, a last
+    run within DEDUP_TOL of the first across the 0/1 seam joins it at the
+    front, its values shifted down by 1; the flag says whether it did."""
+    items = sorted(items)
+    runs = [[items[0]]]
+    for item in items[1:]:
+        if item[0] - runs[-1][-1][0] <= DEDUP_TOL:
+            runs[-1].append(item)
+        else:
+            runs.append([item])
+    joined = circular and len(runs) > 1 and (runs[0][0][0] + 1.0) - runs[-1][-1][0] <= DEDUP_TOL
+    if joined:
+        runs[0] = [(v - 1.0, *rest) for v, *rest in runs.pop()] + runs[0]
+    return runs, joined
 
 
 @dataclass
@@ -86,40 +116,24 @@ class SpectralDistribution:
 
 
 def make_distribution(values, weights, metric: str) -> SpectralDistribution:
-    """Build a distribution, merging values closer than DEDUP_TOL.
-
-    Zero-weight values are dropped.  Under the circular metric the first and
-    last clusters merge across the wrap point when they touch.
-    """
+    """Build a distribution with one point per run of _group, at the run's
+    weighted mean, dropping zero-weight values first.  Under the circular
+    metric a run joined across the seam has its mean taken back into
+    [0, 1)."""
     pairs = [(float(v), float(w)) for v, w in zip(values, weights) if w > WEIGHT_FLOOR]
     if not pairs:
         raise ValueError("distribution has no mass")
-    pairs.sort()
-    clusters: list[list[tuple[float, float]]] = [[pairs[0]]]
-    for v, w in pairs[1:]:
-        if v - clusters[-1][-1][0] <= DEDUP_TOL:
-            clusters[-1].append((v, w))
-        else:
-            clusters.append([(v, w)])
-    wrapped = False
-    if metric == "circular" and len(clusters) > 1:
-        gap = (clusters[0][0][0] + 1.0) - clusters[-1][-1][0]
-        if gap <= DEDUP_TOL:
-            clusters[0] = [(v - 1.0, w) for v, w in clusters[-1]] + clusters[0]
-            clusters.pop()
-            wrapped = True
+    runs, joined = _group(pairs, metric == "circular")
     points = []
-    for cluster in clusters:
-        mass = sum(w for _, w in cluster)
-        value = sum(v * w for v, w in cluster) / mass
-        if wrapped:
-            # a mean just below 0 maps to the top of [0, 1), or rounds to 1
-            value %= 1.0
-            if value == 1.0:
-                value = 0.0
-            wrapped = False
-        points.append((value, mass))
-    # the wrapped cluster belongs last when its mean fell below 0
+    for run in runs:
+        mass = sum(w for _, w in run)
+        points.append((sum(v * w for v, w in run) / mass, mass))
+    if joined:
+        # a mean just below 0 maps to the top of [0, 1), or rounds to 1
+        value, mass = points[0]
+        value %= 1.0
+        points[0] = (0.0 if value == 1.0 else value, mass)
+    # the joined run belongs last when its mean fell below 0
     points.sort()
     return SpectralDistribution(points, metric)
 
@@ -234,18 +248,8 @@ def total_variation(p: SpectralDistribution, q: SpectralDistribution) -> float:
     if p.metric != q.metric:
         raise MetricMismatch("distributions use different metrics")
     tagged = [(v, w, 0.0) for v, w in p.points] + [(v, 0.0, w) for v, w in q.points]
-    tagged.sort()
-    gaps = []
-    i = 0
-    while i < len(tagged):
-        j = i + 1
-        pw, qw = tagged[i][1], tagged[i][2]
-        while j < len(tagged) and tagged[j][0] - tagged[j - 1][0] <= DEDUP_TOL:
-            pw += tagged[j][1]
-            qw += tagged[j][2]
-            j += 1
-        gaps.append(abs(pw - qw))
-        i = j
+    runs, _ = _group(tagged, p.metric == "circular")
+    gaps = [abs(sum(pw for _, pw, _ in run) - sum(qw for _, _, qw in run)) for run in runs]
     # fsum keeps disjoint supports at exactly 1.0
     return math.fsum(gaps) / 2.0
 
@@ -374,12 +378,13 @@ def _transport_edges(
     EDGE_DISTANCE_TOL, i-major and then j ascending.
 
     A candidate's ball holds one contiguous run of the targets sorted by
-    value (by value mod 1 on the circle, where the run wraps into at most
-    two), found by searchsorted and widened by a rounding margin.  The
-    run's members are then kept by point_distance's own float operations,
-    so the edges are exactly those of an all-pairs scan, in
-    O((C + E) log(K + E)) time and O(C + K + E) memory instead of C x K.
-    A ball that reaches half the circle holds every target."""
+    value (on the circle, by value mod 1 laid out over three turns, k - 1,
+    k and k + 1), found by one searchsorted pair and widened by a rounding
+    margin.  The run's members are then kept by point_distance, so the
+    edges are exactly those of an all-pairs scan, in O((C + E) log(K + E))
+    time and O(C + K + E) memory instead of C x K.  A ball that reaches
+    half the circle less 2^-52, short of which no run holds any target on
+    two turns, takes every target."""
     radius = epsilon + EDGE_DISTANCE_TOL
     circular = target.metric == "circular"
     q = np.array(candidate.values(), dtype=float)
@@ -388,35 +393,24 @@ def _transport_edges(
     order = np.argsort(keys, kind="stable")
     # a few ulps of the largest magnitude in play: covers the rounding of
     # q - p, of the reductions mod 1 and of the run ends (NaN if any is NaN)
-    reach = radius + 8 * np.finfo(float).eps * (
+    eps = np.finfo(float).eps
+    reach = radius + 8 * eps * (
         1.0 + radius + np.abs(q).max(initial=0.0) + np.abs(p).max(initial=0.0)
     )
-    if not reach < (0.5 if circular else np.inf):
-        runs = [(np.zeros(q.size, dtype=np.intp), np.full(q.size, p.size))]
+    if not reach < (0.5 - eps if circular else np.inf):
+        lo, hi = np.zeros(q.size, dtype=np.intp), np.full(q.size, p.size)
     else:
         centre = q % 1.0 if circular else q
         sorted_keys = keys[order]
+        if circular:
+            sorted_keys = np.concatenate([sorted_keys - 1.0, sorted_keys, sorted_keys + 1.0])
+            order = np.tile(order, 3)
         lo = np.searchsorted(sorted_keys, centre - reach, "left")
         hi = np.searchsorted(sorted_keys, centre + reach, "right")
-        runs = [(lo, hi)]
-        if circular:
-            # the ball's parts past 1 and below 0, trimmed off the main run
-            past = np.searchsorted(sorted_keys, centre + reach - 1.0, "right")
-            below = np.searchsorted(sorted_keys, centre - reach + 1.0, "left")
-            runs += [
-                (np.zeros_like(lo), np.minimum(past, lo)),
-                (np.maximum(below, hi), np.full_like(hi, p.size)),
-            ]
-    starts = np.concatenate([start for start, _ in runs])
-    lengths = np.concatenate([stop for _, stop in runs]) - starts
-    i = np.repeat(np.tile(np.arange(q.size), len(runs)), lengths)
-    ends = np.cumsum(lengths)
-    j = order[np.arange(i.size) + np.repeat(starts - (ends - lengths), lengths)]
-    d = np.abs(q[i] - p[j])
-    if circular:
-        d %= 1.0
-        d = np.minimum(d, 1.0 - d)
-    keep = d <= radius
+    lengths = hi - lo
+    i = np.repeat(np.arange(q.size), lengths)
+    j = order[np.arange(i.size) + np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)]
+    keep = point_distance(q[i], p[j], target.metric) <= radius
     i, j = i[keep], j[keep]
     ranked = np.lexsort((j, i))
     return list(zip(i[ranked].tolist(), j[ranked].tolist()))

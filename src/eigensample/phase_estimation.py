@@ -31,8 +31,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .circuits import BasisLabel, Circuit, StateVector, check_dense_width
-from .distributions import inverse_cdf, operator_shape, spectral_weights
-from .errors import DimensionMismatch, TooLarge
+from .distributions import inverse_cdf, spectral_weights
+from .errors import TooLarge
 
 if TYPE_CHECKING:
     from .seeding import UniformStream
@@ -165,19 +165,6 @@ def fejer_law(phases: np.ndarray, weights: np.ndarray, t: int) -> np.ndarray:
     return law
 
 
-def prepare_phase_estimation(unitary, system_state: StateVector, t: int) -> PreparedPhaseEstimation:
-    """Output law of t-bit phase estimation of `unitary` seen from
-    system_state (module docs).  `unitary` is a matrix or a Circuit
-    (distributions.spectral_weights).  A clock register on the state is a
-    spectator: U acts as U (x) I on it."""
-    n = system_state.qubit_count
-    if operator_shape(unitary) != (2**n, 2**n):
-        raise DimensionMismatch("unitary does not match system register")
-    check_kernel_work(n, t)
-    phases, weights = spectral_weights(unitary, system_state.amplitudes, "unitary")
-    return PreparedPhaseEstimation(t, phases, weights)
-
-
 def prepare_pes(circuit: Circuit, req: SamplingRequest) -> PreparedPhaseEstimation:
     """Preparation for spectral sampling of a circuit from basis state b.
 
@@ -191,5 +178,6 @@ def prepare_pes(circuit: Circuit, req: SamplingRequest) -> PreparedPhaseEstimati
     t = ancilla_bits(req.epsilon, req.delta)
     check_kernel_work(circuit.qubit_count, t)
     check_dense_width(circuit.qubit_count, "circuit")
-    return prepare_phase_estimation(circuit, StateVector.from_label(req.b), t)
+    state = StateVector.from_label(req.b)
+    return PreparedPhaseEstimation(t, *spectral_weights(circuit, state.amplitudes, "unitary"))
 

@@ -1,5 +1,6 @@
 """Shared random generators and comparison helpers for the test suite."""
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,9 @@ from eigensample import (
     Gate,
     LocalHamiltonian,
     LocalTerm,
+    PreparedPhaseEstimation,
     SamplingRequest,
+    SpectralDistribution,
     StateVector,
     build_clock_hamiltonian,
     build_clock_propagator,
@@ -25,7 +28,14 @@ from eigensample import (
 )
 from eigensample import distributions
 from eigensample.circuits import operator_line
-from eigensample.distributions import EDGE_DISTANCE_TOL, inverse_cdf, point_distance
+from eigensample.distributions import (
+    DEDUP_TOL,
+    EDGE_DISTANCE_TOL,
+    WEIGHT_FLOOR,
+    inverse_cdf,
+    point_distance,
+    spectral_weights,
+)
 
 NAMED_ONE = ("h", "x", "y", "z", "s", "t")
 NAMED_TWO = ("cnot", "cz", "swap")
@@ -402,3 +412,62 @@ def reference_transport(candidate, target, epsilon, delta):
     with mock.patch.object(distributions, "_transport_edges", all_pairs_edges), \
             mock.patch.object(distributions, "_Dinic", PerPushDinic):
         return distributions._transport(candidate, target, epsilon, delta)
+
+
+def prepare_from_state(unitary, system_state, t):
+    """t-bit phase-estimation law of `unitary` (a matrix or a Circuit) seen
+    from any state, clock columns included: prepare_pes without its checks."""
+    phases, weights = spectral_weights(unitary, system_state.amplitudes, "unitary")
+    return PreparedPhaseEstimation(t, phases, weights)
+
+
+def former_make_distribution(values, weights, metric):
+    """make_distribution with its own merge loop and seam join: the
+    version before the one grouping rule, kept as the reference for it."""
+    pairs = [(float(v), float(w)) for v, w in zip(values, weights) if w > WEIGHT_FLOOR]
+    if not pairs:
+        raise ValueError("distribution has no mass")
+    pairs.sort()
+    clusters = [[pairs[0]]]
+    for v, w in pairs[1:]:
+        if v - clusters[-1][-1][0] <= DEDUP_TOL:
+            clusters[-1].append((v, w))
+        else:
+            clusters.append([(v, w)])
+    wrapped = False
+    if metric == "circular" and len(clusters) > 1:
+        gap = (clusters[0][0][0] + 1.0) - clusters[-1][-1][0]
+        if gap <= DEDUP_TOL:
+            clusters[0] = [(v - 1.0, w) for v, w in clusters[-1]] + clusters[0]
+            clusters.pop()
+            wrapped = True
+    points = []
+    for cluster in clusters:
+        mass = sum(w for _, w in cluster)
+        value = sum(v * w for v, w in cluster) / mass
+        if wrapped:
+            value %= 1.0
+            if value == 1.0:
+                value = 0.0
+            wrapped = False
+        points.append((value, mass))
+    points.sort()
+    return SpectralDistribution(points, metric)
+
+
+def former_total_variation(p, q):
+    """total_variation with its own merge loop, which never joined points
+    across the 0/1 seam: the version before the one grouping rule."""
+    tagged = sorted([(v, w, 0.0) for v, w in p.points] + [(v, 0.0, w) for v, w in q.points])
+    gaps = []
+    i = 0
+    while i < len(tagged):
+        j = i + 1
+        pw, qw = tagged[i][1], tagged[i][2]
+        while j < len(tagged) and tagged[j][0] - tagged[j - 1][0] <= DEDUP_TOL:
+            pw += tagged[j][1]
+            qw += tagged[j][2]
+            j += 1
+        gaps.append(abs(pw - qw))
+        i = j
+    return math.fsum(gaps) / 2.0

@@ -17,13 +17,18 @@ from eigensample import (
     luae_estimate,
     luae_unguided,
     named_gate,
-    prepare_phase_estimation,
     samples_per_component,
 )
 from eigensample import averages
 from eigensample.circuits import circuit_diagonal
 from eigensample.seeding import MAX_SAMPLES
-from _helpers import basis_loader, grouped_circuit, phase_circuit, random_circuit
+from _helpers import (
+    basis_loader,
+    grouped_circuit,
+    phase_circuit,
+    prepare_from_state,
+    random_circuit,
+)
 from _per_b_luae import luae_estimate_per_b, luae_unguided_per_b
 
 PROB_TOL = 1e-10
@@ -316,7 +321,7 @@ class TestPhaseAveragingPitfall:
         true = np.exp(2j * np.pi * phase)
 
         eigvec = StateVector(1, 1, np.array([0.0, 1.0], dtype=complex))
-        prep = prepare_phase_estimation(circuit_unitary(circ), eigvec, 4)
+        prep = prepare_from_state(circuit_unitary(circ), eigvec, 4)
         grid = np.arange(16) / 16.0
         qpe_mean = np.sum(prep.raw_probabilities * np.exp(2j * np.pi * grid))
         # the kernel mean contracts by exactly 1/8 at this phase offset

@@ -222,6 +222,28 @@ class TestCheckCommand:
         assert error in payload["message"]
         assert payload["line"] == (3 if name == "roughh" else 2)
 
+    @pytest.mark.parametrize("entry", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("text, k, what", [
+        ("qubits 1\nu1 0", 1, "u1"),
+        ("qubits 2\nu2 0 1", 2, "u2"),
+        ("qubits 1\nterm 1 0", 1, "term with k=1"),
+    ])
+    def test_non_finite_matrix_entry_is_one_parse_error(self, text, k, what, entry, files,
+                                                         capsys):
+        # the unitarity and hermiticity tests warned on these before the error
+        reals = np.eye(2**k).astype(complex).view(float).ravel().tolist()
+        reals[1] = entry
+        path = files["dir"] / "nonfinite.txt"
+        path.write_text(f"{text} {' '.join(map(str, reals))}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["check", str(path)], capsys)
+        assert (code, out, caught) == (1, "", [])
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ParseError"
+        assert payload["message"] == f"line 2: {what} matrix entries must be finite"
+
     def test_forced_kind_mismatch(self, files, capsys):
         code, out, err = run_cli(
             ["check", files["zham"], "--kind", "circuit"], capsys

@@ -41,6 +41,8 @@ from _helpers import (
     all_pairs_edges,
     circular_distance,
     clifford_circuit,
+    former_make_distribution,
+    former_total_variation,
     grouped_circuit,
     per_draw_sample,
     random_circuit,
@@ -88,6 +90,16 @@ class TestPointDistance:
     def test_absolute_does_not(self):
         assert abs(point_distance(0.95, 0.05, "absolute") - 0.90) < EXACT_TOL
 
+    @pytest.mark.parametrize("metric", ["absolute", "circular"])
+    def test_arrays_match_the_scalar_calls(self, metric):
+        rng = np.random.default_rng(80)
+        a = np.concatenate([rng.uniform(-3, 4, 500), rng.integers(-64, 128, 500) / 64,
+                            1e6 + rng.random(500)])
+        b = np.concatenate([rng.uniform(-3, 4, 500), rng.integers(-64, 128, 500) / 64,
+                            rng.random(500)])
+        expected = [point_distance(x, y, metric) for x, y in zip(a.tolist(), b.tolist())]
+        assert point_distance(a, b, metric).tolist() == expected
+
 
 class TestMakeDistribution:
     def test_merges_nearby_values(self):
@@ -116,6 +128,32 @@ class TestMakeDistribution:
     def test_drops_zero_weights(self):
         d = make_distribution([0.1, 0.9], [1.0, 0.0], "absolute")
         assert d.points == [(0.1, 1.0)]
+
+    @pytest.mark.parametrize("metric", ["absolute", "circular"])
+    def test_matches_the_former_merge_bit_for_bit(self, metric):
+        # ties, zero weights, clusters on both sides of the seam and values
+        # outside [0, 1): the same points, down to the sign of zero
+        rng = np.random.default_rng(81)
+        near_seam = np.array([0.0, 1e-13, 4e-10, 9e-10, 1.0 - 4e-10, 1.0 - 1e-13, 1.0, -1e-17])
+        for _ in range(6000):
+            count = int(rng.integers(1, 9))
+            kind = rng.integers(4)
+            if kind == 0:
+                values = rng.choice(near_seam, count) + rng.choice([0.0, 0.5], count)
+            elif kind == 1:
+                values = rng.integers(0, 8, count) / 8 + rng.choice([0.0, 5e-10, -5e-10], count)
+            elif kind == 2:
+                values = rng.uniform(-2.0, 3.0, count)
+            else:
+                values = rng.random(count)
+            weights = rng.random(count) * (rng.random(count) < 0.8)
+            if not weights.any():
+                continue
+            weights /= weights.sum()
+            got = make_distribution(values, weights, metric).points
+            want = former_make_distribution(values, weights, metric).points
+            assert [(v.hex(), w.hex()) for v, w in got] == \
+                [(v.hex(), w.hex()) for v, w in want]
 
     def test_weight_sum_enforced(self):
         with pytest.raises(ValueError, match="sum"):
@@ -271,6 +309,30 @@ class TestTotalVariation:
         q = SpectralDistribution([(0.0, 1.0)], "circular")
         with pytest.raises(MetricMismatch):
             total_variation(p, q)
+
+    def test_circular_points_join_across_the_seam(self):
+        # make_distribution merges these two points into one, so their
+        # laws are the same; on the line they lie a whole unit apart
+        for metric, tv in (("circular", 0.0), ("absolute", 1.0)):
+            p = SpectralDistribution([(1e-13, 1.0)], metric)
+            q = SpectralDistribution([(1.0 - 1e-13, 1.0)], metric)
+            assert total_variation(p, q) == tv
+        p = SpectralDistribution([(1e-13, 0.5), (0.5, 0.5)], "circular")
+        q = SpectralDistribution([(0.5, 0.25), (1.0 - 1e-13, 0.75)], "circular")
+        assert total_variation(p, q) == 0.25
+
+    @pytest.mark.parametrize("metric", ["absolute", "circular"])
+    def test_matches_the_former_merge_away_from_the_seam(self, metric):
+        # circular laws inside [1/4, 3/4] have no seam to join across
+        rng = np.random.default_rng(82)
+        low, high = (-1.0, 2.0) if metric == "absolute" else (0.25, 0.75)
+        for _ in range(2000):
+            laws = []
+            for count in rng.integers(1, 8, 2):
+                values = np.round(rng.uniform(low, high, count) * 16) / 16
+                values += rng.choice([0.0, 5e-10, 2e-9], count)
+                laws.append(make_distribution(values, rng.dirichlet(np.ones(count)), metric))
+            assert total_variation(*laws).hex() == former_total_variation(*laws).hex()
 
 
 class TestApproxCheck:
@@ -509,6 +571,28 @@ class TestTransportEdges:
         candidate = SpectralDistribution([(0.25, 0.5), (0.75, 0.5)], metric)
         target = SpectralDistribution([(0.75, 0.5), (0.25 + 1e-11, 0.25), (0.25, 0.25)], metric)
         assert distributions._transport_edges(candidate, target, 0.0) == [(0, 2), (1, 0)]
+
+    def test_no_edge_twice_just_below_half_the_circle(self, monkeypatch):
+        # as epsilon falls ulp by ulp from 1/2 - EDGE_DISTANCE_TOL, the
+        # rounding margin takes the ball below half the circle.  A run on
+        # three turns then holds no target on two of them: even with every
+        # run member kept, no edge appears twice.  Opposite 3/4, targets a
+        # few ulps above 1/4 lie at both ends of a run just under one turn.
+        rng = np.random.default_rng(942)
+        values = [0.75, 0.25, 0.0, 0.5, 1.0 - 2.0**-53, -0.25]
+        values += [0.25 + j * 2.0**-54 for j in range(1, 5)]
+        values += (rng.integers(0, 64, 20) / 64).tolist()
+        law = SpectralDistribution([(v, 1.0 / len(values)) for v in values], "circular")
+        epsilon = 0.5 - EDGE_DISTANCE_TOL
+        for _ in range(200):
+            epsilon = np.nextafter(epsilon, 0.0)
+            assert distributions._transport_edges(law, law, epsilon) == \
+                all_pairs_edges(law, law, epsilon)
+            with monkeypatch.context() as keep_all:
+                keep_all.setattr(distributions, "point_distance",
+                                 lambda a, b, metric: np.zeros(a.shape))
+                edges = distributions._transport_edges(law, law, epsilon)
+            assert len(set(edges)) == len(edges)
 
     def test_half_the_circle_holds_every_target(self):
         rng = np.random.default_rng(940)

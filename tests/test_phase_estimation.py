@@ -8,7 +8,6 @@ import pytest
 
 import _gate_level as gate_level
 import eigensample.distributions as distributions
-import eigensample.phase_estimation as phase_estimation
 from eigensample import (
     BasisLabel,
     Circuit,
@@ -24,7 +23,6 @@ from eigensample import (
     named_gate,
     prepare_lhes,
     prepare_pes,
-    prepare_phase_estimation,
 )
 from eigensample.phase_estimation import (
     MAX_ESTIMATOR_BITS,
@@ -38,6 +36,7 @@ from _helpers import (
     geometric_phase_law,
     haar_unitary,
     phase_circuit,
+    prepare_from_state,
     random_circuit,
     random_state,
     two_sine_law,
@@ -147,7 +146,7 @@ class TestRequestAndConfig:
         # grid, so the draw is exact
         t = ancilla_bits(2.0**-21, 0.1)
         assert t == MAX_ESTIMATOR_BITS
-        prep = prepare_phase_estimation(np.diag([1.0, -1.0]), StateVector.basis(1, 1), t)
+        prep = prepare_from_state(np.diag([1.0, -1.0]), StateVector.basis(1, 1), t)
         assert prep.sample(np.random.default_rng(0)) == 0.5
 
     def test_domain_errors(self):
@@ -253,7 +252,7 @@ class TestControlledPower:
 
 
 def prepare(circuit, system_state, t):
-    return prepare_phase_estimation(circuit_unitary(circuit), system_state, t)
+    return prepare_from_state(circuit_unitary(circuit), system_state, t)
 
 
 class TestPreparedDistribution:
@@ -440,14 +439,6 @@ class TestKernelWorkCap:
         with pytest.raises(TooLarge, match="kernel work"):
             prepare_pes(circ, req)
 
-    def test_prepare_phase_estimation_refuses_before_the_eigensolve(self, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("eigensolve before the work check")
-
-        monkeypatch.setattr(phase_estimation, "spectral_weights", unreachable)
-        with pytest.raises(TooLarge, match="kernel work"):
-            prepare_phase_estimation(np.eye(2**10), StateVector.basis(10, 0), 24)
-
 
 class TestPhaseEstimate:
     """Draws from an eigenvector: each lands on the grid point of its phase,
@@ -455,7 +446,7 @@ class TestPhaseEstimate:
 
     def eigen_draws(self, circ, precision, delta, count, rng):
         t = ancilla_bits(precision, delta)
-        prep = prepare_phase_estimation(circuit_unitary(circ), StateVector.basis(1, 1), t)
+        prep = prepare_from_state(circuit_unitary(circ), StateVector.basis(1, 1), t)
         return [prep.sample(rng) for _ in range(count)]
 
     def test_z_eigenvector_is_exact(self):
