@@ -1,6 +1,11 @@
 """Shared random generators and comparison helpers for the test suite."""
+import contextlib
+import hashlib
+import io
 import json
 import math
+import os
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,9 +29,10 @@ from eigensample import (
     invert_circuit,
     named_gate,
     prepare_lhes,
+    serialize_hamiltonian,
     substream,
 )
-from eigensample import distributions
+from eigensample import cli, distributions
 from eigensample.circuits import operator_line
 from eigensample.distributions import (
     DEDUP_TOL,
@@ -471,3 +477,137 @@ def former_total_variation(p, q):
         gaps.append(abs(pw - qw))
         i = j
     return math.fsum(gaps) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# report corpus (tests/golden_corpus.json)
+
+GOLDEN_CORPUS = Path(__file__).with_name("golden_corpus.json")
+
+_BASE5 = (
+    "qubits 5\nx 0\nh 1\ncnot 1 2\nt 2\nh 3\ncz 3 4\ns 4\nswap 1 3\ncnot 2 4\nh 2\n"
+    "t 4\ncnot 4 1\nsdg 3\nh 4\ncz 1 2\ny 3\nswap 2 4\ntdg 1\ncnot 3 2\nh 1\n"
+)
+
+
+def golden_inputs():
+    """The corpus's input files, name -> text: fixed texts, CI's base5.txt,
+    and seeded random circuits of named gates only (their text comes from
+    the generator's integers, with no LAPACK call) and a seeded Hamiltonian."""
+    return {
+        "bell.txt": "qubits 2\nh 0\ncnot 0 1\n",
+        "x.txt": "qubits 1\nx 0\n",
+        "h.txt": "qubits 1\nh 0\n",
+        "base5.txt": _BASE5,
+        "zham.txt": "qubits 1\nterm 1 0 1 0 0 0 0 0 -1 0\n",
+        # W D W^-1 over Cliffords: every eigenphase is 0, 1/4, 1/2 or 3/4
+        "clifford3.txt": serialize_circuit(clifford_circuit(3, 8, np.random.default_rng(1))),
+        "named4.txt": serialize_circuit(
+            random_circuit(4, 12, np.random.default_rng(2), named_only=True)
+        ),
+        "ham3.txt": serialize_hamiltonian(
+            random_local_hamiltonian(3, 5, np.random.default_rng(3))
+        ),
+        "wide13.txt": "qubits 13\nh 0\n",
+        "wideham13.txt": "qubits 13\nterm 1 0 1 0 0 0 0 0 -1 0\n",
+        "wide25.txt": "qubits 25\nh 0\n",
+        "wide30.txt": "qubits 30\nh 29\n",
+        "base45.txt": "qubits 1\n" + "h 0\n" * 45,
+        "empty_ham.txt": "qubits 1\n",
+        "bad.txt": "qubits 1\nterm 1 0 1 0\n",
+        "arity.txt": "qubits 1\nterm 1000000000 0 1 0\n",
+        "inf_u1.txt": "qubits 1\nu1 0 1 inf 0 0 0 0 1 0\n",
+        "unknown_gate.txt": "qubits 1\nfoo 0\n",
+    }
+
+
+def _golden_commands():
+    pes = ["--epsilon", "0.125", "--delta", "0.1"]
+    commands = [
+        ["--version"],
+        ["check", "bell.txt"],
+        ["check", "zham.txt"],
+        ["check", "clifford3.txt", "--out", "out.json"],
+        ["check", "named4.txt"],
+        ["check", "ham3.txt", "--kind", "hamiltonian"],
+        ["reduce", "x.txt", "--out", "out.txt"],
+        ["reduce", "base5.txt", "--kind", "pe-reflect", "--out", "out.txt"],
+        ["reduce", "h.txt", "--kind", "lhes-copy", "--out", "out.txt"],
+    ]
+    for route in ("lhes", "pes", "luae"):
+        for oracle in ("exact", "quantum"):
+            for path, x in (("x.txt", "0"), ("h.txt", "0"), ("base5.txt", "00000")):
+                commands.append(["decide", path, "--x", x, "--route", route,
+                                 "--oracle", oracle, "--seed", "5"])
+    commands += [
+        ["pes", "bell.txt", *pes, "--b", "00", "--samples", "300", "--seed", "3"],
+        ["pes", "clifford3.txt", "--epsilon", "0.01", "--delta", "0.05", "--b", "010",
+         "--samples", "500", "--seed", "7", "--out", "out.json"],
+        ["luae", "bell.txt", "--epsilon", "0.25", "--delta", "0.1", "--b", "00", "--seed", "1"],
+        ["luae-u", "bell.txt", "--epsilon", "0.25", "--delta", "0.1", "--seed", "2"],
+        # exit 1: unreadable, malformed or invalid input, bad flags
+        ["check", "absent.txt"],
+        ["check", "bad.txt"],
+        ["check", "arity.txt"],
+        ["check", "inf_u1.txt"],
+        ["check", "unknown_gate.txt"],
+        ["check", "zham.txt", "--kind", "circuit"],
+        ["lhes", "empty_ham.txt", "--epsilon", "0.4", "--delta", "0.1", "--b", "0"],
+        ["pes", "bell.txt", *pes, "--b", "00", "--samples", "-1"],
+        ["pes", "bell.txt", *pes, "--b", "0x"],
+        ["pes", "bell.txt", "--delta", "0.1", "--b", "00"],
+        # exit 2: sizes refused before any dense or wide work
+        ["spectrum", "wide13.txt", "--b", "0" * 13],
+        ["pes", "wide13.txt", *pes, "--b", "0" * 13],
+        ["lhes", "wideham13.txt", "--epsilon", "0.4", "--delta", "0.1", "--b", "0" * 13],
+        ["spectrum", "bell.txt", "--b", "0"],
+        ["pes", "bell.txt", *pes, "--b", "0"],
+        ["pes", "bell.txt", "--epsilon", "1e-320", "--delta", "0.1", "--b", "00"],
+        ["pes", "bell.txt", *pes, "--b", "00", "--samples", str(2**23)],
+        ["luae", "wide30.txt", "--epsilon", "0.5", "--delta", "0.1", "--b", "0" * 30],
+        ["luae", "x.txt", "--epsilon", "1e-200", "--delta", "0.1", "--b", "0"],
+        ["decide", "wide25.txt", "--x", "0" * 25, "--route", "pes"],
+        ["decide", "base45.txt", "--x", "0", "--route", "lhes", "--oracle", "quantum"],
+        ["decide", "x.txt", "--x", "00", "--route", "luae"],
+    ]
+    return commands
+
+
+GOLDEN_COMMANDS = _golden_commands()
+
+
+def _digest(data):
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def golden_record(argv):
+    """Run cli.main(argv) in-process in the current directory: its exit
+    code and the SHA-256 of its stdout, its stderr and its --out file
+    (None when it writes none).  The --out file is removed afterwards."""
+    out_path = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --version exits through argparse
+            code = exc.code
+    out = None
+    if out_path is not None and out_path.exists():
+        out = _digest(out_path.read_bytes())
+        out_path.unlink()
+    return {"exit": code, "stdout": _digest(stdout.getvalue()),
+            "stderr": _digest(stderr.getvalue()), "out": out}
+
+
+def golden_records(directory):
+    """argv (joined by spaces) -> golden_record, for every command of the
+    corpus, run in `directory` after golden_inputs are written there."""
+    directory = Path(directory)
+    for name, text in golden_inputs().items():
+        (directory / name).write_text(text)
+    home = os.getcwd()
+    os.chdir(directory)
+    try:
+        return {" ".join(argv): golden_record(argv) for argv in GOLDEN_COMMANDS}
+    finally:
+        os.chdir(home)
