@@ -1,8 +1,6 @@
 """Gate-level circuit model and statevector simulator.
 
 Basis convention: qubit 0 is the MOST significant bit of the basis index.
-A state may also carry a clock register of dimension N >= 1 that gates never
-touch; the flat amplitude index is  basis_index * N + clock level.
 
 Text format (UTF-8, line based, '#' starts a comment):
 
@@ -22,10 +20,10 @@ operator_line writes such a line back.
 Simulation is one pass, _circuit_pass, behind circuit_unitary,
 gate_unitary, circuit_diagonal, apply_columns, apply_circuit and
 apply_gate.  It fuses consecutive gates greedily into blocks on at most
-FUSED_QUBITS = 3 qubits, then pushes the input columns (basis columns, one
-column per clock level of a state, or any given columns) through the fused
-blocks BLOCK_AMPLITUDES = 2^15 amplitudes at a time, so each block of
-columns stays in cache for the whole circuit (gate fusion and cache
+FUSED_QUBITS = 3 qubits, then pushes the input columns (basis columns, a
+state's one column, or any given columns) through the fused blocks
+BLOCK_AMPLITUDES = 2^15 amplitudes at a time, so each block of columns
+stays in cache for the whole circuit (gate fusion and cache
 blocking, Häner & Steiger, SC 2017).  On a 10-qubit, 40-gate circuit (17
 fused blocks), one thread of a 2-core x86-64 box, circuit_unitary takes
 0.09-0.11 s in a fresh process, against 0.25-0.29 s for one tensordot pass
@@ -159,17 +157,16 @@ class BasisLabel:
 
 @dataclass
 class StateVector:
-    """Normalized amplitudes over qubits x clock, flat index = basis*N + clock."""
+    """Normalized amplitudes over the qubits' basis states."""
 
     qubit_count: int
-    clock_dim: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.qubit_count < 0 or self.clock_dim < 1:
+        if self.qubit_count < 0:
             raise ValueError("bad register shape")
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        expected = (2**self.qubit_count) * self.clock_dim
+        expected = 2**self.qubit_count
         if amps.size != expected:
             raise DimensionMismatch(
                 f"amplitude vector has {amps.size} entries, expected {expected}"
@@ -180,15 +177,14 @@ class StateVector:
         self.amplitudes = amps
 
     @classmethod
-    def from_label(cls, label: BasisLabel, clock_dim: int = 1) -> "StateVector":
-        """|label>, with a clock register of clock_dim levels at level 0."""
-        return cls.basis(len(label.bits), label.basis_index(), clock_dim)
+    def from_label(cls, label: BasisLabel) -> "StateVector":
+        return cls.basis(len(label.bits), label.basis_index())
 
     @classmethod
-    def basis(cls, qubit_count: int, index: int = 0, clock_dim: int = 1) -> "StateVector":
-        amps = np.zeros((2**qubit_count) * clock_dim, dtype=complex)
-        amps[index * clock_dim] = 1.0
-        return cls(qubit_count, clock_dim, amps)
+    def basis(cls, qubit_count: int, index: int = 0) -> "StateVector":
+        amps = np.zeros(2**qubit_count, dtype=complex)
+        amps[index] = 1.0
+        return cls(qubit_count, amps)
 
 
 @dataclass
@@ -307,9 +303,8 @@ def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
         raise DimensionMismatch(
             f"circuit acts on {circuit.qubit_count} qubits, state has {state.qubit_count}"
         )
-    # the clock index is the column index: one column per clock level
-    amps = state.amplitudes.reshape(2**state.qubit_count, state.clock_dim)
-    return StateVector(state.qubit_count, state.clock_dim, apply_columns(circuit, amps).reshape(-1))
+    amps = apply_columns(circuit, state.amplitudes.reshape(-1, 1))
+    return StateVector(state.qubit_count, amps.reshape(-1))
 
 
 def apply_columns(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
@@ -525,7 +520,7 @@ def output_split(circuit: Circuit, x: BasisLabel) -> OutputSplit:
         lead = block[nonzero[0]]
         phase = lead / abs(lead)
         alpha = weight * phase
-        psi = StateVector(circuit.qubit_count - 1, state.clock_dim, block / alpha)
+        psi = StateVector(circuit.qubit_count - 1, block / alpha)
         return complex(alpha), psi
 
     alpha0, psi0 = split_branch(blocks[0])

@@ -4,8 +4,9 @@ Every subcommand reads plain-text circuit or Hamiltonian files, runs one
 operation end to end, and emits a deterministic report: JSON everywhere,
 CSV only for the trotter-bench table.  Floats are printed with 17
 significant digits so identical configurations produce byte-identical
-output.  Randomized subcommands derive one substream per sample from
-(seed, sample index), so reports do not depend on batching.
+output.  `pes` and `lhes` derive one substream per sample from (seed,
+sample index), so their reports do not depend on batching; `luae` and
+`luae-u` draw from substream(seed, 0), and `decide` from master_rng(seed).
 
 Exit codes: 0 success, 1 parse or validation failure (an unreadable input
 or an unwritable output among them), 2 dimension or size failure, 3 oracle

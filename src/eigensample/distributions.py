@@ -1,9 +1,10 @@
 """Spectral distributions, exact sampling, and transport-feasibility checks.
 
-spectral_weights is the one eigensolve-and-weights step (exact_distribution
-merges its output, phase_estimation blurs it); inverse_cdf draws for all.
-Both take an operator as a dense matrix or, for unitary laws, as a
-Circuit, whose law is combined from its independent qubit groups' laws.
+spectral_weights is the one eigensolve-and-weights step, probed from one
+basis index (exact_distribution merges its output, phase_estimation blurs
+it); inverse_cdf draws for all.  Both take an operator as a dense matrix
+or, for unitary laws, as a Circuit, whose law is combined from its
+independent qubit groups' laws.
 
 A distribution q (epsilon, delta)-approximates p when q's mass can be split
 so that every target point x_j receives at least (1 - delta) p_j from within
@@ -34,7 +35,6 @@ import numpy as np
 from .circuits import (
     BasisLabel,
     Circuit,
-    StateVector,
     apply_columns,
     check_dense_width,
     circuit_components,
@@ -138,21 +138,11 @@ def make_distribution(values, weights, metric: str) -> SpectralDistribution:
     return SpectralDistribution(points, metric)
 
 
-def operator_shape(operator) -> tuple[int, ...]:
-    """Shape of the dense matrix behind `operator`: a matrix, or a Circuit,
-    which raises TooLarge above circuits.MAX_DENSE_QUBITS before anything
-    is allocated."""
-    if isinstance(operator, Circuit):
-        check_dense_width(operator.qubit_count, "circuit")
-        return (2**operator.qubit_count,) * 2
-    return np.shape(operator)
-
-
-def spectral_weights(operator, state, kind: str) -> tuple[np.ndarray, np.ndarray]:
+def spectral_weights(operator, index: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (kind "hermitian") or eigenphases in [0, 1) (kind
-    "unitary") of `operator`, with the weights sum_c |<eta_k|psi_c>|^2 of
-    the state's amplitudes read as (dim, clock) columns: a clock register
-    beyond the operator's dimension is a spectator.
+    "unitary") of `operator`, with the weights |<eta_k|b>|^2 of the basis
+    state |b> of the given index: row b of the eigenvector matrix, squared
+    in modulus.
 
     A unitary may be a matrix (linalg.unitary_eig) or a Circuit, whose law
     comes from its qubit-interaction components (_circuit_weights)."""
@@ -161,16 +151,15 @@ def spectral_weights(operator, state, kind: str) -> tuple[np.ndarray, np.ndarray
         values = dec.eigenvalues
     elif kind == "unitary":
         if isinstance(operator, Circuit):
-            return _circuit_weights(operator, state)
+            return _circuit_weights(operator, index)
         dec = unitary_eig(operator)
         values = dec.phases()
     else:
         raise ValueError("kind must be 'hermitian' or 'unitary'")
-    overlaps = dec.eigenvectors.conj().T @ np.reshape(state, (len(values), -1))
-    return values, np.sum(np.abs(overlaps) ** 2, axis=1)
+    return values, np.abs(dec.eigenvectors[index]) ** 2
 
 
-def _circuit_weights(circuit: Circuit, state) -> tuple[np.ndarray, np.ndarray]:
+def _circuit_weights(circuit: Circuit, index: int) -> tuple[np.ndarray, np.ndarray]:
     """spectral_weights of a circuit's unitary U = (x)_c U_c (x) I, one
     factor per component of circuits.circuit_components and the identity
     on qubits that no gate touches.
@@ -181,20 +170,22 @@ def _circuit_weights(circuit: Circuit, state) -> tuple[np.ndarray, np.ndarray]:
     so the largest matrix alive is the widest component's (five of them at
     the peak, 16 MiB each for a 10-qubit component).  An eigenvector of U
     is a product of the factors' eigenvectors: its phase is the sum of
-    theirs mod 1, and its overlaps come from contracting the state with each
-    factor's basis on that factor's qubits.  The untouched qubits, like the
-    clock, are spectators: their phase is 0 and their weights are summed.
-    The phases are sorted stably, so a connected circuit on every qubit
-    gives exactly the law of its one dense eigensolve.  The caps count the
-    whole register: above circuits.MAX_DENSE_QUBITS qubits it raises
-    TooLarge, however narrow the components."""
+    theirs mod 1, and its overlaps come from contracting |b> with each
+    factor's basis on that factor's qubits.  The untouched qubits are
+    spectators: their phase is 0 and their weights are summed.  The phases
+    are sorted stably, so a connected circuit on every qubit gives exactly
+    the law of its one dense eigensolve.  The caps count the whole
+    register: above circuits.MAX_DENSE_QUBITS qubits it raises TooLarge,
+    however narrow the components, before |b> is allocated."""
     n = circuit.qubit_count
     check_dense_width(n, "circuit")
+    state = np.zeros(2**n, dtype=complex)
+    state[index] = 1.0
     components = circuit_components(circuit)
     active = [q for qubits, _ in components for q in qubits]
     idle = sorted(set(range(n)).difference(active))
-    # one axis per component, then the spectators: idle qubits and clock
-    overlaps = np.reshape(state, (2,) * n + (-1,)).transpose(active + idle + [n])
+    # one axis per component, then the idle qubits
+    overlaps = np.reshape(state, (2,) * n).transpose(active + idle)
     overlaps = overlaps.reshape([2 ** len(qubits) for qubits, _ in components] + [-1])
     phases = np.zeros(1)
     for axis, (_, sub) in enumerate(components):
@@ -216,18 +207,24 @@ def exact_distribution(operator, b: BasisLabel, kind: str) -> SpectralDistributi
     """Ground-truth spectral law of measuring `operator` (a matrix, or a
     Circuit for kind "unitary") in state |b>.
 
-    Eigenvalues are merged across degenerate eigenspaces, so each weight is
-    the full projector expectation <b|P|b>.  kind "hermitian" yields values
-    on the real line; kind "unitary" yields phases in [0, 1).
+    A matrix wider than b's register is read as b's register times a clock
+    register at level 0.  A Circuit wider than circuits.MAX_DENSE_QUBITS
+    raises TooLarge before 2^n is formed.  Eigenvalues are merged across
+    degenerate eigenspaces, so each weight is the full projector
+    expectation <b|P|b>.  kind "hermitian" yields values on the real line;
+    kind "unitary" yields phases in [0, 1).
     """
-    dim = operator_shape(operator)[0]
-    qubit_dim = 2**b.qubit_count
-    if dim % qubit_dim != 0:
+    if isinstance(operator, Circuit):
+        check_dense_width(operator.qubit_count, "circuit")
+        dim = 2**operator.qubit_count
+    else:
+        dim = np.shape(operator)[0]
+    clock_dim, extra = divmod(dim, 2**b.qubit_count)
+    if extra:
         raise DimensionMismatch(
             f"matrix dimension {dim} does not contain a {b.qubit_count}-qubit register"
         )
-    state = StateVector.from_label(b, clock_dim=dim // qubit_dim)
-    values, weights = spectral_weights(operator, state.amplitudes, kind)
+    values, weights = spectral_weights(operator, b.basis_index() * clock_dim, kind)
     return make_distribution(values, weights, "absolute" if kind == "hermitian" else "circular")
 
 
@@ -475,10 +472,12 @@ def empirical_feasibility(
 ) -> tuple[bool, float, float]:
     """Transport check of an empirical sample against a target law.
 
-    delta is widened by a fluctuation slack, by default
-    EMPIRICAL_SLACK_FACTOR * sqrt(log(#target points) / #samples).
+    delta must lie in [0, 1]; it is widened by a fluctuation slack, by
+    default EMPIRICAL_SLACK_FACTOR * sqrt(log(#target points) / #samples).
     Returns (feasible, slack used, flow value).
     """
+    if not 0 <= delta <= 1:
+        raise ValueError("delta must lie in [0, 1]")
     n = len(samples)
     if n < MIN_EMPIRICAL_SAMPLES:
         raise ValueError(f"need at least {MIN_EMPIRICAL_SAMPLES} samples, got {n}")

@@ -27,7 +27,6 @@ import numpy as np
 from .circuits import (
     Circuit,
     Gate,
-    StateVector,
     check_dense_width,
     circuit_unitary,
     gate_unitary,
@@ -243,8 +242,7 @@ def prepare_lhes(h: LocalHamiltonian, req: SamplingRequest) -> PreparedEigenvalu
     def slice_law(t, steps):
         check_kernel_work(h.qubit_count, t)
         check_dense_width(h.qubit_count, "Hamiltonian")
-        b = StateVector.from_label(req.b).amplitudes
-        return spectral_weights(trotter_circuit(scale, steps), b, "unitary")
+        return spectral_weights(trotter_circuit(scale, steps), req.b.basis_index(), "unitary")
 
     return lhes_sampler(scale.lambda_cap, s_norm, req, slice_law)
 

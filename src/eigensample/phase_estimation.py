@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .circuits import BasisLabel, Circuit, StateVector, check_dense_width
+from .circuits import BasisLabel, Circuit
 from .distributions import inverse_cdf, spectral_weights
 from .errors import TooLarge
 
@@ -177,7 +177,5 @@ def prepare_pes(circuit: Circuit, req: SamplingRequest) -> PreparedPhaseEstimati
     req.b.check_width(circuit.qubit_count, "circuit")
     t = ancilla_bits(req.epsilon, req.delta)
     check_kernel_work(circuit.qubit_count, t)
-    check_dense_width(circuit.qubit_count, "circuit")
-    state = StateVector.from_label(req.b)
-    return PreparedPhaseEstimation(t, *spectral_weights(circuit, state.amplitudes, "unitary"))
+    return PreparedPhaseEstimation(t, *spectral_weights(circuit, req.b.basis_index(), "unitary"))
 

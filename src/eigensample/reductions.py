@@ -135,13 +135,15 @@ def build_clock_hamiltonian(propagator: ClockPropagator) -> np.ndarray:
 class HistoryAnalysis:
     """History walk of a marked circuit from one basis input.
 
-    phi_states[j] = F^j applied to the start state, for j = 0 .. 2N-1, and
-    overlaps is their Gram matrix.  alpha0/alpha1 are the base output's
-    branch amplitudes on qubit 0 (circuits.output_split).
+    phi_states is the walk's (2N, 2^n N) amplitude array: row j is F^j
+    applied to the start state, for j = 0 .. 2N-1, at flat index
+    basis * N + clock, and overlaps is the rows' Gram matrix.
+    alpha0/alpha1 are the base output's branch amplitudes on qubit 0
+    (circuits.output_split).
     """
 
     clock_dim: int
-    phi_states: list[StateVector]
+    phi_states: np.ndarray
     overlaps: np.ndarray
     alpha0: complex
     alpha1: complex
@@ -165,9 +167,8 @@ def analyze_history(marked: MarkedCircuit, x: BasisLabel) -> HistoryAnalysis:
         if j:
             psi = apply_gate(psi, gates[(j - 1) % clock_dim])
         amps[j, :, j % clock_dim] = psi.amplitudes
-    stacked = amps.reshape(2 * clock_dim, -1)
-    phi_states = [StateVector(psi.qubit_count, clock_dim, a) for a in stacked]
-    overlaps = stacked.conj() @ stacked.T
+    phi_states = amps.reshape(2 * clock_dim, -1)
+    overlaps = phi_states.conj() @ phi_states.T
 
     split = output_split(marked.base, x)
     return HistoryAnalysis(clock_dim, phi_states, overlaps, split.alpha0, split.alpha1)
@@ -370,7 +371,6 @@ def quantum_lhes_oracle(circuit: Circuit, req: SamplingRequest):
     (plus margin), and a Trotter factor rotates two ring sites."""
     clock_dim = len(circuit.gates)
     cap = 4.0 * clock_dim * (1.0 + LAMBDA_MARGIN)
-    start = np.eye(clock_dim)[0]
 
     def slice_law(t, steps):
         # at the decider's epsilon, t <= MAX_ESTIMATOR_BITS means N <= 89, so
@@ -378,7 +378,7 @@ def quantum_lhes_oracle(circuit: Circuit, req: SamplingRequest):
         phases, weights = [], []
         for theta, weight in marked_law(circuit, req.b).points:
             ring = _ring_slice(clock_dim, 2.0 * np.pi / steps / cap, theta)
-            ring_phases, ring_weights = spectral_weights(ring, start, "unitary")
+            ring_phases, ring_weights = spectral_weights(ring, 0, "unitary")
             phases.append(ring_phases)
             weights.append(weight * ring_weights)
         return np.concatenate(phases), np.concatenate(weights)

@@ -20,8 +20,8 @@ from eigensample.circuits import _apply_matrix
 
 
 def qubit_axes(state):
-    """The amplitudes with one axis per qubit plus a trailing clock axis."""
-    return state.amplitudes.reshape((2,) * state.qubit_count + (state.clock_dim,))
+    """The amplitudes with one axis per qubit."""
+    return state.amplitudes.reshape((2,) * state.qubit_count)
 
 
 def apply_gate_controlled(state, gate, control):
@@ -39,7 +39,7 @@ def apply_gate_controlled(state, gate, control):
     slicer[control] = slice(1, 2)
     sub = tensor[tuple(slicer)]
     tensor[tuple(slicer)] = _apply_matrix(sub, gate.matrix, gate.support)
-    return StateVector(state.qubit_count, state.clock_dim, tensor.reshape(-1))
+    return StateVector(state.qubit_count, tensor.reshape(-1))
 
 
 def controlled_power_apply(circuit, control, power, state):
@@ -84,7 +84,7 @@ def qft_apply(state, register, inverse=False):
     else:
         out = np.fft.ifft(arr, axis=0, norm="ortho")
     out = np.moveaxis(out.reshape(shape), tuple(range(t)), register)
-    return StateVector(state.qubit_count, state.clock_dim, out.reshape(-1))
+    return StateVector(state.qubit_count, out.reshape(-1))
 
 
 def final_state(circuit, system_state, t):
@@ -95,7 +95,7 @@ def final_state(circuit, system_state, t):
     dim_rest = system_state.amplitudes.size
     amps = np.zeros((2**t) * dim_rest, dtype=complex)
     amps[:dim_rest] = system_state.amplitudes
-    state = StateVector(t + system_state.qubit_count, system_state.clock_dim, amps)
+    state = StateVector(t + system_state.qubit_count, amps)
     for q in range(t):
         state = apply_gate(state, named_gate("h", q))
     for j in range(t):

@@ -33,15 +33,21 @@ from eigensample import (
     substream,
 )
 from eigensample import cli, distributions
-from eigensample.circuits import operator_line
+from eigensample.circuits import (
+    apply_columns,
+    check_dense_width,
+    circuit_components,
+    circuit_unitary,
+    operator_line,
+)
 from eigensample.distributions import (
     DEDUP_TOL,
     EDGE_DISTANCE_TOL,
     WEIGHT_FLOOR,
     inverse_cdf,
     point_distance,
-    spectral_weights,
 )
+from eigensample.linalg import hermitian_eig, unitary_eig, unitary_eig_in_place
 
 NAMED_ONE = ("h", "x", "y", "z", "s", "t")
 NAMED_TWO = ("cnot", "cz", "swap")
@@ -61,10 +67,10 @@ def random_hermitian(dim, rng):
     return (z + z.conj().T) / 2.0
 
 
-def random_state(qubits, rng, clock_dim=1):
-    dim = (2**qubits) * clock_dim
+def random_state(qubits, rng):
+    dim = 2**qubits
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(qubits, clock_dim, z / np.linalg.norm(z))
+    return StateVector(qubits, z / np.linalg.norm(z))
 
 
 def clifford_circuit(qubits, gate_count, rng):
@@ -264,7 +270,7 @@ def history_families(hist):
     is empty when the walk is N-periodic (deterministic-reject inputs),
     that is when every difference norm is at most 1e-8."""
     n = hist.clock_dim
-    amps = np.stack([s.amplitudes for s in hist.phi_states])
+    amps = hist.phi_states
     sums, diffs = amps[:n] + amps[n:], amps[:n] - amps[n:]
     diff_norms = np.linalg.norm(diffs, axis=1)
     live = diff_norms > 1e-8
@@ -420,10 +426,57 @@ def reference_transport(candidate, target, epsilon, delta):
         return distributions._transport(candidate, target, epsilon, delta)
 
 
+def former_spectral_weights(operator, state, kind):
+    """distributions.spectral_weights as it was when it took a state: the
+    weights sum_c |<eta_k|psi_c>|^2 of any amplitudes read as (dim, clock)
+    columns, a clock beyond the operator's dimension being a spectator.
+    Kept as the general-state reference, and as the reference for the
+    basis-index probe that replaced it."""
+    if kind == "hermitian":
+        dec = hermitian_eig(operator)
+        values = dec.eigenvalues
+    elif kind == "unitary":
+        if isinstance(operator, Circuit):
+            return _former_circuit_weights(operator, state)
+        dec = unitary_eig(operator)
+        values = dec.phases()
+    else:
+        raise ValueError("kind must be 'hermitian' or 'unitary'")
+    overlaps = dec.eigenvectors.conj().T @ np.reshape(state, (len(values), -1))
+    return values, np.sum(np.abs(overlaps) ** 2, axis=1)
+
+
+def _former_circuit_weights(circuit, state):
+    """The circuit branch of former_spectral_weights: the state contracted
+    with each qubit group's eigenbasis, idle qubits and clock summed."""
+    n = circuit.qubit_count
+    check_dense_width(n, "circuit")
+    components = circuit_components(circuit)
+    active = [q for qubits, _ in components for q in qubits]
+    idle = sorted(set(range(n)).difference(active))
+    overlaps = np.reshape(state, (2,) * n + (-1,)).transpose(active + idle + [n])
+    overlaps = overlaps.reshape([2 ** len(qubits) for qubits, _ in components] + [-1])
+    phases = np.zeros(1)
+    for axis, (_, sub) in enumerate(components):
+        dec = unitary_eig_in_place(
+            circuit_unitary(sub), lambda vectors: apply_columns(sub, vectors)
+        )
+        moved = np.moveaxis(overlaps, axis, 0)
+        shape = moved.shape
+        moved = dec.eigenvectors.conj().T @ moved.reshape(shape[0], -1)
+        overlaps = np.moveaxis(moved.reshape(shape), 0, axis)
+        phases = np.add.outer(phases, dec.phases()).ravel() % 1.0
+    weights = np.sum(np.abs(overlaps.reshape(phases.size, -1)) ** 2, axis=1)
+    order = np.argsort(phases, kind="stable")
+    return phases[order], weights[order]
+
+
 def prepare_from_state(unitary, system_state, t):
     """t-bit phase-estimation law of `unitary` (a matrix or a Circuit) seen
-    from any state, clock columns included: prepare_pes without its checks."""
-    phases, weights = spectral_weights(unitary, system_state.amplitudes, "unitary")
+    from any state, with the weights sum_k |<eta_k|psi>|^2 of
+    former_spectral_weights: prepare_pes without its checks and beyond
+    basis states."""
+    phases, weights = former_spectral_weights(unitary, system_state.amplitudes, "unitary")
     return PreparedPhaseEstimation(t, phases, weights)
 
 

@@ -24,6 +24,7 @@ from eigensample import (
 from eigensample import circuits
 from eigensample.circuits import (
     BLOCK_AMPLITUDES,
+    apply_columns,
     circuit_components,
     FUSED_QUBITS,
     MAX_STATEVECTOR_QUBITS,
@@ -229,16 +230,6 @@ class TestApply:
         out = apply_circuit(c, psi)
         assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-10
 
-    def test_clock_register_untouched(self):
-        # gates act identically on every clock sector
-        rng = np.random.default_rng(16)
-        sys = random_state(2, rng)
-        clock = np.array([0.6, 0.8j, 0.0])
-        psi = StateVector(2, 3, np.kron(sys.amplitudes, clock))
-        out = apply_gate(psi, named_gate("h", 1))
-        sys_out = apply_gate(sys, named_gate("h", 1))
-        assert np.max(np.abs(out.amplitudes - np.kron(sys_out.amplitudes, clock))) < EXACT_TOL
-
     def test_gate_beyond_register(self):
         with pytest.raises(DimensionMismatch):
             apply_gate(StateVector.basis(1), named_gate("x", 1))
@@ -301,7 +292,7 @@ class TestFusedPass:
 
     REF_TOL = 1e-13
 
-    def assert_matches_reference(self, circ, rng, clock_dims=(1, 3)):
+    def assert_matches_reference(self, circ, rng, columns=3):
         n = circ.qubit_count
         if n <= 8:
             expected = gate_by_gate_columns(circ, np.eye(2**n))
@@ -309,11 +300,13 @@ class TestFusedPass:
         idx = rng.choice(2**n, min(2**n, 37), replace=False)
         got = circuit_diagonal(circ, idx)
         assert np.max(np.abs(got - reference_diagonal(circ, idx))) <= self.REF_TOL
-        for clock_dim in clock_dims:
-            psi = random_state(n, rng, clock_dim)
-            out = apply_circuit(circ, psi).amplitudes
-            ref = gate_by_gate_columns(circ, psi.amplitudes.reshape(2**n, clock_dim))
-            assert np.max(np.abs(out - ref.reshape(-1))) <= self.REF_TOL
+        psi = random_state(n, rng)
+        out = apply_circuit(circ, psi).amplitudes
+        ref = gate_by_gate_columns(circ, psi.amplitudes.reshape(-1, 1))
+        assert np.max(np.abs(out - ref.reshape(-1))) <= self.REF_TOL
+        cols = np.stack([random_state(n, rng).amplitudes for _ in range(columns)], axis=1)
+        ref = gate_by_gate_columns(circ, cols)
+        assert np.max(np.abs(apply_columns(circ, cols) - ref)) <= self.REF_TOL
 
     def test_random_circuits_match_gate_by_gate(self):
         rng = np.random.default_rng(41)
@@ -353,11 +346,11 @@ class TestFusedPass:
 
     @pytest.mark.parametrize("columns_per_block", [1, 3])
     def test_split_column_blocks(self, monkeypatch, columns_per_block):
-        # 32 columns, 37 indices and a 7-level clock all end in a partial block
+        # 32 basis columns, 37 indices and 7 given columns all end in a partial block
         n = 5
         monkeypatch.setattr(circuits, "BLOCK_AMPLITUDES", columns_per_block * 2**n)
         rng = np.random.default_rng(44)
-        self.assert_matches_reference(mixed_circuit(n, 20, rng), rng, clock_dims=(1, 7))
+        self.assert_matches_reference(mixed_circuit(n, 20, rng), rng, columns=7)
 
     def test_one_column_matches_the_state_pass_bit_for_bit(self):
         rng = np.random.default_rng(45)
@@ -500,13 +493,7 @@ class TestOutputSplit:
 class TestStateVector:
     def test_norm_enforced(self):
         with pytest.raises(ValueError, match="normalized"):
-            StateVector(1, 1, np.array([1.0, 1.0]))
-
-    def test_from_label_with_clock(self):
-        psi = StateVector.from_label(BasisLabel("10"), clock_dim=3)
-        # flat index = basis * clock_dim + clock = 2 * 3 + 0
-        assert psi.amplitudes[6] == 1.0
-        assert np.sum(np.abs(psi.amplitudes)) == 1.0
+            StateVector(1, np.array([1.0, 1.0]))
 
     def test_label_validation(self):
         with pytest.raises(ValueError):

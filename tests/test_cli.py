@@ -878,6 +878,23 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(err)["error"] == "UsageError"
 
+    @pytest.mark.parametrize("delta, code", [(-0.05, 1), (1.5, 1), (0.0, 0), (1.0, 0)])
+    def test_delta_checked_before_the_slack_widens_it(self, files, capsys, delta, code):
+        # out-of-range values that the slack of 1000 samples (0.083) would
+        # widen back into [0, 1] or clamp to 1, and both ends of the range
+        samples = self.write_samples(
+            files, {"samples": [0.0] * 503 + [0.5] * 497, "epsilon": 0.1, "delta": delta}
+        )
+        got, out, err = run_cli(["verify", files["x"], samples, "--b", "0"], capsys)
+        assert got == code
+        if code:
+            assert out == "" and err.count("\n") == 1
+            assert json.loads(err) == {
+                "error": "ValueError", "message": "delta must lie in [0, 1]", "exit_code": 1,
+            }
+        else:
+            assert (err, json.loads(out)["delta"]) == ("", delta)
+
     def test_sample_floor(self, files, capsys):
         samples = self.write_samples(
             files, {"samples": [0.0] * 10, "epsilon": 0, "delta": 0}

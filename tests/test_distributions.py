@@ -18,7 +18,6 @@ from eigensample import (
     PreparedPhaseEstimation,
     SamplingRequest,
     SpectralDistribution,
-    StateVector,
     TooLarge,
     approx_check,
     circuit_unitary,
@@ -36,17 +35,20 @@ from eigensample import (
 from eigensample import distributions
 from eigensample.circuits import apply_columns, circuit_components
 from eigensample.distributions import EDGE_DISTANCE_TOL, spectral_weights
-from eigensample.linalg import unitary_eig_in_place
+from eigensample.linalg import unitary_eig, unitary_eig_in_place
+from eigensample.reductions import _ring_slice
 from _helpers import (
     all_pairs_edges,
     circular_distance,
     clifford_circuit,
     former_make_distribution,
+    former_spectral_weights,
     former_total_variation,
     grouped_circuit,
+    haar_unitary,
     per_draw_sample,
     random_circuit,
-    random_state,
+    random_hermitian,
     reference_transport,
 )
 
@@ -236,15 +238,6 @@ class TestCircuitPath:
                 exact_distribution(circuit, b, "unitary"),
                 exact_distribution(circuit_unitary(circuit), b, "unitary"),
             )
-
-    def test_clock_columns_are_spectators(self):
-        rng = np.random.default_rng(69)
-        circuit = random_circuit(4, 20, rng)
-        state = random_state(4, rng, clock_dim=3).amplitudes
-        phases, weights = spectral_weights(circuit, state, "unitary")
-        ref_phases, ref_weights = spectral_weights(circuit_unitary(circuit), state, "unitary")
-        assert max(map(circular_distance, phases, ref_phases)) <= 1e-14
-        assert np.max(np.abs(weights - ref_weights)) <= 1e-13
 
     def test_non_unitary_gate_raises(self):
         # a programmatic Gate is not checked for unitarity; the law is
@@ -661,26 +654,26 @@ class TestFactoredLaw:
                 EXACT_TOL,
             )
 
-    def test_any_state_with_a_clock(self):
-        # idle qubits and clock columns are both spectators
+    def test_every_b_with_idle_qubits(self):
+        # qubits 5 and 6 are idle: spectators, whatever their bits
         rng = np.random.default_rng(71)
         circuit = grouped_circuit(6, ((4, 1), (2,), (0, 3)), 20, rng)
         circuit = Circuit(7, circuit.gates)
-        state = random_state(7, rng, clock_dim=3).amplitudes
-        phases, weights = spectral_weights(circuit, state, "unitary")
-        # one eigenphase per product of the components' eigenvectors, sorted
-        assert phases.size == 2**5 and np.all(np.diff(phases) >= 0)
-        assert_law_within(
-            make_distribution(phases, weights, "circular"),
-            make_distribution(*spectral_weights(circuit_unitary(circuit), state, "unitary"),
-                              "circular"),
-            EXACT_TOL,
-        )
+        dense = unitary_eig(circuit_unitary(circuit))
+        for b in range(2**7):
+            phases, weights = spectral_weights(circuit, b, "unitary")
+            # one eigenphase per product of the components' eigenvectors, sorted
+            assert phases.size == 2**5 and np.all(np.diff(phases) >= 0)
+            assert_law_within(
+                make_distribution(phases, weights, "circular"),
+                make_distribution(dense.phases(), np.abs(dense.eigenvectors[b]) ** 2, "circular"),
+                EXACT_TOL,
+            )
 
     def test_dense_cap_counts_the_whole_register(self):
         circuit = Circuit(13, [named_gate("h", 0)])
         with pytest.raises(TooLarge):
-            spectral_weights(circuit, StateVector.basis(13).amplitudes, "unitary")
+            spectral_weights(circuit, 0, "unitary")
 
     def test_connected_circuit_is_one_full_eigensolve(self, monkeypatch):
         rng = np.random.default_rng(72)
@@ -693,14 +686,13 @@ class TestFactoredLaw:
             return unitary_eig_in_place(u, product)
 
         monkeypatch.setattr(distributions, "unitary_eig_in_place", spy)
-        state = random_state(6, rng, clock_dim=2).amplitudes
-        phases, weights = spectral_weights(circuit, state, "unitary")
+        b = int(rng.integers(64))
+        phases, weights = spectral_weights(circuit, b, "unitary")
         assert shapes == [(64, 64)]
-        # bit for bit the law of one dense eigensolve
+        # bit for bit the law of one dense eigensolve: row b of its basis
         dec = unitary_eig_in_place(circuit_unitary(circuit), lambda v: apply_columns(circuit, v))
-        overlaps = dec.eigenvectors.conj().T @ np.reshape(state, (64, -1))
         assert np.array_equal(phases, dec.phases())
-        assert np.array_equal(weights, np.sum(np.abs(overlaps) ** 2, axis=1))
+        assert np.array_equal(weights, np.abs(dec.eigenvectors[b]) ** 2)
 
     def test_no_matrix_wider_than_the_largest_component(self, monkeypatch):
         rng = np.random.default_rng(73)
@@ -725,3 +717,36 @@ class TestFactoredLaw:
              for name in ("circuit_unitary", "apply_columns", "unitary_eig_in_place")]
         )
 
+
+
+class TestBasisProbe:
+    """spectral_weights reads row b of a dense eigenvector matrix, or
+    contracts a one-hot |b> with a circuit's groups: bit for bit the numbers
+    of the state contraction it replaced (_helpers.former_spectral_weights)."""
+
+    def operators(self, rng):
+        """(operator, kind, dimension) from every family, 2 to 64 dimensions."""
+        for _ in range(30):
+            dim = int(rng.integers(2, 33))
+            yield haar_unitary(dim, rng), "unitary", dim
+            yield random_hermitian(dim, rng), "hermitian", dim
+            n = int(rng.integers(3, 41))
+            yield _ring_slice(n, rng.uniform(0.0, 0.5), rng.random()), "unitary", n
+            n = int(rng.integers(1, 7))
+            yield random_circuit(n, 4 * n, rng), "unitary", 2**n
+            n = int(rng.integers(4, 7))
+            yield grouped_circuit(n, random_groups(n, rng), 3 * n, rng), "unitary", 2**n
+
+    def test_matches_the_state_contraction_bit_for_bit(self):
+        rng = np.random.default_rng(2727)
+        pairs = 0
+        for operator, kind, dim in self.operators(rng):
+            for b in rng.choice(dim, size=min(dim, 8), replace=False).tolist():
+                state = np.zeros(dim, dtype=complex)
+                state[b] = 1.0
+                values, weights = spectral_weights(operator, b, kind)
+                want_values, want_weights = former_spectral_weights(operator, state, kind)
+                assert np.array_equal(values, want_values)
+                assert np.array_equal(weights, want_weights)
+                pairs += 1
+        assert pairs >= 1000

@@ -18,7 +18,6 @@ from eigensample import (
     is_unitary,
     mark_circuit,
     operator_norm,
-    StateVector,
     unitary_eig,
 )
 from eigensample.circuits import apply_columns
@@ -174,7 +173,7 @@ class TestUnitaryEig:
             assert np.all((0.0 <= phases) & (phases < 1.0))
             assert np.all(np.diff(phases) >= 0.0)
             b = BasisLabel("0" * full.qubit_count)
-            grouped, _ = spectral_weights(full, StateVector.from_label(b).amplitudes, "unitary")
+            grouped, _ = spectral_weights(full, b.basis_index(), "unitary")
             assert np.all((0.0 <= grouped) & (grouped < 1.0))
             values = exact_distribution(full, b, "unitary").values()
             assert all(0.0 <= v < 1.0 for v in values)

@@ -189,7 +189,7 @@ class TestQft:
 
     def test_inverse_composes_to_identity(self):
         rng = np.random.default_rng(40)
-        state = random_state(3, rng, clock_dim=2)
+        state = random_state(4, rng)
         back = qft_apply(qft_apply(state, (0, 2)), (0, 2), inverse=True)
         assert np.allclose(back.amplitudes, state.amplitudes, atol=STATE_TOL)
 
@@ -197,7 +197,7 @@ class TestQft:
         rng = np.random.default_rng(41)
         left = random_state(2, rng)
         spectator = random_state(1, rng)
-        joint = StateVector(3, 1, np.kron(left.amplitudes, spectator.amplitudes))
+        joint = StateVector(3, np.kron(left.amplitudes, spectator.amplitudes))
         out = qft_apply(joint, (0, 1))
         expected = np.kron(qft_apply(left, (0, 1)).amplitudes, spectator.amplitudes)
         assert np.allclose(out.amplitudes, expected, atol=STATE_TOL)
@@ -261,19 +261,19 @@ class TestPreparedDistribution:
         for qubits in (2, 3):
             for t in (3, 5, 6):
                 circ = random_circuit(qubits, 6, rng)
-                system = random_state(qubits, rng, clock_dim=2)
+                system = random_state(qubits, rng)
                 law = prepare(circ, system, t).raw_probabilities
                 reference = ancilla_law(circ, system, t)
                 assert np.max(np.abs(law - reference)) <= LAW_TOL
 
     def test_isolated_phase_follows_geometric_law(self):
-        eigvec = StateVector(1, 1, np.array([0.0, 1.0], dtype=complex))
+        eigvec = StateVector(1, np.array([0.0, 1.0], dtype=complex))
         prep = prepare(phase_circuit(0.3), eigvec, 6)
         law = geometric_phase_law(6, [0.3], [1.0])
         assert np.max(np.abs(prep.raw_probabilities - law)) < LAW_TOL
 
     def test_mixture_weights_add_linearly(self):
-        plus = StateVector(1, 1, np.array([1.0, 1.0]) / np.sqrt(2))
+        plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2))
         circ = phase_circuit(0.3, 0.55)
         mixed = prepare(circ, plus, 6).raw_probabilities
         law = geometric_phase_law(6, [0.3, 0.55], [0.5, 0.5])
@@ -309,7 +309,7 @@ class TestPreparedDistribution:
 
     def test_conditioning_recovers_the_eigenvector(self):
         # post-measurement system state of the gate-level reference
-        plus = StateVector(1, 1, np.array([1.0, 1.0]) / np.sqrt(2))
+        plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2))
         final = gate_level.final_state(phase_circuit(0.3, 0.7), plus, 6)
         block = final.amplitudes.reshape(2**6, -1)[19]
         cond = block / np.linalg.norm(block)
@@ -338,7 +338,7 @@ class TestPreparedDistribution:
         assert sum(calls) == 2**6 - 1
 
     def test_batch_matches_sequential_stream(self):
-        plus = StateVector(1, 1, np.array([1.0, 1.0]) / np.sqrt(2))
+        plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2))
         prep = prepare(phase_circuit(0.3), plus, 6)
         batch = prep.sample_raw_batch(7, np.random.default_rng(5))
         rng = np.random.default_rng(5)
