@@ -26,8 +26,7 @@ _EXPORTS = {
     ),
     "circuits": (
         "GATE_MATRICES", "BasisLabel", "Circuit", "Gate", "OutputSplit",
-        "StateVector", "apply_circuit", "apply_gate", "circuit_diagonal",
-        "circuit_unitary", "gate_unitary", "invert_circuit", "named_gate",
+        "circuit_diagonal", "circuit_unitary", "invert_circuit", "named_gate",
         "output_split", "parse_circuit",
     ),
     "distributions": (

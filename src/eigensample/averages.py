@@ -24,8 +24,7 @@ import numpy as np
 
 from .circuits import (
     Circuit,
-    StateVector,
-    apply_circuit,
+    apply_columns,
     check_statevector_width,
     circuit_components,
     circuit_diagonal,
@@ -72,8 +71,9 @@ def hadamard_test_probabilities(circuit: Circuit, prep: Circuit) -> tuple[float,
     """
     if prep.qubit_count != circuit.qubit_count:
         raise DimensionMismatch("prep and circuit act on different registers")
-    psi = apply_circuit(prep, StateVector.basis(circuit.qubit_count))
-    lam = complex(psi.amplitudes.conj() @ apply_circuit(circuit, psi).amplitudes)
+    zero = np.eye(2**circuit.qubit_count, 1, dtype=complex)  # the column |0...0>
+    psi = apply_columns(prep, zero).reshape(-1)
+    lam = complex(psi.conj() @ apply_columns(circuit, psi.reshape(-1, 1)).reshape(-1))
     return (1.0 + lam.real) / 2.0, (1.0 + lam.imag) / 2.0
 
 

@@ -17,12 +17,13 @@ comment rule and the qubits header and hands each later line to the
 format's directive; read_operator decodes k qubits then 2 * 4^k reals, and
 operator_line writes such a line back.
 
-Simulation is one pass, _circuit_pass, behind circuit_unitary,
-gate_unitary, circuit_diagonal, apply_columns, apply_circuit and
-apply_gate.  It fuses consecutive gates greedily into blocks on at most
-FUSED_QUBITS = 3 qubits, then pushes the input columns (basis columns, a
-state's one column, or any given columns) through the fused blocks
-BLOCK_AMPLITUDES = 2^15 amplitudes at a time, so each block of columns
+Simulation is one pass, _circuit_pass, behind three entry points:
+apply_columns for states (any given columns, a state being one column of
+amplitudes), circuit_unitary for the dense matrix and circuit_diagonal for
+entries <b|U|b>, which diagonal_entry reads for one checked label.  The
+pass fuses consecutive gates greedily into blocks on at most
+FUSED_QUBITS = 3 qubits, then pushes the input columns through the fused
+blocks BLOCK_AMPLITUDES = 2^15 amplitudes at a time, so each block of columns
 stays in cache for the whole circuit (gate fusion and cache
 blocking, Häner & Steiger, SC 2017).  On a 10-qubit, 40-gate circuit (17
 fused blocks), one thread of a 2-core x86-64 box, circuit_unitary takes
@@ -42,7 +43,6 @@ import numpy as np
 from .errors import DimensionMismatch, EigensampleError, ParseError, TooLarge
 from .linalg import is_unitary
 
-NORM_TOL = 1e-10
 # Magnitude below which an output-branch amplitude is treated as absent.
 BRANCH_ZERO_TOL = 1e-12
 MAX_DENSE_QUBITS = 12
@@ -156,51 +156,19 @@ class BasisLabel:
 
 
 @dataclass
-class StateVector:
-    """Normalized amplitudes over the qubits' basis states."""
-
-    qubit_count: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.qubit_count < 0:
-            raise ValueError("bad register shape")
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        expected = 2**self.qubit_count
-        if amps.size != expected:
-            raise DimensionMismatch(
-                f"amplitude vector has {amps.size} entries, expected {expected}"
-            )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-        self.amplitudes = amps
-
-    @classmethod
-    def from_label(cls, label: BasisLabel) -> "StateVector":
-        return cls.basis(len(label.bits), label.basis_index())
-
-    @classmethod
-    def basis(cls, qubit_count: int, index: int = 0) -> "StateVector":
-        amps = np.zeros(2**qubit_count, dtype=complex)
-        amps[index] = 1.0
-        return cls(qubit_count, amps)
-
-
-@dataclass
 class OutputSplit:
     """Decomposition of a circuit output by the value of qubit 0.
 
     alpha0/alpha1 carry the branch amplitudes; psi0/psi1 are the unit-norm
-    residual states on the remaining qubits, with phases fixed so each
-    psi's first nonzero amplitude is real and nonnegative.  A psi is None
-    when its branch amplitude vanishes.
+    amplitudes of the residual states on the remaining qubits, with phases
+    fixed so each psi's first nonzero amplitude is real and nonnegative.  A
+    psi is None when its branch amplitude vanishes.
     """
 
     alpha0: complex
     alpha1: complex
-    psi0: StateVector | None
-    psi1: StateVector | None
+    psi0: np.ndarray | None
+    psi1: np.ndarray | None
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +259,6 @@ def _basis_columns(dim: int, indices: np.ndarray) -> np.ndarray:
     return cols
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    for q in gate.support:
-        if q >= state.qubit_count:
-            raise DimensionMismatch(f"gate {gate.name} targets qubit {q} beyond register")
-    return apply_circuit(Circuit(state.qubit_count, [gate]), state)
-
-
-def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
-    if circuit.qubit_count != state.qubit_count:
-        raise DimensionMismatch(
-            f"circuit acts on {circuit.qubit_count} qubits, state has {state.qubit_count}"
-        )
-    amps = apply_columns(circuit, state.amplitudes.reshape(-1, 1))
-    return StateVector(state.qubit_count, amps.reshape(-1))
-
-
 def apply_columns(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
     """U @ columns for the circuit's unitary U and a (2^n, k) array, from
     one circuit pass; no dense unitary is formed."""
@@ -344,11 +296,6 @@ def circuit_components(circuit: Circuit) -> list[tuple[tuple[int, ...], Circuit]
         ]
         components.append((qubits, Circuit(len(qubits), gates)))
     return components
-
-
-def gate_unitary(gate: Gate, qubit_count: int) -> np.ndarray:
-    """Dense 2^n x 2^n embedding of a single gate."""
-    return circuit_unitary(Circuit(qubit_count, [gate]))
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -509,10 +456,10 @@ def invert_circuit(circuit: Circuit) -> Circuit:
 def output_split(circuit: Circuit, x: BasisLabel) -> OutputSplit:
     """Run `circuit` on basis input x and split the output by qubit 0."""
     x.check_width(circuit.qubit_count, "circuit", "x")
-    state = apply_circuit(circuit, StateVector.from_label(x))
-    blocks = state.amplitudes.reshape(2, -1)
+    column = _basis_columns(2**circuit.qubit_count, np.array([x.basis_index()]))
+    blocks = apply_columns(circuit, column).reshape(2, -1)
 
-    def split_branch(block: np.ndarray) -> tuple[complex, StateVector | None]:
+    def split_branch(block: np.ndarray) -> tuple[complex, np.ndarray | None]:
         weight = float(np.linalg.norm(block))
         if weight <= BRANCH_ZERO_TOL:
             return 0.0 + 0.0j, None
@@ -520,8 +467,7 @@ def output_split(circuit: Circuit, x: BasisLabel) -> OutputSplit:
         lead = block[nonzero[0]]
         phase = lead / abs(lead)
         alpha = weight * phase
-        psi = StateVector(circuit.qubit_count - 1, block / alpha)
-        return complex(alpha), psi
+        return complex(alpha), block / alpha
 
     alpha0, psi0 = split_branch(blocks[0])
     alpha1, psi1 = split_branch(blocks[1])

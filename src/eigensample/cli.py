@@ -36,7 +36,6 @@ from .errors import (
     DimensionMismatch,
     EigensampleError,
     OracleFailure,
-    ParseError,
     TermTooLarge,
     TooLarge,
 )
@@ -84,9 +83,18 @@ class UsageError(Exception):
     """Bad flags, unreadable inputs, unwritable outputs, malformed auxiliary JSON."""
 
 
+class _ParserExit(Exception):
+    """argparse is done (--help, --version); args[0] is its exit status."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):
+        """main returns status, so only run ends the process.  argparse
+        passes a message only from error, which raises UsageError instead."""
+        raise _ParserExit(status)
 
     def _print_message(self, message, file=None):
         """--help and --version text, through _emit: argparse itself would
@@ -155,10 +163,6 @@ def render_json(obj) -> str:
     return "".join(iter_json(obj))
 
 
-def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _base_report(seed, epsilon, delta) -> dict:
     return {
         "seed": seed,
@@ -207,20 +211,14 @@ def _detect_kind(text: str) -> str:
 
 
 def _load_input(path: str, kind: str):
+    """(kind, parsed file) for kind "circuit", "hamiltonian" or "auto",
+    which reads the kind off the text (_detect_kind)."""
     text = _read_file(path)
     if kind == "auto":
         kind = _detect_kind(text)
     if kind == "circuit":
         return kind, parse_circuit(text)
     return kind, parse_hamiltonian(text)
-
-
-def _load_circuit(path: str):
-    return parse_circuit(_read_file(path))
-
-
-def _load_hamiltonian(path: str):
-    return parse_hamiltonian(_read_file(path))
 
 
 def _exact_law(kind: str, obj, b: BasisLabel):
@@ -285,7 +283,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_pes(args) -> int:
     _check_samples(args)
-    circuit = _load_circuit(args.file)
+    _, circuit = _load_input(args.file, "circuit")
     req = SamplingRequest(args.epsilon, args.delta, BasisLabel(args.b))
     prep = prepare_pes(circuit, req)
     phis = prep.raw_outcomes(substream_uniforms(args.seed, args.samples)) / 2**prep.t
@@ -298,7 +296,7 @@ def _cmd_pes(args) -> int:
 
 def _cmd_lhes(args) -> int:
     _check_samples(args)
-    h = _load_hamiltonian(args.file)
+    _, h = _load_input(args.file, "hamiltonian")
     req = SamplingRequest(args.epsilon, args.delta, BasisLabel(args.b))
     prep = prepare_lhes(h, req)
     values = prep.eigenvalues(substream_uniforms(args.seed, args.samples))
@@ -312,7 +310,7 @@ def _cmd_lhes(args) -> int:
 
 
 def _cmd_luae(args) -> int:
-    circuit = _load_circuit(args.file)
+    _, circuit = _load_input(args.file, "circuit")
     req = SamplingRequest(args.epsilon, args.delta, BasisLabel(args.b))
     est = luae_estimate(circuit, req, substream(args.seed, 0))
     report = _base_report(args.seed, args.epsilon, args.delta)
@@ -323,7 +321,7 @@ def _cmd_luae(args) -> int:
 
 
 def _cmd_luae_u(args) -> int:
-    circuit = _load_circuit(args.file)
+    _, circuit = _load_input(args.file, "circuit")
     est = luae_unguided(circuit, args.epsilon, args.delta, substream(args.seed, 0))
     report = _base_report(args.seed, args.epsilon, args.delta)
     report["m_samples"] = est.m_samples
@@ -332,7 +330,7 @@ def _cmd_luae_u(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    circuit = _load_circuit(args.file)
+    _, circuit = _load_input(args.file, "circuit")
     marked = mark_circuit(circuit, args.kind)
     unary = build_unary_clock(marked)
     _emit([serialize_hamiltonian(unary.hamiltonian)], args.out)
@@ -345,7 +343,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    circuit = _load_circuit(args.file)
+    _, circuit = _load_input(args.file, "circuit")
     x = BasisLabel(args.x)
     rng = master_rng(args.seed)
     reductions = _submodule("reductions")
@@ -399,7 +397,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trotter_bench(args) -> int:
-    h = _load_hamiltonian(args.file)
+    _, h = _load_input(args.file, "hamiltonian")
     try:
         step_counts = [int(tok) for tok in args.m.split(",")]
     except ValueError as exc:
@@ -412,10 +410,10 @@ def _cmd_trotter_bench(args) -> int:
     for m in step_counts:
         dev = deviations[m]
         if 2 * m in deviations and deviations[2 * m] > 0:
-            ratio = _format_float(dev / deviations[2 * m])
+            ratio = _render_scalar(dev / deviations[2 * m])
         else:
             ratio = ""
-        lines.append(f"{m},{_format_float(dev)},{ratio}")
+        lines.append(f"{m},{_render_scalar(dev)},{ratio}")
     _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
@@ -523,6 +521,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
+    except _ParserExit as done:
+        return done.args[0]
     except UsageError as exc:
         return _fail(exc, EXIT_PARSE)
     except OracleFailure as exc:

@@ -29,7 +29,6 @@ from .circuits import (
     Gate,
     check_dense_width,
     circuit_unitary,
-    gate_unitary,
     operator_line,
     read_operator,
     read_register,
@@ -120,7 +119,7 @@ def dense_hamiltonian(h: LocalHamiltonian) -> np.ndarray:
     dim = 2**h.qubit_count
     out = np.zeros((dim, dim), dtype=complex)
     for term in h.terms:
-        out += gate_unitary(Gate("dense", term.support, term.matrix), h.qubit_count)
+        out += circuit_unitary(Circuit(h.qubit_count, [Gate("dense", term.support, term.matrix)]))
     return out
 
 

@@ -34,10 +34,9 @@ from .circuits import (
     BasisLabel,
     Circuit,
     Gate,
-    StateVector,
-    apply_gate,
+    apply_columns,
+    circuit_unitary,
     diagonal_entry,
-    gate_unitary,
     invert_circuit,
     named_gate,
     output_split,
@@ -122,7 +121,7 @@ def build_clock_propagator(marked: MarkedCircuit) -> ClockPropagator:
     for step, gate in enumerate(circ.gates, start=1):
         # adding into the zeros turns any -0.0 into +0.0, so F is bitwise the
         # sum over gates of V_j (x) |j><j-1|
-        blocks[:, step % clock_dim, :, step - 1] += gate_unitary(gate, n_sys)
+        blocks[:, step % clock_dim, :, step - 1] += circuit_unitary(Circuit(n_sys, [gate]))
     return ClockPropagator(n_sys, clock_dim, assembled)
 
 
@@ -159,14 +158,16 @@ def history_start_label(marked: MarkedCircuit, x: BasisLabel) -> BasisLabel:
 def analyze_history(marked: MarkedCircuit, x: BasisLabel) -> HistoryAnalysis:
     """The walk gate by gate: phi_j = V_j ... V_1 |0x> at clock j mod N,
     gate indices taken cyclically, with no clock matrix assembled."""
-    gates = marked.full.gates
+    start = history_start_label(marked, x).basis_index()
+    n, gates = marked.full.qubit_count, marked.full.gates
     clock_dim = len(gates)
-    psi = StateVector.from_label(history_start_label(marked, x))
-    amps = np.zeros((2 * clock_dim, psi.amplitudes.size, clock_dim), dtype=complex)
+    psi = np.zeros((2**n, 1), dtype=complex)
+    psi[start] = 1.0
+    amps = np.zeros((2 * clock_dim, 2**n, clock_dim), dtype=complex)
     for j in range(2 * clock_dim):
         if j:
-            psi = apply_gate(psi, gates[(j - 1) % clock_dim])
-        amps[j, :, j % clock_dim] = psi.amplitudes
+            psi = apply_columns(Circuit(n, [gates[(j - 1) % clock_dim]]), psi)
+        amps[j, :, j % clock_dim] = psi[:, 0]
     phi_states = amps.reshape(2 * clock_dim, -1)
     overlaps = phi_states.conj() @ phi_states.T
 

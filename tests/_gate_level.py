@@ -6,22 +6,22 @@ ancillas put into uniform superposition by Hadamards, controlled powers
 U^(2^j) applied gate by gate, an exact inverse Fourier transform on the
 ancillas, then the ancilla Born probabilities.  That is 2^t - 1 controlled
 circuit passes over a (t + n)-qubit state, so tests use it at small t only.
+A state is its 1-D array of 2^n amplitudes.
 """
 import numpy as np
 
-from eigensample import (
-    DimensionMismatch,
-    Gate,
-    StateVector,
-    apply_gate,
-    named_gate,
-)
-from eigensample.circuits import _apply_matrix
+from eigensample import Circuit, DimensionMismatch, Gate, named_gate
+from eigensample.circuits import _apply_matrix, apply_columns
+
+
+def qubit_count(state):
+    """n for a state of 2^n amplitudes."""
+    return state.size.bit_length() - 1
 
 
 def qubit_axes(state):
     """The amplitudes with one axis per qubit."""
-    return state.amplitudes.reshape((2,) * state.qubit_count)
+    return state.reshape((2,) * qubit_count(state))
 
 
 def apply_gate_controlled(state, gate, control):
@@ -32,14 +32,14 @@ def apply_gate_controlled(state, gate, control):
     """
     if control in gate.support:
         raise ValueError("control qubit overlaps gate support")
-    if control >= state.qubit_count:
+    if control >= qubit_count(state):
         raise DimensionMismatch("control qubit beyond register")
     tensor = qubit_axes(state).copy()
     slicer = [slice(None)] * tensor.ndim
     slicer[control] = slice(1, 2)
     sub = tensor[tuple(slicer)]
     tensor[tuple(slicer)] = _apply_matrix(sub, gate.matrix, gate.support)
-    return StateVector(state.qubit_count, tensor.reshape(-1))
+    return tensor.reshape(-1)
 
 
 def controlled_power_apply(circuit, control, power, state):
@@ -50,10 +50,10 @@ def controlled_power_apply(circuit, control, power, state):
     """
     if power < 1:
         raise ValueError("power must be a positive integer")
-    offset = state.qubit_count - circuit.qubit_count
+    offset = qubit_count(state) - circuit.qubit_count
     if offset < 0:
         raise DimensionMismatch("state smaller than circuit register")
-    if not (0 <= control < state.qubit_count) or control >= offset:
+    if not (0 <= control < qubit_count(state)) or control >= offset:
         raise ValueError("control qubit must sit outside the circuit's register")
     shifted = [
         Gate(g.name, tuple(q + offset for q in g.support), g.matrix)
@@ -73,7 +73,7 @@ def qft_apply(state, register, inverse=False):
     register = tuple(int(q) for q in register)
     if len(set(register)) != len(register):
         raise ValueError("register qubits must be distinct")
-    if any(q < 0 or q >= state.qubit_count for q in register):
+    if any(q < 0 or q >= qubit_count(state) for q in register):
         raise DimensionMismatch("register qubit beyond state")
     t = len(register)
     moved = np.moveaxis(qubit_axes(state), register, tuple(range(t)))
@@ -84,20 +84,19 @@ def qft_apply(state, register, inverse=False):
     else:
         out = np.fft.ifft(arr, axis=0, norm="ortho")
     out = np.moveaxis(out.reshape(shape), tuple(range(t)), register)
-    return StateVector(state.qubit_count, out.reshape(-1))
+    return out.reshape(-1)
 
 
 def final_state(circuit, system_state, t):
     """Pre-measurement state of the estimator; ancillas are the t most
     significant qubits, ancilla j controlling the power 2^(t-1-j)."""
-    if circuit.qubit_count != system_state.qubit_count:
+    if circuit.qubit_count != qubit_count(system_state):
         raise DimensionMismatch("system state does not match circuit register")
-    dim_rest = system_state.amplitudes.size
-    amps = np.zeros((2**t) * dim_rest, dtype=complex)
-    amps[:dim_rest] = system_state.amplitudes
-    state = StateVector(t + system_state.qubit_count, amps)
-    for q in range(t):
-        state = apply_gate(state, named_gate("h", q))
+    dim_rest = system_state.size
+    state = np.zeros(((2**t) * dim_rest, 1), dtype=complex)
+    state[:dim_rest, 0] = system_state
+    hadamards = [named_gate("h", q) for q in range(t)]
+    state = apply_columns(Circuit(t + qubit_count(system_state), hadamards), state)[:, 0]
     for j in range(t):
         state = controlled_power_apply(circuit, j, 2 ** (t - 1 - j), state)
     return qft_apply(state, range(t), inverse=True)
@@ -105,5 +104,5 @@ def final_state(circuit, system_state, t):
 
 def ancilla_law(circuit, system_state, t):
     """Born probabilities of the 2^t ancilla outcomes."""
-    rows = final_state(circuit, system_state, t).amplitudes.reshape(2**t, -1)
+    rows = final_state(circuit, system_state, t).reshape(2**t, -1)
     return np.sum(np.abs(rows) ** 2, axis=1)

@@ -20,12 +20,10 @@ from eigensample import (
     PreparedPhaseEstimation,
     SamplingRequest,
     SpectralDistribution,
-    StateVector,
     build_clock_hamiltonian,
     build_clock_propagator,
     build_unary_clock,
     exact_distribution,
-    gate_unitary,
     invert_circuit,
     named_gate,
     prepare_lhes,
@@ -67,10 +65,17 @@ def random_hermitian(dim, rng):
     return (z + z.conj().T) / 2.0
 
 
+def basis_state(qubits, index=0):
+    """The basis state |index> of a qubits-qubit register, as amplitudes."""
+    state = np.zeros(2**qubits, dtype=complex)
+    state[index] = 1.0
+    return state
+
+
 def random_state(qubits, rng):
     dim = 2**qubits
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(qubits, z / np.linalg.norm(z))
+    return z / np.linalg.norm(z)
 
 
 def clifford_circuit(qubits, gate_count, rng):
@@ -227,7 +232,7 @@ def kron_clock_propagator(marked):
     for step, gate in enumerate(circ.gates, start=1):
         clock = np.zeros((n, n), dtype=complex)
         clock[step % n, step - 1] = 1.0
-        f += np.kron(gate_unitary(gate, circ.qubit_count), clock)
+        f += np.kron(circuit_unitary(Circuit(circ.qubit_count, [gate])), clock)
     return f
 
 
@@ -476,7 +481,7 @@ def prepare_from_state(unitary, system_state, t):
     from any state, with the weights sum_k |<eta_k|psi>|^2 of
     former_spectral_weights: prepare_pes without its checks and beyond
     basis states."""
-    phases, weights = former_spectral_weights(unitary, system_state.amplitudes, "unitary")
+    phases, weights = former_spectral_weights(unitary, system_state, "unitary")
     return PreparedPhaseEstimation(t, phases, weights)
 
 
@@ -543,6 +548,15 @@ _BASE5 = (
 )
 
 
+def _blocks(qubits):
+    """CI's blocks<qubits>.txt: h, cnot, t, h on each qubit pair (q, q + 1),
+    q even, so the circuit splits into qubits / 2 two-qubit components."""
+    lines = [f"qubits {qubits}"]
+    for q in range(0, qubits, 2):
+        lines += [f"h {q}", f"cnot {q} {q + 1}", f"t {q + 1}", f"h {q + 1}"]
+    return "\n".join(lines) + "\n"
+
+
 def golden_inputs():
     """The corpus's input files, name -> text: fixed texts, CI's base5.txt,
     and seeded random circuits of named gates only (their text comes from
@@ -552,6 +566,11 @@ def golden_inputs():
         "x.txt": "qubits 1\nx 0\n",
         "h.txt": "qubits 1\nh 0\n",
         "base5.txt": _BASE5,
+        # CI's connected 16-qubit base: x on qubit 0, h on the rest, a cnot chain
+        "base16.txt": "qubits 16\nx 0\n" + "".join(f"h {q}\n" for q in range(1, 16))
+        + "".join(f"cnot {q} {q + 1}\n" for q in range(15)),
+        "blocks12.txt": _blocks(12),
+        "blocks14.txt": _blocks(14),
         "zham.txt": "qubits 1\nterm 1 0 1 0 0 0 0 0 -1 0\n",
         # W D W^-1 over Cliffords: every eigenphase is 0, 1/4, 1/2 or 3/4
         "clifford3.txt": serialize_circuit(clifford_circuit(3, 8, np.random.default_rng(1))),
@@ -623,6 +642,16 @@ def _golden_commands():
         ["decide", "base45.txt", "--x", "0", "--route", "lhes", "--oracle", "quantum"],
         ["decide", "x.txt", "--x", "00", "--route", "luae"],
     ]
+    # CI's console runs on its wide bases; quantum lhes on base16.txt is left
+    # out, as it takes seconds in-process
+    for route, oracle in (("pes", "exact"), ("pes", "quantum"), ("lhes", "exact"),
+                          ("luae", "exact"), ("luae", "quantum")):
+        commands.append(["decide", "base16.txt", "--x", "0", "--route", route, "--oracle", oracle])
+    commands += [
+        ["pes", "blocks12.txt", *pes, "--b", "0" * 12, "--samples", "5"],
+        ["luae-u", "blocks12.txt", "--epsilon", "0.15", "--delta", "0.01"],
+        ["luae-u", "blocks14.txt", "--epsilon", "0.15", "--delta", "0.01"],
+    ]
     return commands
 
 
@@ -640,10 +669,7 @@ def golden_record(argv):
     out_path = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # --version exits through argparse
-            code = exc.code
+        code = cli.main(argv)
     out = None
     if out_path is not None and out_path.exists():
         out = _digest(out_path.read_bytes())

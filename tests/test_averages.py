@@ -10,7 +10,6 @@ from eigensample import (
     DimensionMismatch,
     Gate,
     SamplingRequest,
-    StateVector,
     TooLarge,
     circuit_unitary,
     hadamard_test_probabilities,
@@ -320,7 +319,7 @@ class TestPhaseAveragingPitfall:
         circ = phase_circuit(phase)
         true = np.exp(2j * np.pi * phase)
 
-        eigvec = StateVector(1, np.array([0.0, 1.0], dtype=complex))
+        eigvec = np.array([0.0, 1.0], dtype=complex)
         prep = prepare_from_state(circuit_unitary(circ), eigvec, 4)
         grid = np.arange(16) / 16.0
         qpe_mean = np.sum(prep.raw_probabilities * np.exp(2j * np.pi * grid))

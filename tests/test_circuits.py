@@ -9,13 +9,9 @@ from eigensample import (
     Gate,
     GATE_MATRICES,
     ParseError,
-    StateVector,
     TooLarge,
-    apply_circuit,
-    apply_gate,
     circuit_diagonal,
     circuit_unitary,
-    gate_unitary,
     invert_circuit,
     named_gate,
     output_split,
@@ -36,6 +32,7 @@ from eigensample.circuits import (
 from eigensample.linalg import is_unitary
 from _gate_level import apply_gate_controlled
 from _helpers import (
+    basis_state,
     gate_by_gate_columns,
     grouped_circuit,
     haar_unitary,
@@ -189,9 +186,9 @@ class TestInvert:
     def test_composition_is_identity(self):
         rng = np.random.default_rng(12)
         c = random_circuit(4, 20, rng)
-        psi = random_state(4, rng)
-        back = apply_circuit(invert_circuit(c), apply_circuit(c, psi))
-        assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < EXACT_TOL
+        psi = random_state(4, rng)[:, None]
+        back = apply_columns(invert_circuit(c), apply_columns(c, psi))
+        assert np.max(np.abs(back - psi)) < EXACT_TOL
 
     def test_matrix_is_adjoint(self):
         rng = np.random.default_rng(13)
@@ -203,12 +200,12 @@ class TestInvert:
 
 class TestApply:
     def test_hadamard(self):
-        out = apply_gate(StateVector.basis(1), named_gate("h", 0))
-        assert np.allclose(out.amplitudes, [SQ2, SQ2])
+        out = apply_columns(Circuit(1, [named_gate("h", 0)]), basis_state(1)[:, None])
+        assert np.allclose(out[:, 0], [SQ2, SQ2])
 
     def test_bell_preparation(self):
-        out = apply_circuit(parse_circuit(BELL_TEXT), StateVector.basis(2))
-        assert np.allclose(out.amplitudes, [SQ2, 0.0, 0.0, SQ2])
+        out = apply_columns(parse_circuit(BELL_TEXT), basis_state(2)[:, None])
+        assert np.allclose(out[:, 0], [SQ2, 0.0, 0.0, SQ2])
 
     def test_empty_circuit_is_identity(self):
         assert np.max(np.abs(circuit_unitary(Circuit(2)) - np.eye(4))) < EXACT_TOL
@@ -226,23 +223,15 @@ class TestApply:
         rng = np.random.default_rng(15)
         c = random_circuit(3, 15, rng)
         u = circuit_unitary(c)
-        psi = random_state(3, rng)
-        out = apply_circuit(c, psi)
-        assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-10
-
-    def test_gate_beyond_register(self):
-        with pytest.raises(DimensionMismatch):
-            apply_gate(StateVector.basis(1), named_gate("x", 1))
-
-    def test_circuit_state_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            apply_circuit(Circuit(2), StateVector.basis(3))
+        psi = random_state(3, rng)[:, None]
+        out = apply_columns(c, psi)
+        assert np.max(np.abs(out - u @ psi)) < 1e-10
 
     def test_dense_unitary_size_cap(self):
         with pytest.raises(TooLarge):
             circuit_unitary(Circuit(13))
         with pytest.raises(TooLarge):
-            gate_unitary(named_gate("x", 0), 13)
+            circuit_unitary(Circuit(13, [named_gate("x", 0)]))
 
 
 class TestDiagonal:
@@ -300,11 +289,10 @@ class TestFusedPass:
         idx = rng.choice(2**n, min(2**n, 37), replace=False)
         got = circuit_diagonal(circ, idx)
         assert np.max(np.abs(got - reference_diagonal(circ, idx))) <= self.REF_TOL
-        psi = random_state(n, rng)
-        out = apply_circuit(circ, psi).amplitudes
-        ref = gate_by_gate_columns(circ, psi.amplitudes.reshape(-1, 1))
-        assert np.max(np.abs(out - ref.reshape(-1))) <= self.REF_TOL
-        cols = np.stack([random_state(n, rng).amplitudes for _ in range(columns)], axis=1)
+        psi = random_state(n, rng)[:, None]
+        ref = gate_by_gate_columns(circ, psi)
+        assert np.max(np.abs(apply_columns(circ, psi) - ref)) <= self.REF_TOL
+        cols = np.stack([random_state(n, rng) for _ in range(columns)], axis=1)
         ref = gate_by_gate_columns(circ, cols)
         assert np.max(np.abs(apply_columns(circ, cols) - ref)) <= self.REF_TOL
 
@@ -356,8 +344,8 @@ class TestFusedPass:
         rng = np.random.default_rng(45)
         circ = mixed_circuit(6, 20, rng)
         for b in (0, 17, 63):
-            state = apply_circuit(circ, StateVector.basis(6, b))
-            assert circuit_diagonal(circ, [b])[0] == state.amplitudes[b]
+            state = apply_columns(circ, basis_state(6, b)[:, None])
+            assert circuit_diagonal(circ, [b])[0] == state[b, 0]
 
 
 def tensor_of_components(circuit):
@@ -429,7 +417,7 @@ class TestControlled:
         ctrl_bit = (idx >> (n - 1 - control)) & 1
         p0 = np.diag((ctrl_bit == 0).astype(complex))
         p1 = np.diag((ctrl_bit == 1).astype(complex))
-        return p0 + gate_unitary(gate, n) @ p1
+        return p0 + circuit_unitary(Circuit(n, [gate])) @ p1
 
     def test_matches_block_matrix(self):
         rng = np.random.default_rng(17)
@@ -438,16 +426,16 @@ class TestControlled:
             dense = self.dense_controlled(gate, control, 3)
             psi = random_state(3, rng)
             out = apply_gate_controlled(psi, gate, control)
-            assert np.max(np.abs(out.amplitudes - dense @ psi.amplitudes)) < EXACT_TOL
+            assert np.max(np.abs(out - dense @ psi)) < EXACT_TOL
 
     def test_control_zero_branch_unchanged(self):
-        psi = StateVector.from_label(BasisLabel("01"))
+        psi = basis_state(2, 0b01)
         out = apply_gate_controlled(psi, named_gate("x", 1), 0)
-        assert np.array_equal(out.amplitudes, psi.amplitudes)
+        assert np.array_equal(out, psi)
 
     def test_control_overlapping_support_rejected(self):
         with pytest.raises(ValueError):
-            apply_gate_controlled(StateVector.basis(2), named_gate("x", 0), 0)
+            apply_gate_controlled(basis_state(2), named_gate("x", 0), 0)
 
 
 class TestOutputSplit:
@@ -456,7 +444,7 @@ class TestOutputSplit:
         assert abs(split.alpha0) < EXACT_TOL
         assert abs(split.alpha1 - 1.0) < EXACT_TOL
         assert split.psi0 is None
-        assert np.allclose(split.psi1.amplitudes, [1.0, 0.0])
+        assert np.allclose(split.psi1, [1.0, 0.0])
 
     def test_hadamard_splits_evenly(self):
         split = output_split(Circuit(2, [named_gate("h", 0)]), BasisLabel("00"))
@@ -466,23 +454,20 @@ class TestOutputSplit:
     def test_branch_weight_is_top_half_mass(self):
         rng = np.random.default_rng(21)
         c = random_circuit(3, 12, rng)
-        out = apply_circuit(c, StateVector.basis(3))
+        out = apply_columns(c, basis_state(3)[:, None])
         split = output_split(c, BasisLabel("000"))
-        top = np.sum(np.abs(out.amplitudes[:4]) ** 2)
+        top = np.sum(np.abs(out[:4]) ** 2)
         assert abs(abs(split.alpha0) ** 2 - top) < EXACT_TOL
 
     def test_reconstruction_and_phase_convention(self):
         rng = np.random.default_rng(22)
         c = random_circuit(3, 12, rng)
         split = output_split(c, BasisLabel("010"))
-        rebuilt = np.concatenate([
-            split.alpha0 * split.psi0.amplitudes,
-            split.alpha1 * split.psi1.amplitudes,
-        ])
-        out = apply_circuit(c, StateVector.from_label(BasisLabel("010")))
-        assert np.max(np.abs(rebuilt - out.amplitudes)) < EXACT_TOL
+        rebuilt = np.concatenate([split.alpha0 * split.psi0, split.alpha1 * split.psi1])
+        out = apply_columns(c, basis_state(3, 0b010)[:, None])
+        assert np.max(np.abs(rebuilt - out[:, 0])) < EXACT_TOL
         for psi in (split.psi0, split.psi1):
-            lead = psi.amplitudes[np.flatnonzero(np.abs(psi.amplitudes) > 1e-12)[0]]
+            lead = psi[np.flatnonzero(np.abs(psi) > 1e-12)[0]]
             assert abs(lead.imag) < EXACT_TOL and lead.real > 0.0
 
     def test_label_size_checked(self):
@@ -490,11 +475,7 @@ class TestOutputSplit:
             output_split(Circuit(2), BasisLabel("0"))
 
 
-class TestStateVector:
-    def test_norm_enforced(self):
-        with pytest.raises(ValueError, match="normalized"):
-            StateVector(1, np.array([1.0, 1.0]))
-
+class TestBasisLabel:
     def test_label_validation(self):
         with pytest.raises(ValueError):
             BasisLabel("012")
@@ -513,11 +494,14 @@ def test_gate_validation():
 
 
 def test_gate_unitary_embedding():
+    def embed(gate, n):
+        return circuit_unitary(Circuit(n, [gate]))
+
     # cnot on (0, 1) of a 2-qubit register is the matrix itself
-    assert np.array_equal(gate_unitary(named_gate("cnot", 0, 1), 2), GATE_MATRICES["cnot"])
+    assert np.array_equal(embed(named_gate("cnot", 0, 1), 2), GATE_MATRICES["cnot"])
     # z on qubit 1 of 2 = I (x) Z
-    assert np.allclose(gate_unitary(named_gate("z", 1), 2), np.kron(np.eye(2), GATE_MATRICES["z"]))
+    assert np.allclose(embed(named_gate("z", 1), 2), np.kron(np.eye(2), GATE_MATRICES["z"]))
     # reversed support permutes the gate basis
-    swapped = gate_unitary(named_gate("cnot", 1, 0), 2)
+    swapped = embed(named_gate("cnot", 1, 0), 2)
     expected = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
     assert np.array_equal(swapped, expected)

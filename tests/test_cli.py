@@ -1076,11 +1076,13 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["pes", "--help"]],
                              ids=["version", "help", "pes-help"])
-    def test_help_and_version_exit_zero(self, argv):
+    def test_help_and_version_exit_zero(self, argv, capsys):
         proc = subprocess.run([sys.executable, "-m", "eigensample", *argv], env=cli_env(),
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.startswith("eigensample 0." if argv == ["--version"] else "usage: ")
+        # in-process, main returns argparse's status; only run raises SystemExit
+        assert run_cli(argv, capsys) == (0, proc.stdout, "")
 
     def test_unknown_flag(self, files, capsys):
         code, out, err = run_cli(["check", files["x"], "--bogus"], capsys)

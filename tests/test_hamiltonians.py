@@ -335,7 +335,7 @@ class TestUnitaryPower:
         t, delta = 8, 0.5
         norm_sum = np.sqrt(max(steps - 0.5, 0.0) * delta / 2 ** (t + 1)) / (2 * np.pi)
         b = random_state(2, np.random.default_rng(60))
-        law = former_spectral_weights(u, b.amplitudes, "unitary")
+        law = former_spectral_weights(u, b, "unitary")
         req = SamplingRequest(1.0 / 64.0, delta, BasisLabel("00"))
         sampler = lhes_sampler(1.0, norm_sum, req, lambda t, steps: law)
         assert (sampler.t, sampler.trotter_steps) == (t, steps)

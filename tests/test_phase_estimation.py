@@ -15,7 +15,6 @@ from eigensample import (
     LocalHamiltonian,
     LocalTerm,
     SamplingRequest,
-    StateVector,
     TooLarge,
     ancilla_bits,
     ceil_log2,
@@ -32,9 +31,9 @@ from eigensample.phase_estimation import (
 )
 from _gate_level import ancilla_law, controlled_power_apply, qft_apply
 from _helpers import (
+    basis_state,
     circular_distance,
     geometric_phase_law,
-    haar_unitary,
     phase_circuit,
     prepare_from_state,
     random_circuit,
@@ -146,7 +145,7 @@ class TestRequestAndConfig:
         # grid, so the draw is exact
         t = ancilla_bits(2.0**-21, 0.1)
         assert t == MAX_ESTIMATOR_BITS
-        prep = prepare_from_state(np.diag([1.0, -1.0]), StateVector.basis(1, 1), t)
+        prep = prepare_from_state(np.diag([1.0, -1.0]), basis_state(1, 1), t)
         assert prep.sample(np.random.default_rng(0)) == 0.5
 
     def test_domain_errors(self):
@@ -169,13 +168,13 @@ class TestQft:
     def test_single_qubit_is_hadamard(self):
         h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         for k in range(2):
-            state = StateVector.basis(1, k)
+            state = basis_state(1, k)
             out = qft_apply(state, (0,))
-            assert np.allclose(out.amplitudes, h[:, k], atol=STATE_TOL)
+            assert np.allclose(out, h[:, k], atol=STATE_TOL)
 
     def test_zero_state_goes_uniform(self):
-        out = qft_apply(StateVector.basis(3, 0), (0, 1, 2))
-        assert np.allclose(out.amplitudes, np.full(8, 1 / np.sqrt(8)), atol=STATE_TOL)
+        out = qft_apply(basis_state(3, 0), (0, 1, 2))
+        assert np.allclose(out, np.full(8, 1 / np.sqrt(8)), atol=STATE_TOL)
 
     def test_two_qubit_matrix(self):
         w = np.exp(2j * np.pi / 4)
@@ -184,26 +183,26 @@ class TestQft:
         ) / 2.0
         cols = []
         for k in range(4):
-            cols.append(qft_apply(StateVector.basis(2, k), (0, 1)).amplitudes)
+            cols.append(qft_apply(basis_state(2, k), (0, 1)))
         assert np.allclose(np.array(cols).T, expected, atol=STATE_TOL)
 
     def test_inverse_composes_to_identity(self):
         rng = np.random.default_rng(40)
         state = random_state(4, rng)
         back = qft_apply(qft_apply(state, (0, 2)), (0, 2), inverse=True)
-        assert np.allclose(back.amplitudes, state.amplitudes, atol=STATE_TOL)
+        assert np.allclose(back, state, atol=STATE_TOL)
 
     def test_untouched_qubit_factors_out(self):
         rng = np.random.default_rng(41)
         left = random_state(2, rng)
         spectator = random_state(1, rng)
-        joint = StateVector(3, np.kron(left.amplitudes, spectator.amplitudes))
+        joint = np.kron(left, spectator)
         out = qft_apply(joint, (0, 1))
-        expected = np.kron(qft_apply(left, (0, 1)).amplitudes, spectator.amplitudes)
-        assert np.allclose(out.amplitudes, expected, atol=STATE_TOL)
+        expected = np.kron(qft_apply(left, (0, 1)), spectator)
+        assert np.allclose(out, expected, atol=STATE_TOL)
 
     def test_register_validation(self):
-        state = StateVector.basis(2, 0)
+        state = basis_state(2, 0)
         with pytest.raises(ValueError):
             qft_apply(state, (0, 0))
         with pytest.raises(DimensionMismatch):
@@ -213,18 +212,18 @@ class TestQft:
 class TestControlledPower:
     def test_control_zero_branch_is_identity(self):
         circ = Circuit(1, [named_gate("x", 0)])
-        state = StateVector.basis(2, 0)
+        state = basis_state(2, 0)
         out = controlled_power_apply(circ, 0, 3, state)
-        assert np.allclose(out.amplitudes, state.amplitudes, atol=STATE_TOL)
+        assert np.allclose(out, state, atol=STATE_TOL)
 
     def test_z_squared_is_identity_on_one_branch(self):
         circ = Circuit(1, [named_gate("z", 0)])
         # control set, target |1>: Z^2 leaves the amplitude alone
-        state = StateVector.basis(2, 3)
+        state = basis_state(2, 3)
         out = controlled_power_apply(circ, 0, 2, state)
-        assert np.allclose(out.amplitudes, state.amplitudes, atol=STATE_TOL)
+        assert np.allclose(out, state, atol=STATE_TOL)
         flipped = controlled_power_apply(circ, 0, 1, state)
-        assert np.allclose(flipped.amplitudes, -state.amplitudes, atol=STATE_TOL)
+        assert np.allclose(flipped, -state, atol=STATE_TOL)
 
     def test_matches_dense_block_unitary(self):
         rng = np.random.default_rng(42)
@@ -240,11 +239,11 @@ class TestControlledPower:
             )
             state = random_state(4, rng)
             out = controlled_power_apply(circ, 1, power, state)
-            assert np.allclose(out.amplitudes, full @ state.amplitudes, atol=1e-9)
+            assert np.allclose(out, full @ state, atol=1e-9)
 
     def test_control_inside_target_window_rejected(self):
         circ = Circuit(2, [named_gate("h", 0)])
-        state = StateVector.basis(3, 0)
+        state = basis_state(3, 0)
         with pytest.raises(ValueError):
             controlled_power_apply(circ, 1, 1, state)
         with pytest.raises(ValueError):
@@ -267,20 +266,20 @@ class TestPreparedDistribution:
                 assert np.max(np.abs(law - reference)) <= LAW_TOL
 
     def test_isolated_phase_follows_geometric_law(self):
-        eigvec = StateVector(1, np.array([0.0, 1.0], dtype=complex))
+        eigvec = np.array([0.0, 1.0], dtype=complex)
         prep = prepare(phase_circuit(0.3), eigvec, 6)
         law = geometric_phase_law(6, [0.3], [1.0])
         assert np.max(np.abs(prep.raw_probabilities - law)) < LAW_TOL
 
     def test_mixture_weights_add_linearly(self):
-        plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2))
+        plus = np.array([1.0, 1.0]) / np.sqrt(2)
         circ = phase_circuit(0.3, 0.55)
         mixed = prepare(circ, plus, 6).raw_probabilities
         law = geometric_phase_law(6, [0.3, 0.55], [0.5, 0.5])
         assert np.max(np.abs(mixed - law)) < LAW_TOL
         # same thing computed from the two eigenvector runs directly
-        e0 = StateVector.basis(1, 0)
-        e1 = StateVector.basis(1, 1)
+        e0 = basis_state(1, 0)
+        e1 = basis_state(1, 1)
         per_phase = (
             prepare(circ, e0, 6).raw_probabilities
             + prepare(circ, e1, 6).raw_probabilities
@@ -289,7 +288,7 @@ class TestPreparedDistribution:
 
     def test_exactly_representable_phases_are_sharp(self):
         circ = Circuit(2, [named_gate("x", 0), named_gate("x", 1)])
-        zero = StateVector.basis(2, 0)
+        zero = basis_state(2, 0)
         prep = prepare(circ, zero, 4)
         probs = prep.raw_probabilities
         # X(x)X from |00>: phases 0 and 1/2, each with weight 1/2
@@ -301,7 +300,7 @@ class TestPreparedDistribution:
         # phi and 1 - phi give mirrored laws, P_phi(x) = P_(1-phi)(-x); the
         # law for a phase just below 1 must not lose digits to the wrap
         t = 16
-        one = StateVector.basis(1, 1)
+        one = basis_state(1, 1)
         below = prepare(phase_circuit(-1e-7), one, t).raw_probabilities
         above = prepare(phase_circuit(1e-7), one, t).raw_probabilities
         mirrored = above[(-np.arange(2**t)) % 2**t]
@@ -309,9 +308,9 @@ class TestPreparedDistribution:
 
     def test_conditioning_recovers_the_eigenvector(self):
         # post-measurement system state of the gate-level reference
-        plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2))
+        plus = np.array([1.0, 1.0]) / np.sqrt(2)
         final = gate_level.final_state(phase_circuit(0.3, 0.7), plus, 6)
-        block = final.amplitudes.reshape(2**6, -1)[19]
+        block = final.reshape(2**6, -1)[19]
         cond = block / np.linalg.norm(block)
         # raw 19 sits nearest 0.3; the competing kernel at 0.7 is tiny
         k_near = geometric_phase_law(6, [0.3], [1.0])[19]
@@ -332,13 +331,13 @@ class TestPreparedDistribution:
             return original(circuit, control, power, state)
 
         monkeypatch.setattr(gate_level, "controlled_power_apply", spy)
-        eigvec = StateVector.basis(1, 0)
+        eigvec = basis_state(1, 0)
         gate_level.final_state(phase_circuit(0.3), eigvec, 6)
         assert sorted(calls) == [2**k for k in range(6)]
         assert sum(calls) == 2**6 - 1
 
     def test_batch_matches_sequential_stream(self):
-        plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2))
+        plus = np.array([1.0, 1.0]) / np.sqrt(2)
         prep = prepare(phase_circuit(0.3), plus, 6)
         batch = prep.sample_raw_batch(7, np.random.default_rng(5))
         rng = np.random.default_rng(5)
@@ -446,7 +445,7 @@ class TestPhaseEstimate:
 
     def eigen_draws(self, circ, precision, delta, count, rng):
         t = ancilla_bits(precision, delta)
-        prep = prepare_from_state(circuit_unitary(circ), StateVector.basis(1, 1), t)
+        prep = prepare_from_state(circuit_unitary(circ), basis_state(1, 1), t)
         return [prep.sample(rng) for _ in range(count)]
 
     def test_z_eigenvector_is_exact(self):
