@@ -571,6 +571,10 @@ def golden_inputs():
         + "".join(f"cnot {q} {q + 1}\n" for q in range(15)),
         "blocks12.txt": _blocks(12),
         "blocks14.txt": _blocks(14),
+        # qubits 0-1 set to 1 then 11, two two-qubit blocks, qubit 6 idle
+        "grouped7.txt": "qubits 7\nx 0\ncnot 0 1\n" + "".join(
+            f"h {q}\ncnot {q} {q + 1}\nt {q + 1}\nh {q + 1}\n" for q in (2, 4)
+        ),
         "zham.txt": "qubits 1\nterm 1 0 1 0 0 0 0 0 -1 0\n",
         # W D W^-1 over Cliffords: every eigenphase is 0, 1/4, 1/2 or 3/4
         "clifford3.txt": serialize_circuit(clifford_circuit(3, 8, np.random.default_rng(1))),
@@ -651,7 +655,15 @@ def _golden_commands():
         ["pes", "blocks12.txt", *pes, "--b", "0" * 12, "--samples", "5"],
         ["luae-u", "blocks12.txt", "--epsilon", "0.15", "--delta", "0.01"],
         ["luae-u", "blocks14.txt", "--epsilon", "0.15", "--delta", "0.01"],
+        ["luae", "blocks12.txt", "--epsilon", "0.25", "--delta", "0.1", "--b", "101100111000",
+         "--seed", "4"],
     ]
+    # a grouped base whose marked circuits split into groups and leave a qubit
+    # idle; qubit 0 reads 1 with probability 1, so no route sits at a tie
+    for route in ("lhes", "pes", "luae"):
+        for oracle in ("exact", "quantum"):
+            commands.append(["decide", "grouped7.txt", "--x", "0", "--route", route,
+                             "--oracle", oracle, "--seed", "5"])
     return commands
 
 
