@@ -9,16 +9,17 @@ components are plus/minus-one Bernoulli variables, so Hoeffding fixes the
 sample budget.
 
 For a basis state psi = |b>, lam is a diagonal entry of U, read by
-circuits.diagonal_entry; hadamard_test_probabilities serves a general
-preparation circuit.  Only the measurement is random: each sample pair
-takes one uniform for the x branch, then one for the y branch, so a run is
-reproducible from the seed alone.
+circuits.circuit_diagonal group by group (diagonal_entry for one checked
+b), so a circuit of independent qubit groups costs what its widest group
+does; hadamard_test_probabilities serves a general preparation circuit.
+Only the measurement is random: each sample pair takes one uniform for the
+x branch, then one for the y branch, so a run is reproducible from the
+seed alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .circuits import (
     Circuit,
     apply_columns,
     check_statevector_width,
-    circuit_components,
     circuit_diagonal,
     diagonal_entry,
 )
@@ -39,8 +39,6 @@ from .seeding import MAX_SAMPLES, UniformStream
 class AverageEstimate:
     lambda_hat: complex
     m_samples: int
-    epsilon: float
-    delta: float
 
 
 def samples_per_component(epsilon: float, delta: float) -> int:
@@ -94,9 +92,7 @@ def luae_estimate(
     req.b.check_width(circuit.qubit_count, "circuit")
     m = samples_per_component(req.epsilon, req.delta)
     lam = diagonal_entry(circuit, req.b)
-    return AverageEstimate(
-        _plus_minus_mean(lam, rng.random(2 * m).reshape(m, 2)), m, req.epsilon, req.delta
-    )
+    return AverageEstimate(_plus_minus_mean(lam, rng.random(2 * m).reshape(m, 2)), m)
 
 
 def luae_unguided(
@@ -107,10 +103,9 @@ def luae_unguided(
 
     The plus/minus-one bound covers the mixture, so the same Hoeffding
     budget applies.  Draws come in b, x, y order per sample; the branch
-    biases of every distinct b come from one circuits.circuit_diagonal pass
-    per independent qubit group (_grouped_diagonal).
-    Circuits wider than circuits.MAX_STATEVECTOR_QUBITS raise TooLarge
-    before any draw.
+    biases of every distinct b come from one circuits.circuit_diagonal call,
+    which passes each independent qubit group once.  Circuits wider than
+    circuits.MAX_STATEVECTOR_QUBITS raise TooLarge before any draw.
     """
     m = samples_per_component(epsilon, delta)
     n = circuit.qubit_count
@@ -122,25 +117,5 @@ def luae_unguided(
         us[s, 0] = rng.random()
         us[s, 1] = rng.random()
     distinct, where = np.unique(indices, return_inverse=True)
-    lam = _grouped_diagonal(circuit, distinct)[where]
-    return AverageEstimate(_plus_minus_mean(lam, us), m, epsilon, delta)
-
-
-def _grouped_diagonal(circuit: Circuit, indices: np.ndarray) -> np.ndarray:
-    """<b|U|b> for basis indices b, as the product over the components of
-    circuits.circuit_components of each one's diagonal entry at b's bits on
-    its qubits (qubit 0 is the most significant bit); qubits that no gate
-    touches contribute 1.  Each component runs one circuit_diagonal pass
-    over its distinct local indices, so no column is wider than the widest
-    component.  A connected circuit on every qubit makes the one call
-    circuit_diagonal(circuit, indices) would, and gets its entries bit for
-    bit."""
-    n = circuit.qubit_count
-    factors = []
-    for qubits, sub in circuit_components(circuit):
-        local = np.zeros_like(indices)
-        for q in qubits:
-            local = (local << 1) | ((indices >> (n - 1 - q)) & 1)
-        keys, where = np.unique(local, return_inverse=True)
-        factors.append(circuit_diagonal(sub, keys)[where])
-    return reduce(np.multiply, factors) if factors else np.ones(indices.size, dtype=complex)
+    lam = circuit_diagonal(circuit, distinct)[where]
+    return AverageEstimate(_plus_minus_mean(lam, us), m)

@@ -19,9 +19,9 @@ operator_line writes such a line back.
 
 Simulation is one pass, _circuit_pass, behind three entry points:
 apply_columns for states (any given columns, a state being one column of
-amplitudes), circuit_unitary for the dense matrix and circuit_diagonal for
-entries <b|U|b>, which diagonal_entry reads for one checked label.  The
-pass fuses consecutive gates greedily into blocks on at most
+amplitudes), circuit_unitary for the dense matrix and circuit_diagonal, the
+one reader of entries <b|U|b>, which diagonal_entry reads for one checked
+label.  The pass fuses consecutive gates greedily into blocks on at most
 FUSED_QUBITS = 3 qubits, then pushes the input columns through the fused
 blocks BLOCK_AMPLITUDES = 2^15 amplitudes at a time, so each block of columns
 stays in cache for the whole circuit (gate fusion and cache
@@ -31,8 +31,8 @@ fused blocks), one thread of a 2-core x86-64 box, circuit_unitary takes
 per gate over the whole 2^n x 2^n tensor.
 
 circuit_components splits a circuit into the groups of qubits that its gates
-connect; its unitary is the tensor product of theirs, so a spectral law is
-solved group by group (distributions.spectral_weights).
+connect; its unitary is the tensor product of theirs, so circuit_diagonal
+and a spectral law (distributions.spectral_weights) go group by group.
 """
 from __future__ import annotations
 
@@ -261,7 +261,11 @@ def _basis_columns(dim: int, indices: np.ndarray) -> np.ndarray:
 
 def apply_columns(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
     """U @ columns for the circuit's unitary U and a (2^n, k) array, from
-    one circuit pass; no dense unitary is formed."""
+    one circuit pass; no dense unitary is formed.  Columns of any other
+    height raise DimensionMismatch."""
+    n = circuit.qubit_count
+    if columns.shape[0] != 2**n:
+        raise DimensionMismatch(f"columns are {columns.shape[0]} tall, {n} qubits need {2**n}")
     out = np.empty_like(columns, dtype=complex)
     for cols, block in _circuit_pass(circuit, columns.shape[1], lambda cols: columns[:, cols]):
         out[:, cols] = block
@@ -309,27 +313,51 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return out
 
 
+def group_index(indices, qubits, qubit_count: int):
+    """Basis indices (ints or an int array) read on a group of the register's
+    qubits: their bits on `qubits`, the first the most significant."""
+    local = 0
+    for q in qubits:
+        local = (local << 1) | ((indices >> (qubit_count - 1 - q)) & 1)
+    return local
+
+
 def circuit_diagonal(circuit: Circuit, indices) -> np.ndarray:
     """Diagonal entries <b|U|b> of the circuit's unitary for basis indices b.
 
-    The columns U|b> go through the circuit pass in column blocks, and no
-    dense unitary is formed.  Circuits wider than MAX_STATEVECTOR_QUBITS
-    raise TooLarge before anything is allocated.
+    A circuit connected on every qubit makes one column-blocked pass over
+    the columns U|b>.  Any other circuit passes each component's distinct
+    group_index keys once and multiplies the entries, in component order
+    from 1, so no pass is wider than the widest component; idle qubits give
+    1.  Circuits wider than MAX_STATEVECTOR_QUBITS raise TooLarge first.
     """
     n = circuit.qubit_count
+    check_statevector_width(n)
     indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+    components = circuit_components(circuit)
+    if [qubits for qubits, _ in components] == [tuple(range(n))]:
+        return _diagonal_pass(circuit, indices)
+    out = np.ones(indices.size, dtype=complex)
+    for qubits, sub in components:
+        keys, where = np.unique(group_index(indices, qubits, n), return_inverse=True)
+        out *= _diagonal_pass(sub, keys)[where]
+    return out
+
+
+def _diagonal_pass(circuit: Circuit, indices: np.ndarray) -> np.ndarray:
+    """<b|U|b> for the given indices from one column-blocked circuit pass."""
     out = np.empty(indices.size, dtype=complex)
-    load = lambda cols: _basis_columns(2**n, indices[cols])
+    load = lambda cols: _basis_columns(2**circuit.qubit_count, indices[cols])
     for cols, block in _circuit_pass(circuit, indices.size, load):
         out[cols] = block[indices[cols], np.arange(block.shape[1])]
     return out
 
 
 def diagonal_entry(circuit: Circuit, b: BasisLabel) -> complex:
-    """<b|U|b> from one circuit pass over the column U|b>, for a b with one
-    bit per qubit.  b on its own: a one-column pass matches a Hadamard test
-    on |b> bit for bit, while a block shared with other indices can differ
-    in the last place."""
+    """<b|U|b> from circuit_diagonal, for a b with one bit per qubit.  b on
+    its own: on a circuit connected on every qubit, a one-column pass
+    matches a Hadamard test on |b> bit for bit, while a block shared with
+    other indices can differ in the last place."""
     b.check_width(circuit.qubit_count, "circuit")
     return complex(circuit_diagonal(circuit, [b.basis_index()])[0])
 

@@ -39,6 +39,7 @@ from .circuits import (
     check_dense_width,
     circuit_components,
     circuit_unitary,
+    group_index,
 )
 from .errors import DimensionMismatch, MetricMismatch
 from .linalg import hermitian_eig, unitary_eig, unitary_eig_in_place
@@ -179,14 +180,12 @@ def _circuit_weights(circuit: Circuit, index: int) -> tuple[np.ndarray, np.ndarr
     however narrow the components, before |b> is allocated."""
     n = circuit.qubit_count
     check_dense_width(n, "circuit")
-    state = np.zeros(2**n, dtype=complex)
-    state[index] = 1.0
     components = circuit_components(circuit)
-    active = [q for qubits, _ in components for q in qubits]
-    idle = sorted(set(range(n)).difference(active))
-    # one axis per component, then the idle qubits
-    overlaps = np.reshape(state, (2,) * n).transpose(active + idle)
-    overlaps = overlaps.reshape([2 ** len(qubits) for qubits, _ in components] + [-1])
+    # the one-hot |b>, one axis per component, then one for the idle qubits
+    groups = [qubits for qubits, _ in components]
+    groups.append(sorted(set(range(n)).difference(*groups)))
+    overlaps = np.zeros([2 ** len(qubits) for qubits in groups], dtype=complex)
+    overlaps[tuple(group_index(index, qubits, n) for qubits in groups)] = 1.0
     phases = np.zeros(1)
     for axis, (_, sub) in enumerate(components):
         dec = unitary_eig_in_place(
@@ -494,11 +493,7 @@ def empirical_feasibility(
 
 
 def empirical_approx_check(
-    samples,
-    target: SpectralDistribution,
-    epsilon: float,
-    delta: float,
-    slack: float | None = None,
+    samples, target: SpectralDistribution, epsilon: float, delta: float
 ) -> bool:
-    feasible, _, _ = empirical_feasibility(samples, target, epsilon, delta, slack)
+    feasible, _, _ = empirical_feasibility(samples, target, epsilon, delta)
     return feasible

@@ -29,6 +29,7 @@ from .circuits import (
     Gate,
     check_dense_width,
     circuit_unitary,
+    group_index,
     operator_line,
     read_operator,
     read_register,
@@ -249,10 +250,8 @@ def prepare_lhes(h: LocalHamiltonian, req: SamplingRequest) -> PreparedEigenvalu
 def exact_average_eigenvalue(h: LocalHamiltonian, b) -> float:
     """<b|H|b> summed term-locally: one small diagonal entry per term."""
     b.check_width(h.qubit_count, "Hamiltonian")
-    total = 0.0
+    total, index = 0.0, b.basis_index()
     for term in h.terms:
-        idx = 0
-        for q in term.support:
-            idx = (idx << 1) | (b.bits[q] == "1")
+        idx = group_index(index, term.support, h.qubit_count)
         total += float(term.matrix[idx, idx].real)
     return total

@@ -23,7 +23,7 @@ def luae_estimate_per_b(circuit, req, rng):
     us = rng.random(2 * m)
     xs = np.where(us[0::2] < p_x0, 1.0, -1.0)
     ys = np.where(us[1::2] < p_y0, 1.0, -1.0)
-    return AverageEstimate(complex(xs.mean() + 1j * ys.mean()), m, req.epsilon, req.delta)
+    return AverageEstimate(complex(xs.mean() + 1j * ys.mean()), m)
 
 
 def luae_unguided_per_b(circuit, epsilon, delta, rng):
@@ -41,4 +41,4 @@ def luae_unguided_per_b(circuit, epsilon, delta, rng):
         x_total += 1.0 if rng.random() < p_x0 else -1.0
         y_total += 1.0 if rng.random() < p_y0 else -1.0
     lam = complex(x_total / m + 1j * y_total / m)
-    return AverageEstimate(lam, m, epsilon, delta)
+    return AverageEstimate(lam, m)

@@ -18,8 +18,8 @@ from eigensample import (
     named_gate,
     samples_per_component,
 )
-from eigensample import averages
-from eigensample.circuits import circuit_diagonal
+from eigensample import circuits
+from eigensample.circuits import _diagonal_pass, circuit_diagonal
 from eigensample.seeding import MAX_SAMPLES
 from _helpers import (
     basis_loader,
@@ -229,14 +229,15 @@ class TestUnguided:
 
 
 def spy_on_diagonal(monkeypatch):
-    """Record each averages.circuit_diagonal call as (circuit, indices)."""
+    """Record each circuit pass of circuits.circuit_diagonal, one per qubit
+    group, as (circuit, indices)."""
     calls = []
 
     def spy(circuit, indices):
         calls.append((circuit, np.array(indices)))
-        return circuit_diagonal(circuit, indices)
+        return _diagonal_pass(circuit, indices)
 
-    monkeypatch.setattr(averages, "circuit_diagonal", spy)
+    monkeypatch.setattr(circuits, "_diagonal_pass", spy)
     return calls
 
 
@@ -283,9 +284,7 @@ class TestGroupedUnguided:
         assert called == circ
         assert np.array_equal(keys, drawn_indices(6, est.m_samples, 85))
         indices = np.arange(64)
-        assert np.array_equal(
-            averages._grouped_diagonal(circ, indices), circuit_diagonal(circ, indices)
-        )
+        assert np.array_equal(circuit_diagonal(circ, indices), _diagonal_pass(circ, indices))
 
     def test_empty_circuit_reads_one_without_a_pass(self, monkeypatch):
         calls = spy_on_diagonal(monkeypatch)
@@ -306,7 +305,7 @@ class TestGroupedUnguided:
         ).lambda_hat
         indices = np.arange(8)
         assert np.allclose(
-            averages._grouped_diagonal(circ, indices), np.diag(circuit_unitary(circ)), atol=1e-15
+            circuit_diagonal(circ, indices), np.diag(circuit_unitary(circ)), atol=1e-15
         )
 
 

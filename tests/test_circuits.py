@@ -227,6 +227,11 @@ class TestApply:
         out = apply_columns(c, psi)
         assert np.max(np.abs(out - u @ psi)) < 1e-10
 
+    def test_columns_of_the_wrong_height_are_refused(self):
+        bell = parse_circuit(BELL_TEXT)
+        with pytest.raises(DimensionMismatch, match="columns are 8 tall, 2 qubits need 4"):
+            apply_columns(bell, np.zeros((8, 1), dtype=complex))
+
     def test_dense_unitary_size_cap(self):
         with pytest.raises(TooLarge):
             circuit_unitary(Circuit(13))

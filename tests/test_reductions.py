@@ -30,6 +30,7 @@ from eigensample import (
     exact_pes_oracle,
     history_start_label,
     invert_circuit,
+    luae_estimate,
     make_distribution,
     mark_circuit,
     marked_law,
@@ -42,8 +43,8 @@ from eigensample import (
     reduction_report,
     unary_embedding_isometry,
 )
-from eigensample import distributions, hamiltonians, phase_estimation
-from eigensample.circuits import apply_columns
+from eigensample import circuits, distributions, hamiltonians, phase_estimation
+from eigensample.circuits import apply_columns, circuit_components, group_index
 from eigensample.phase_estimation import ancilla_bits
 from eigensample.reductions import LHES_DELTA, lhes_epsilon
 from _gate_level import ancilla_law
@@ -424,6 +425,37 @@ class TestDeciders:
         assert decide_via_luae(ACCEPT_BASE, X0, exact_luae_oracle, rng)
         assert not decide_via_luae(REJECT_BASE, X0, exact_luae_oracle, rng)
 
+    def test_grouped_base_runs_no_pass_wider_than_its_widest_group(self, monkeypatch):
+        # qubits 0-1 read 11, two two-qubit blocks, qubit 6 idle: the marked
+        # circuits split too, so each route reads <b|W|b> group by group
+        gates = [named_gate("x", 0), named_gate("cnot", 0, 1)]
+        for q in (2, 4):
+            gates += [named_gate("h", q), named_gate("cnot", q, q + 1),
+                      named_gate("t", q + 1), named_gate("h", q + 1)]
+        base = Circuit(7, gates)
+        widths = []
+        original = circuits._circuit_pass
+
+        def spy(circuit, count, load):
+            widths.append(circuit.qubit_count)
+            return original(circuit, count, load)
+
+        monkeypatch.setattr(circuits, "_circuit_pass", spy)
+
+        def widest(circuit):
+            return max(len(qubits) for qubits, _ in circuit_components(circuit))
+
+        rng = np.random.default_rng(93)
+        for decide, oracle, kind in ((decide_via_lhes, exact_lhes_oracle, "lhes-copy"),
+                                     (decide_via_pes, exact_pes_oracle, "pe-reflect"),
+                                     (decide_via_luae, exact_luae_oracle, "pe-reflect")):
+            widths.clear()
+            assert decide(base, X0, oracle, rng)
+            assert widths and max(widths) <= widest(mark_circuit(base, kind).full) < 7
+        widths.clear()
+        luae_estimate(base, SamplingRequest(0.25, 0.1, BasisLabel("1011001")), rng)
+        assert widths and max(widths) == widest(base) == 2
+
     def test_quantum_routes_decide_the_definite_instances(self):
         rng = np.random.default_rng(86)
         assert decide_via_lhes(ACCEPT_BASE, X0, quantum_lhes_oracle, rng, votes=60)
@@ -503,14 +535,24 @@ class TestDeciders:
 
 
     def test_exact_luae_oracle_reads_the_simulated_amplitude(self):
+        # bit for bit the product of each qubit group's one-column state
+        # pass, taken in component order from 1; within 1e-15 of the pass
+        # over the whole register
         rng = np.random.default_rng(92)
         for n in (1, 2, 3, 4):
             for _ in range(5):
                 circuit = random_circuit(n, 3 * n, rng)
                 b = BasisLabel("".join(str(v) for v in rng.integers(0, 2, size=n)))
-                state = apply_columns(circuit, basis_column(b.basis_index(), 2**n)[:, None])
+                index = b.basis_index()
                 lam = exact_luae_oracle(circuit, SamplingRequest(0.25, 0.01, b))(None)
-                assert lam == complex(state[b.basis_index(), 0])
+                product = complex(1.0)
+                for qubits, sub in circuit_components(circuit):
+                    local = group_index(index, qubits, n)
+                    column = basis_column(local, 2 ** len(qubits))[:, None]
+                    product *= complex(apply_columns(sub, column)[local, 0])
+                assert lam == product
+                state = apply_columns(circuit, basis_column(index, 2**n)[:, None])
+                assert abs(lam - state[index, 0]) <= 1e-15
         with pytest.raises(DimensionMismatch):
             exact_luae_oracle(circuit, SamplingRequest(0.25, 0.01, BasisLabel("0")))
 
