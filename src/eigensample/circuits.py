@@ -325,20 +325,20 @@ def group_index(indices, qubits, qubit_count: int):
 def circuit_diagonal(circuit: Circuit, indices) -> np.ndarray:
     """Diagonal entries <b|U|b> of the circuit's unitary for basis indices b.
 
-    A circuit connected on every qubit makes one column-blocked pass over
-    the columns U|b>.  Any other circuit passes each component's distinct
-    group_index keys once and multiplies the entries, in component order
-    from 1, so no pass is wider than the widest component; idle qubits give
-    1.  Circuits wider than MAX_STATEVECTOR_QUBITS raise TooLarge first.
+    Each component passes its distinct group_index keys once, column
+    blocked, and the entries are multiplied in component order from 1, so
+    no pass is wider than the widest component; idle qubits give 1.  A
+    circuit connected on every qubit is one component read over the
+    distinct indices.  Circuits wider than MAX_STATEVECTOR_QUBITS raise
+    TooLarge first; an index outside [0, 2^n) raises DimensionMismatch.
     """
     n = circuit.qubit_count
     check_statevector_width(n)
     indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-    components = circuit_components(circuit)
-    if [qubits for qubits, _ in components] == [tuple(range(n))]:
-        return _diagonal_pass(circuit, indices)
+    if indices.size and (indices.min() < 0 or indices.max() >= 2**n):
+        raise DimensionMismatch(f"basis indices must lie in [0, {2**n}) for {n} qubits")
     out = np.ones(indices.size, dtype=complex)
-    for qubits, sub in components:
+    for qubits, sub in circuit_components(circuit):
         keys, where = np.unique(group_index(indices, qubits, n), return_inverse=True)
         out *= _diagonal_pass(sub, keys)[where]
     return out

@@ -242,7 +242,10 @@ class TestApply:
 class TestDiagonal:
     def test_matches_dense_diagonal(self):
         n = 12
-        circ = random_circuit(n, 6, np.random.default_rng(17))
+        # a cnot chain joins every qubit, so the whole register is one pass
+        chain = [named_gate("cnot", q, q + 1) for q in range(n - 1)]
+        circ = Circuit(n, random_circuit(n, 6, np.random.default_rng(17)).gates + chain)
+        assert len(circuit_components(circ)) == 1
         idx = np.random.default_rng(18).choice(2**n, 200, replace=False)
         # more indices than three column blocks hold
         assert idx.size > 3 * (BLOCK_AMPLITUDES >> n)
@@ -255,6 +258,14 @@ class TestDiagonal:
         expected = np.diag(circuit_unitary(circ))[idx]
         assert np.max(np.abs(circuit_diagonal(circ, idx) - expected)) <= 1e-12
         assert circuit_diagonal(circ, []).shape == (0,)
+
+    @pytest.mark.parametrize("gates", [[("h", 0)], [("h", 0), ("cnot", 0, 1)]])
+    @pytest.mark.parametrize("index", [-1, 4, 5])
+    def test_index_outside_the_register_is_refused(self, gates, index):
+        # on a grouped and on a connected 2-qubit circuit alike
+        circ = Circuit(2, [named_gate(*g) for g in gates])
+        with pytest.raises(DimensionMismatch, match=r"\[0, 4\)"):
+            circuit_diagonal(circ, [0, index])
 
     def test_width_cap_before_allocation(self):
         # 25 qubits would be a 512 MiB column: refused before it is allocated
