@@ -56,10 +56,10 @@ _EXPORTS = {
         "ceil_log2", "prepare_pes",
     ),
     "reductions": (
-        "ClockPropagator", "HistoryAnalysis", "MarkedCircuit",
-        "UnaryClockHamiltonian", "analyze_history", "build_clock_hamiltonian",
-        "build_clock_propagator", "build_unary_clock", "decide_via_lhes",
-        "decide_via_luae", "decide_via_pes", "eigenvalue_grids",
+        "HistoryAnalysis", "MarkedCircuit", "UnaryClockHamiltonian",
+        "analyze_history", "build_clock_hamiltonian", "build_clock_propagator",
+        "build_unary_clock", "decide_via_lhes", "decide_via_luae",
+        "decide_via_pes", "eigenvalue_grids",
         "exact_lhes_oracle", "exact_luae_oracle", "exact_pes_oracle",
         "history_start_label", "lhes_epsilon", "mark_circuit", "marked_law",
         "quantum_lhes_oracle", "quantum_luae_oracle", "quantum_pes_oracle",

@@ -33,6 +33,9 @@ per gate over the whole 2^n x 2^n tensor.
 circuit_components splits a circuit into the groups of qubits that its gates
 connect; its unitary is the tensor product of theirs, so circuit_diagonal
 and a spectral law (distributions.spectral_weights) go group by group.
+
+output_split runs a circuit on one basis input and returns an OutputSplit,
+the two branch amplitudes alpha0, alpha1 of the output on qubit 0.
 """
 from __future__ import annotations
 
@@ -75,7 +78,7 @@ GATE_ARITY = {name: int(np.log2(m.shape[0])) for name, m in GATE_MATRICES.items(
 _ADJOINT_NAME = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
 
 
-@dataclass
+@dataclass(eq=False)
 class Gate:
     """One gate: a unitary on an ordered tuple of distinct qubits."""
 
@@ -95,20 +98,12 @@ class Gate:
             )
         self.matrix = m
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Gate)
-            and self.name == other.name
-            and self.support == other.support
-            and np.array_equal(self.matrix, other.matrix)
-        )
-
 
 def named_gate(name: str, *qubits: int) -> Gate:
     return Gate(name, tuple(qubits), GATE_MATRICES[name])
 
 
-@dataclass
+@dataclass(eq=False)
 class Circuit:
     qubit_count: int
     gates: list[Gate] = field(default_factory=list)
@@ -120,13 +115,6 @@ class Circuit:
             bad = [q for q in g.support if q < 0 or q >= self.qubit_count]
             if bad:
                 raise ValueError(f"gate {g.name}: qubit {bad[0]} out of range")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Circuit)
-            and self.qubit_count == other.qubit_count
-            and self.gates == other.gates
-        )
 
 
 @dataclass(frozen=True)
@@ -157,18 +145,15 @@ class BasisLabel:
 
 @dataclass
 class OutputSplit:
-    """Decomposition of a circuit output by the value of qubit 0.
+    """Branch amplitudes of a circuit output on the value of qubit 0.
 
-    alpha0/alpha1 carry the branch amplitudes; psi0/psi1 are the unit-norm
-    amplitudes of the residual states on the remaining qubits, with phases
-    fixed so each psi's first nonzero amplitude is real and nonnegative.  A
-    psi is None when its branch amplitude vanishes.
+    alpha0/alpha1 have the norms of the two branches and the phases of
+    their first amplitudes above BRANCH_ZERO_TOL; a branch with no such
+    amplitude has alpha 0.
     """
 
     alpha0: complex
     alpha1: complex
-    psi0: np.ndarray | None
-    psi1: np.ndarray | None
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +472,11 @@ def output_split(circuit: Circuit, x: BasisLabel) -> OutputSplit:
     column = _basis_columns(2**circuit.qubit_count, np.array([x.basis_index()]))
     blocks = apply_columns(circuit, column).reshape(2, -1)
 
-    def split_branch(block: np.ndarray) -> tuple[complex, np.ndarray | None]:
+    def branch_amplitude(block: np.ndarray) -> complex:
         weight = float(np.linalg.norm(block))
         if weight <= BRANCH_ZERO_TOL:
-            return 0.0 + 0.0j, None
-        nonzero = np.flatnonzero(np.abs(block) > BRANCH_ZERO_TOL)
-        lead = block[nonzero[0]]
-        phase = lead / abs(lead)
-        alpha = weight * phase
-        return complex(alpha), block / alpha
+            return 0.0 + 0.0j
+        lead = block[np.flatnonzero(np.abs(block) > BRANCH_ZERO_TOL)[0]]
+        return complex(weight * (lead / abs(lead)))
 
-    alpha0, psi0 = split_branch(blocks[0])
-    alpha1, psi1 = split_branch(blocks[1])
-    return OutputSplit(alpha0, alpha1, psi0, psi1)
+    return OutputSplit(branch_amplitude(blocks[0]), branch_amplitude(blocks[1]))

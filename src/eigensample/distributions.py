@@ -467,12 +467,11 @@ def empirical_feasibility(
     target: SpectralDistribution,
     epsilon: float,
     delta: float,
-    slack: float | None = None,
 ) -> tuple[bool, float, float]:
     """Transport check of an empirical sample against a target law.
 
-    delta must lie in [0, 1]; it is widened by a fluctuation slack, by
-    default EMPIRICAL_SLACK_FACTOR * sqrt(log(#target points) / #samples).
+    delta must lie in [0, 1]; it is widened by a fluctuation slack,
+    EMPIRICAL_SLACK_FACTOR * sqrt(log(#target points) / #samples).
     Returns (feasible, slack used, flow value).
     """
     if not 0 <= delta <= 1:
@@ -480,10 +479,7 @@ def empirical_feasibility(
     n = len(samples)
     if n < MIN_EMPIRICAL_SAMPLES:
         raise ValueError(f"need at least {MIN_EMPIRICAL_SAMPLES} samples, got {n}")
-    if slack is None:
-        slack = EMPIRICAL_SLACK_FACTOR * math.sqrt(
-            math.log(max(len(target.points), 2)) / n
-        )
+    slack = EMPIRICAL_SLACK_FACTOR * math.sqrt(math.log(max(len(target.points), 2)) / n)
     values, counts = np.unique(np.asarray(samples, dtype=float), return_counts=True)
     candidate = make_distribution(values, counts / n, target.metric)
     feasible, flow, _ = _transport(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotHermitian, NotUnitary
 
-# Tolerances are read-only module constants; tests reference them by name.
+# Tolerances are module constants read at each call; tests reference them by name.
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
 # Consecutive eigenvalues of the Hermitian part closer than this are treated
@@ -25,19 +25,20 @@ UNITARY_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and np.max(np.abs(a - a.conj().T)) <= tol
+    square = a.ndim == 2 and a.shape[0] == a.shape[1]
+    return square and np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL
 
 
-def is_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    """max |A†A - I| <= tol, with I taken off the product's diagonal in place."""
+def is_unitary(a: np.ndarray) -> bool:
+    """max |A†A - I| <= UNITARY_TOL, with I taken off the product's diagonal."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
     gram = a.conj().T @ a
     gram.reshape(-1)[:: a.shape[0] + 1] -= 1
-    return np.max(np.abs(gram)) <= tol
+    return np.max(np.abs(gram)) <= UNITARY_TOL
 
 
 @dataclass

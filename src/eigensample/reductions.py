@@ -10,10 +10,11 @@ A base circuit U (output read off qubit 0) is wrapped into a marked circuit:
                register.
 
 Splitting the marked circuit's N gates across an N-step clock gives the
-propagator F = sum_j V_j (x) |j><j-1| (cyclic).  Powers of F walk the
-history states of the computation; H = F + F-dagger restricted to that
-walk has eigenvalues on two interleaved cosine grids whose relative mass
-reveals whether the computation accepts.  The clock can also be written in
+propagator F = sum_j V_j (x) |j><j-1| (cyclic); build_clock_propagator
+returns F as a dense matrix, and build_clock_hamiltonian(F) returns
+H = F + F-dagger.  Powers of F walk the history states of the computation;
+H restricted to that walk has eigenvalues on two interleaved cosine grids
+whose relative mass reveals whether the computation accepts.  The clock can also be written in
 unary (one-hot) form, which makes every term act on at most four qubits.
 
 The deciders consume sampling oracles through factories of (W, request),
@@ -98,18 +99,10 @@ def mark_circuit(base: Circuit, kind: str) -> MarkedCircuit:
     raise ValueError(f"unknown marking kind {kind!r}")
 
 
-@dataclass
-class ClockPropagator:
-    """F = sum_j V_j (x) |j><j-1| over a cyclic N-step clock register."""
-
-    system_qubits: int
-    clock_dim: int
-    assembled: np.ndarray
-
-
-def build_clock_propagator(marked: MarkedCircuit) -> ClockPropagator:
-    """Dense F, one system block per gate: gate j lands in clock block
-    (j mod N, j - 1) of a (2^n, N, 2^n, N) view of the zeroed matrix."""
+def build_clock_propagator(marked: MarkedCircuit) -> np.ndarray:
+    """Dense F = sum_j V_j (x) |j><j-1|, one system block per gate: gate j
+    lands in clock block (j mod N, j - 1) of a (2^n, N, 2^n, N) view of
+    the zeroed matrix."""
     circ = marked.full
     n_sys = circ.qubit_count
     clock_dim = len(circ.gates)
@@ -122,12 +115,12 @@ def build_clock_propagator(marked: MarkedCircuit) -> ClockPropagator:
         # adding into the zeros turns any -0.0 into +0.0, so F is bitwise the
         # sum over gates of V_j (x) |j><j-1|
         blocks[:, step % clock_dim, :, step - 1] += circuit_unitary(Circuit(n_sys, [gate]))
-    return ClockPropagator(n_sys, clock_dim, assembled)
+    return assembled
 
 
-def build_clock_hamiltonian(propagator: ClockPropagator) -> np.ndarray:
+def build_clock_hamiltonian(propagator: np.ndarray) -> np.ndarray:
     """H = F + F-dagger on the same system x clock space."""
-    return propagator.assembled + propagator.assembled.conj().T
+    return propagator + propagator.conj().T
 
 
 @dataclass
@@ -267,7 +260,6 @@ def decide_via_lhes(
     x: BasisLabel,
     oracle,
     rng: UniformStream,
-    votes: int = LHES_VOTES,
 ) -> bool:
     """Accept when the half-grid share of in-range eigenvalue draws is large.
 
@@ -285,11 +277,11 @@ def decide_via_lhes(
     survivors = 0
     half_votes = 0
     consecutive_discards = 0
-    while survivors < votes:
+    while survivors < LHES_VOTES:
         a = float(draw(rng))
         if abs(a) > 1.0 + LHES_BAND_TOL:
             consecutive_discards += 1
-            if consecutive_discards >= LHES_RETRY_FACTOR * votes:
+            if consecutive_discards >= LHES_RETRY_FACTOR * LHES_VOTES:
                 raise OracleFailure(
                     f"{consecutive_discards} consecutive draws outside [-1, 1]"
                 )
@@ -298,7 +290,7 @@ def decide_via_lhes(
         if np.min(np.abs(half_grid - a)) < np.min(np.abs(integer_grid - a)):
             half_votes += 1
         survivors += 1
-    return half_votes / votes > LHES_ACCEPT_FRACTION
+    return half_votes / LHES_VOTES > LHES_ACCEPT_FRACTION
 
 
 def decide_via_pes(
@@ -306,15 +298,14 @@ def decide_via_pes(
     x: BasisLabel,
     oracle,
     rng: UniformStream,
-    votes: int = PES_VOTES,
 ) -> bool:
     """Majority vote over phase draws landing in the window around 1/2."""
     marked, bits = _marked_input(base, x, "pe-reflect")
     req = SamplingRequest(PES_EPSILON, PES_DELTA, BasisLabel(bits))
     draw = oracle(marked.full, req)
     lo, hi = PES_WINDOW
-    accepts = sum(1 for _ in range(votes) if lo <= float(draw(rng)) <= hi)
-    return 2 * accepts > votes
+    accepts = sum(1 for _ in range(PES_VOTES) if lo <= float(draw(rng)) <= hi)
+    return 2 * accepts > PES_VOTES
 
 
 def decide_via_luae(

@@ -129,6 +129,15 @@ def serialize_circuit(circuit):
     return "\n".join(lines) + "\n"
 
 
+def same_circuit(a, b):
+    """Equal widths and, gate by gate, equal names, supports and matrices:
+    Circuit and Gate compare by identity."""
+    return a.qubit_count == b.qubit_count and len(a.gates) == len(b.gates) and all(
+        g.name == h.name and g.support == h.support and np.array_equal(g.matrix, h.matrix)
+        for g, h in zip(a.gates, b.gates)
+    )
+
+
 def grouped_circuit(qubits, groups, gate_count, rng):
     """Random circuit whose gates stay inside `groups` (tuples of qubits),
     so each group is exactly one component: a chain of u2 gates joins its

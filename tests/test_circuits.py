@@ -38,6 +38,7 @@ from _helpers import (
     haar_unitary,
     random_circuit,
     random_state,
+    same_circuit,
     serialize_circuit,
 )
 
@@ -121,7 +122,7 @@ class TestParse:
     def test_round_trip(self):
         rng = np.random.default_rng(11)
         c = random_circuit(3, 12, rng)
-        assert parse_circuit(serialize_circuit(c)) == c
+        assert same_circuit(parse_circuit(serialize_circuit(c)), c)
 
 
 class TestReader:
@@ -409,20 +410,22 @@ class TestComponents:
 
     def test_connected_circuit_is_its_own_component(self):
         circuit = parse_circuit("qubits 3\nh 0\ncnot 2 1\ncz 0 1\n")
-        assert circuit_components(circuit) == [((0, 1, 2), circuit)]
+        [(qubits, sub)] = circuit_components(circuit)
+        assert qubits == (0, 1, 2) and same_circuit(sub, circuit)
 
     def test_idle_qubits_and_empty_circuits(self):
         circuit = parse_circuit("qubits 4\nh 2\nt 2\n")
-        assert circuit_components(circuit) == [((2,), parse_circuit("qubits 1\nh 0\nt 0\n"))]
+        [(qubits, sub)] = circuit_components(circuit)
+        assert qubits == (2,) and same_circuit(sub, parse_circuit("qubits 1\nh 0\nt 0\n"))
         assert circuit_components(Circuit(3)) == []
 
     def test_a_global_phase_joins_qubit_zero(self):
         phase = Gate("g", (), np.array([[1j]]))
         circuit = Circuit(3, [named_gate("h", 2), phase, named_gate("x", 0)])
-        assert circuit_components(circuit) == [
-            ((0,), Circuit(1, [phase, named_gate("x", 0)])),
-            ((2,), Circuit(1, [named_gate("h", 0)])),
-        ]
+        [(low, first), (high, second)] = circuit_components(circuit)
+        assert (low, high) == ((0,), (2,))
+        assert same_circuit(first, Circuit(1, [phase, named_gate("x", 0)]))
+        assert same_circuit(second, Circuit(1, [named_gate("h", 0)]))
         assert np.allclose(tensor_of_components(circuit), circuit_unitary(circuit), atol=1e-15)
 
 
@@ -459,8 +462,6 @@ class TestOutputSplit:
         split = output_split(Circuit(2, [named_gate("x", 0)]), BasisLabel("00"))
         assert abs(split.alpha0) < EXACT_TOL
         assert abs(split.alpha1 - 1.0) < EXACT_TOL
-        assert split.psi0 is None
-        assert np.allclose(split.psi1, [1.0, 0.0])
 
     def test_hadamard_splits_evenly(self):
         split = output_split(Circuit(2, [named_gate("h", 0)]), BasisLabel("00"))
@@ -475,16 +476,14 @@ class TestOutputSplit:
         top = np.sum(np.abs(out[:4]) ** 2)
         assert abs(abs(split.alpha0) ** 2 - top) < EXACT_TOL
 
-    def test_reconstruction_and_phase_convention(self):
+    def test_alphas_carry_the_branch_norms_and_lead_phases(self):
         rng = np.random.default_rng(22)
         c = random_circuit(3, 12, rng)
         split = output_split(c, BasisLabel("010"))
-        rebuilt = np.concatenate([split.alpha0 * split.psi0, split.alpha1 * split.psi1])
-        out = apply_columns(c, basis_state(3, 0b010)[:, None])
-        assert np.max(np.abs(rebuilt - out[:, 0])) < EXACT_TOL
-        for psi in (split.psi0, split.psi1):
-            lead = psi[np.flatnonzero(np.abs(psi) > 1e-12)[0]]
-            assert abs(lead.imag) < EXACT_TOL and lead.real > 0.0
+        out = apply_columns(c, basis_state(3, 0b010)[:, None])[:, 0]
+        for alpha, block in ((split.alpha0, out[:4]), (split.alpha1, out[4:])):
+            lead = block[np.flatnonzero(np.abs(block) > 1e-12)[0]]
+            assert abs(alpha - np.linalg.norm(block) * lead / abs(lead)) < EXACT_TOL
 
     def test_label_size_checked(self):
         with pytest.raises(DimensionMismatch):

@@ -478,15 +478,16 @@ class TestEmpirical:
         assert abs(slack - 3.0 * np.sqrt(np.log(2.0) / 1000.0)) < EXACT_TOL
         assert flow > 0.9
 
-    def test_slack_override(self):
+    def test_slack_override(self, monkeypatch):
         target = SpectralDistribution([(0.3, 0.5), (0.7, 0.5)], "circular")
         samples = [0.3] * 530 + [0.7] * 470
-        # at slack 0 the 0.7 sink is 30 draws short of its demanded 500;
-        # the default slack 3*sqrt(log 2 / 1000) = 0.079 absorbs a 0.03 dip
-        feasible_zero, _, _ = empirical_feasibility(samples, target, 0.0, 0.0, slack=0.0)
-        assert not feasible_zero
+        # the slack 3*sqrt(log 2 / 1000) = 0.079 absorbs a 0.03 dip; at
+        # slack 0 the 0.7 sink is 30 draws short of its demanded 500
         feasible_default, _, _ = empirical_feasibility(samples, target, 0.0, 0.0)
         assert feasible_default
+        monkeypatch.setattr(distributions, "EMPIRICAL_SLACK_FACTOR", 0.0)
+        feasible_zero, slack, _ = empirical_feasibility(samples, target, 0.0, 0.0)
+        assert slack == 0.0 and not feasible_zero
 
 
 # the ball's edges: empty, dyadic, a quarter circle, half the circle reached

@@ -20,6 +20,7 @@ from eigensample import (
     operator_norm,
     unitary_eig,
 )
+from eigensample import linalg
 from eigensample.circuits import apply_columns
 from eigensample.distributions import spectral_weights
 from eigensample.linalg import UNITARY_TOL, unitary_eig_in_place
@@ -271,7 +272,7 @@ def test_hermiticity_and_unitarity_predicates():
     assert not is_unitary(np.diag([1.0, 2.0]))
 
 
-def test_is_unitary_takes_the_same_maximum_as_the_identity_formula():
+def test_is_unitary_takes_the_same_maximum_as_the_identity_formula(monkeypatch):
     # the identity comes off the product's diagonal in place; the maximum,
     # and so the verdict at any tolerance, is the one of |A†A - I|
     rng = np.random.default_rng(12)
@@ -283,9 +284,12 @@ def test_is_unitary_takes_the_same_maximum_as_the_identity_formula():
         a = u + eta * e
         deviation = np.max(np.abs(a.conj().T @ a - np.eye(8)))
         assert is_unitary(a) == (deviation <= UNITARY_TOL)
-        assert is_unitary(a, tol=deviation)
-        assert not is_unitary(a, tol=np.nextafter(deviation, 0.0))
         verdicts.add(bool(deviation <= UNITARY_TOL))
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "UNITARY_TOL", deviation)
+            assert is_unitary(a)
+            patch.setattr(linalg, "UNITARY_TOL", np.nextafter(deviation, 0.0))
+            assert not is_unitary(a)
     assert verdicts == {True, False}
 
 

@@ -37,6 +37,7 @@ from _helpers import (
     haar_unitary,
     random_hermitian,
     reference_transport,
+    same_circuit,
     serialize_circuit,
 )
 
@@ -150,7 +151,7 @@ def circuits(draw):
 @SETTINGS
 @given(circuits())
 def test_circuit_text_round_trip(circuit):
-    assert parse_circuit(serialize_circuit(circuit)) == circuit
+    assert same_circuit(parse_circuit(serialize_circuit(circuit)), circuit)
 
 
 @st.composite

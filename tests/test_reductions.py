@@ -35,7 +35,6 @@ from eigensample import (
     mark_circuit,
     marked_law,
     named_gate,
-    output_split,
     prepare_pes,
     quantum_lhes_oracle,
     quantum_luae_oracle,
@@ -57,6 +56,7 @@ from _helpers import (
     kron_clock_propagator,
     per_draw_sample,
     random_circuit,
+    same_circuit,
     seam_base,
 )
 
@@ -143,14 +143,13 @@ class TestMarking:
 class TestPropagator:
     def test_propagator_is_unitary(self):
         marked = mark_circuit(haar_base(83), "lhes-copy")
-        f = build_clock_propagator(marked).assembled
+        f = build_clock_propagator(marked)
         assert np.max(np.abs(f.conj().T @ f - np.eye(f.shape[0]))) < STATE_TOL
 
     def test_full_cycle_applies_the_circuit(self):
         marked = mark_circuit(haar_base(84), "lhes-copy")
-        prop = build_clock_propagator(marked)
-        n = prop.clock_dim
-        cycle = np.linalg.matrix_power(prop.assembled, n)
+        n = len(marked.full.gates)
+        cycle = np.linalg.matrix_power(build_clock_propagator(marked), n)
         psi = np.kron(
             circuit_unitary(marked.full) @ basis_column(2, 8), basis_column(0, n)
         )
@@ -160,7 +159,7 @@ class TestPropagator:
     def test_term_view_records_transitions(self):
         # gate j moves clock j - 1 to j mod N: the nonzero clock blocks of F
         marked = mark_circuit(ACCEPT_BASE, "lhes-copy")
-        blocks = build_clock_propagator(marked).assembled.reshape(4, 3, 4, 3)
+        blocks = build_clock_propagator(marked).reshape(4, 3, 4, 3)
         moves = [(src, dst) for src in range(3) for dst in range(3)
                  if np.any(blocks[:, dst, :, src])]
         assert moves == [(0, 1), (1, 2), (2, 0)]
@@ -168,14 +167,14 @@ class TestPropagator:
     def test_one_gate_base_matches_kron_reference(self):
         # N = 3, the smallest clock a marked circuit has
         marked = mark_circuit(Circuit(1, [named_gate("h", 0)]), "lhes-copy")
-        f = build_clock_propagator(marked).assembled
+        f = build_clock_propagator(marked)
         assert np.array_equal(f.view(np.uint64), kron_clock_propagator(marked).view(np.uint64))
 
     def test_wide_base_matches_kron_reference(self):
         # 6 system qubits x a 41-step clock: 2624 dimensions
         marked = mark_circuit(random_circuit(5, 20, np.random.default_rng(86)), "lhes-copy")
         start = time.perf_counter()
-        f = build_clock_propagator(marked).assembled
+        f = build_clock_propagator(marked)
         elapsed = time.perf_counter() - start
         assert f.shape == (2624, 2624)
         assert np.array_equal(f.view(np.uint64), kron_clock_propagator(marked).view(np.uint64))
@@ -194,21 +193,20 @@ class TestHistoryWalk:
     the branch split of the base output for the second."""
 
     def closed_forms(self, marked, x):
-        split = output_split(marked.base, x)
         inv = invert_circuit(marked.base)
         nb = marked.base.qubit_count
+        out = apply_columns(marked.base, basis_column(x.basis_index(), 2**nb)[:, None])
         full = marked.full
         n = len(full.gates)
 
-        def branch(bit, psi):
-            amps = np.kron(basis_column(bit, 2), psi)
+        def branch(bit, block):
+            amps = np.kron(basis_column(bit, 2), block)
             return apply_columns(inv, amps[:, None])[:, 0]
 
-        deviation = np.zeros(2 ** (nb + 1), dtype=complex)
-        if split.psi0 is not None:
-            deviation += split.alpha0 * np.kron(basis_column(0, 2), branch(0, split.psi0))
-        if split.psi1 is not None:
-            deviation += split.alpha1 * np.kron(basis_column(1, 2), branch(1, split.psi1))
+        # the branches of U's output, each run back through U^-1 behind its
+        # copied flag bit
+        deviation = sum(np.kron(basis_column(bit, 2), branch(bit, block))
+                        for bit, block in enumerate(out[:, 0].reshape(2, -1)))
 
         start = np.kron(basis_column(0, 2), basis_column(x.basis_index(), 2**nb))
         states = []
@@ -234,7 +232,7 @@ class TestHistoryWalk:
         # phi_j = F^j phi_0, with F's powers taken from the dense propagator
         # before it is barred
         marked = mark_circuit(haar_base(22), "lhes-copy")
-        f = build_clock_propagator(marked).assembled
+        f = build_clock_propagator(marked)
 
         def never(*args, **kwargs):
             raise AssertionError("dense clock propagator built")
@@ -317,7 +315,7 @@ class TestHistoryWalk:
     def test_fourier_families_are_eigenvectors(self):
         marked = mark_circuit(haar_base(22), "lhes-copy")
         hist = analyze_history(marked, BasisLabel("01"))
-        f = build_clock_propagator(marked).assembled
+        f = build_clock_propagator(marked)
         n = hist.clock_dim
         plus, minus = history_families(hist)
         assert len(plus) == len(minus) == n
@@ -390,7 +388,7 @@ class TestInstances:
         root2 = np.sqrt(2.0)
         assert np.allclose(half, [root2, -root2, -root2, root2], atol=1e-12)
 
-    def test_instance_layout(self):
+    def test_instance_layout(self, monkeypatch):
         seen = []
 
         def spy(circuit, req):
@@ -398,9 +396,10 @@ class TestInstances:
             return exact_lhes_oracle(circuit, req)
 
         base = haar_base(26)
-        decide_via_lhes(base, BasisLabel("1"), spy, np.random.default_rng(84), votes=1)
+        monkeypatch.setattr(red_module, "LHES_VOTES", 1)
+        decide_via_lhes(base, BasisLabel("1"), spy, np.random.default_rng(84))
         (circuit, req), = seen
-        assert circuit.gates == mark_circuit(base, "lhes-copy").full.gates
+        assert same_circuit(circuit, mark_circuit(base, "lhes-copy").full)
         assert req.epsilon == 1.0 / 12.0
         # input padded with zeros behind the given bits, flag in front
         assert req.b == BasisLabel("010")
@@ -408,7 +407,7 @@ class TestInstances:
         iso = unary_embedding_isometry(3, 3)
         compact = np.kron(basis_column(req.b.basis_index(), 8), np.eye(3)[0])
         assert np.array_equal(iso @ compact, basis_column(0b010100, 64))
-        assert build_clock_propagator(mark_circuit(base, "lhes-copy")).assembled.shape == (24, 24)
+        assert build_clock_propagator(mark_circuit(base, "lhes-copy")).shape == (24, 24)
 
     def test_overlong_input_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -456,10 +455,11 @@ class TestDeciders:
         luae_estimate(base, SamplingRequest(0.25, 0.1, BasisLabel("1011001")), rng)
         assert widths and max(widths) == widest(base) == 2
 
-    def test_quantum_routes_decide_the_definite_instances(self):
+    def test_quantum_routes_decide_the_definite_instances(self, monkeypatch):
         rng = np.random.default_rng(86)
-        assert decide_via_lhes(ACCEPT_BASE, X0, quantum_lhes_oracle, rng, votes=60)
-        assert not decide_via_lhes(REJECT_BASE, X0, quantum_lhes_oracle, rng, votes=60)
+        monkeypatch.setattr(red_module, "LHES_VOTES", 60)
+        assert decide_via_lhes(ACCEPT_BASE, X0, quantum_lhes_oracle, rng)
+        assert not decide_via_lhes(REJECT_BASE, X0, quantum_lhes_oracle, rng)
         assert decide_via_pes(ACCEPT_BASE, X0, quantum_pes_oracle, rng)
         assert not decide_via_pes(REJECT_BASE, X0, quantum_pes_oracle, rng)
         assert decide_via_luae(ACCEPT_BASE, X0, quantum_luae_oracle, rng)
@@ -556,12 +556,13 @@ class TestDeciders:
         with pytest.raises(DimensionMismatch):
             exact_luae_oracle(circuit, SamplingRequest(0.25, 0.01, BasisLabel("0")))
 
-    def test_broken_oracle_raises(self):
+    def test_broken_oracle_raises(self, monkeypatch):
         def broken(circuit, req):
             return lambda rng: 5.0
 
+        monkeypatch.setattr(red_module, "LHES_VOTES", 3)
         with pytest.raises(OracleFailure):
-            decide_via_lhes(ACCEPT_BASE, X0, broken, np.random.default_rng(88), votes=3)
+            decide_via_lhes(ACCEPT_BASE, X0, broken, np.random.default_rng(88))
 
     def test_quantum_oracle_prepares_once(self, monkeypatch):
         # the oracle holds its law; draws never build it again
