@@ -65,7 +65,7 @@ _DEFERRED = (
     "SamplingRequest", "build_unary_clock", "decide_via_lhes", "decide_via_luae",
     "decide_via_pes", "dense_hamiltonian", "empirical_feasibility",
     "exact_distribution", "exact_lhes_oracle", "exact_luae_oracle", "exact_pes_oracle",
-    "lhes_epsilon", "luae_estimate", "luae_unguided", "mark_circuit", "master_rng",
+    "luae_estimate", "luae_unguided", "mark_circuit", "master_rng",
     "parse_hamiltonian", "prepare_lhes", "prepare_pes", "quantum_lhes_oracle",
     "quantum_luae_oracle", "quantum_pes_oracle", "reduction_report", "scale_hamiltonian",
     "serialize_hamiltonian", "substream", "substream_uniforms", "trotter_deviation",
@@ -343,24 +343,21 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_decide(args) -> int:
+    """The route's decider on the chosen oracle factory, both looked up on
+    this module by name at each call, so that a replaced name is the one
+    that runs; the report's epsilon and delta are the ones the decider asks
+    its oracle for."""
     _, circuit = _load_input(args.file, "circuit")
-    x = BasisLabel(args.x)
-    rng = master_rng(args.seed)
-    reductions = _submodule("reductions")
-    exact = args.oracle == "exact"
-    if args.route == "lhes":
-        factory = exact_lhes_oracle if exact else quantum_lhes_oracle
-        accept = decide_via_lhes(circuit, x, factory, rng)
-        epsilon, delta = lhes_epsilon(mark_circuit(circuit, "lhes-copy")), reductions.LHES_DELTA
-    elif args.route == "pes":
-        factory = exact_pes_oracle if exact else quantum_pes_oracle
-        accept = decide_via_pes(circuit, x, factory, rng)
-        epsilon, delta = reductions.PES_EPSILON, reductions.PES_DELTA
-    else:
-        factory = exact_luae_oracle if exact else quantum_luae_oracle
-        accept = decide_via_luae(circuit, x, factory, rng)
-        epsilon, delta = reductions.LUAE_EPSILON, reductions.LUAE_DELTA
-    report = _base_report(args.seed, epsilon, delta)
+    decide = globals()[f"decide_via_{args.route}"]
+    factory = globals()[f"{args.oracle}_{args.route}_oracle"]
+    requests = []
+
+    def recording(marked, req):
+        requests.append(req)
+        return factory(marked, req)
+
+    accept = decide(circuit, BasisLabel(args.x), recording, master_rng(args.seed))
+    report = _base_report(args.seed, requests[0].epsilon, requests[0].delta)
     report["route"] = args.route
     report["oracle"] = args.oracle
     report["x"] = args.x

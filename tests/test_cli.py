@@ -20,6 +20,7 @@ from eigensample import (
     Circuit,
     OracleFailure,
     SamplingRequest,
+    exact_pes_oracle,
     luae_estimate,
     luae_unguided,
     named_gate,
@@ -683,6 +684,23 @@ class TestDecideCommand:
         payload = json.loads(err)
         assert payload["error"] == "OracleFailure"
         assert payload["exit_code"] == 3
+
+    def test_report_reads_the_request_of_a_replaced_oracle(self, files, capsys, monkeypatch):
+        # the factory is looked up on cli at each call, and the report's
+        # epsilon and delta are those the decider asks its oracle for
+        seen = []
+
+        def spy(circuit, req):
+            seen.append(req)
+            return exact_pes_oracle(circuit, req)
+
+        monkeypatch.setattr(cli_module, "quantum_pes_oracle", spy)
+        argv = ["decide", files["x"], "--x", "0", "--route", "pes", "--oracle", "quantum"]
+        code, out, _ = run_cli(argv, capsys)
+        [req] = seen
+        report = json.loads(out)
+        assert code == 0 and report["accept"] is True
+        assert (report["epsilon"], report["delta"]) == (req.epsilon, req.delta) == (0.125, 0.01)
 
     def test_quantum_lhes_on_a_wide_base_fails_fast(self, files, capsys):
         # 45 gates: a 91-step clock needs t = 25 ancilla bits, one above the
