@@ -72,6 +72,9 @@ PES_DELTA = 1.0 / 100.0
 PES_WINDOW = (0.25, 0.75)
 LUAE_EPSILON = 1.0 / 4.0
 LUAE_DELTA = 1.0 / 100.0
+# Re <x|W|x> = 1 - 2p must fall below -LUAE_TIE_TOL to accept, so a rounding
+# residue at the tie p = 1/2 rejects; a quantum estimate is a multiple of 1/m.
+LUAE_TIE_TOL = 1e-12
 
 
 @dataclass
@@ -311,11 +314,12 @@ def decide_via_pes(
 def decide_via_luae(
     base: Circuit, x: BasisLabel, oracle, rng: UniformStream
 ) -> bool:
-    """Accept when the estimated average eigenvalue has negative real part."""
+    """Accept when the estimated average eigenvalue's real part is below
+    -LUAE_TIE_TOL, that is when qubit 0 reads 1 with probability above 1/2."""
     marked, bits = _marked_input(base, x, "pe-reflect")
     req = SamplingRequest(LUAE_EPSILON, LUAE_DELTA, BasisLabel(bits))
     estimate = oracle(marked.full, req)
-    return complex(estimate(rng)).real < 0.0
+    return complex(estimate(rng)).real < -LUAE_TIE_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -556,6 +556,15 @@ class TestDeciders:
         with pytest.raises(DimensionMismatch):
             exact_luae_oracle(circuit, SamplingRequest(0.25, 0.01, BasisLabel("0")))
 
+    def test_luae_tie_rejects(self):
+        # Re <x|W|x> = 1 - 2p: a rounding residue of either sign at the tie
+        # p = 1/2 rejects, and p = 2/3 accepts
+        for value, expected in ((-1e-17, False), (1e-17, False), (-1.0 / 3.0, True)):
+            def oracle(circuit, req, value=value):
+                return lambda rng: complex(value, 0.0)
+
+            assert decide_via_luae(ACCEPT_BASE, X0, oracle, np.random.default_rng(0)) is expected
+
     def test_broken_oracle_raises(self, monkeypatch):
         def broken(circuit, req):
             return lambda rng: 5.0
