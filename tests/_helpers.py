@@ -603,6 +603,11 @@ def golden_inputs():
         "arity.txt": "qubits 1\nterm 1000000000 0 1 0\n",
         "inf_u1.txt": "qubits 1\nu1 0 1 inf 0 0 0 0 1 0\n",
         "unknown_gate.txt": "qubits 1\nfoo 0\n",
+        "term_no_k.txt": "qubits 1\nterm\n",
+        "term_word_k.txt": "qubits 1\nterm x 0\n",
+        "u1_word.txt": "qubits 1\nu1 0 1 0 0 0 0 0 zero 0\n",
+        # one term above the sanity bound of a 1-qubit register
+        "eleven_terms.txt": "qubits 1\n" + "term 1 0 1 0 0 0 0 0 -1 0\n" * 11,
     }
 
 
@@ -636,6 +641,10 @@ def _golden_commands():
         ["check", "arity.txt"],
         ["check", "inf_u1.txt"],
         ["check", "unknown_gate.txt"],
+        ["check", "term_no_k.txt"],
+        ["check", "term_word_k.txt"],
+        ["check", "u1_word.txt"],
+        ["check", "eleven_terms.txt"],
         ["check", "zham.txt", "--kind", "circuit"],
         ["lhes", "empty_ham.txt", "--epsilon", "0.4", "--delta", "0.1", "--b", "0"],
         ["pes", "bell.txt", *pes, "--b", "00", "--samples", "-1"],
