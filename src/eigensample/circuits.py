@@ -145,12 +145,9 @@ class BasisLabel:
 
 @dataclass
 class OutputSplit:
-    """Branch amplitudes of a circuit output on the value of qubit 0.
-
-    alpha0/alpha1 have the norms of the two branches and the phases of
-    their first amplitudes above BRANCH_ZERO_TOL; a branch with no such
-    amplitude has alpha 0.
-    """
+    """Branch amplitudes of a circuit output on qubit 0: each alpha has its
+    branch's norm and the phase of its first amplitude above BRANCH_ZERO_TOL
+    (0 for a branch with none)."""
 
     alpha0: complex
     alpha1: complex

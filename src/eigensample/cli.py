@@ -343,10 +343,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    """The route's decider on the chosen oracle factory, both looked up on
-    this module by name at each call, so that a replaced name is the one
-    that runs; the report's epsilon and delta are the ones the decider asks
-    its oracle for."""
+    """The route's decider and oracle factory, looked up on this module at
+    each call so that a replaced name runs; the report's epsilon and delta
+    are those of the request the decider hands the factory."""
     _, circuit = _load_input(args.file, "circuit")
     decide = globals()[f"decide_via_{args.route}"]
     factory = globals()[f"{args.oracle}_{args.route}_oracle"]

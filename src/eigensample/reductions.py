@@ -103,9 +103,8 @@ def mark_circuit(base: Circuit, kind: str) -> MarkedCircuit:
 
 
 def build_clock_propagator(marked: MarkedCircuit) -> np.ndarray:
-    """Dense F = sum_j V_j (x) |j><j-1|, one system block per gate: gate j
-    lands in clock block (j mod N, j - 1) of a (2^n, N, 2^n, N) view of
-    the zeroed matrix."""
+    """Dense F, one system block per gate: gate j lands in clock block
+    (j mod N, j - 1) of a (2^n, N, 2^n, N) view of the zeroed matrix."""
     circ = marked.full
     n_sys = circ.qubit_count
     clock_dim = len(circ.gates)
@@ -314,8 +313,7 @@ def decide_via_pes(
 def decide_via_luae(
     base: Circuit, x: BasisLabel, oracle, rng: UniformStream
 ) -> bool:
-    """Accept when the estimated average eigenvalue's real part is below
-    -LUAE_TIE_TOL, that is when qubit 0 reads 1 with probability above 1/2."""
+    """Accept when the estimate's real part is below -LUAE_TIE_TOL (p > 1/2)."""
     marked, bits = _marked_input(base, x, "pe-reflect")
     req = SamplingRequest(LUAE_EPSILON, LUAE_DELTA, BasisLabel(bits))
     estimate = oracle(marked.full, req)
