@@ -14,8 +14,9 @@ propagator F = sum_j V_j (x) |j><j-1| (cyclic); build_clock_propagator
 returns F as a dense matrix, and build_clock_hamiltonian(F) returns
 H = F + F-dagger.  Powers of F walk the history states of the computation;
 H restricted to that walk has eigenvalues on two interleaved cosine grids
-whose relative mass reveals whether the computation accepts.  The clock can also be written in
-unary (one-hot) form, which makes every term act on at most four qubits.
+whose relative mass reveals whether the computation accepts.  The clock
+can also be written in unary (one-hot) form, which makes every term act on
+at most four qubits.
 
 The deciders consume sampling oracles through factories of (W, request),
 so the exact oracles and the quantum estimators (phase-estimation and
@@ -258,10 +259,7 @@ def lhes_epsilon(marked: MarkedCircuit) -> float:
 
 
 def decide_via_lhes(
-    base: Circuit,
-    x: BasisLabel,
-    oracle,
-    rng: UniformStream,
+    base: Circuit, x: BasisLabel, oracle, rng: UniformStream
 ) -> bool:
     """Accept when the half-grid share of in-range eigenvalue draws is large.
 
@@ -296,10 +294,7 @@ def decide_via_lhes(
 
 
 def decide_via_pes(
-    base: Circuit,
-    x: BasisLabel,
-    oracle,
-    rng: UniformStream,
+    base: Circuit, x: BasisLabel, oracle, rng: UniformStream
 ) -> bool:
     """Majority vote over phase draws landing in the window around 1/2."""
     marked, bits = _marked_input(base, x, "pe-reflect")
