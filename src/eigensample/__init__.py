@@ -66,7 +66,7 @@ _EXPORTS = {
         "reduction_report", "unary_embedding_isometry",
     ),
     "seeding": (
-        "master_rng", "substream", "substream_uniforms",
+        "master_rng", "substream_uniforms",
     ),
 }
 _SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

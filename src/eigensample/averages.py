@@ -13,8 +13,8 @@ circuits.circuit_diagonal group by group (diagonal_entry for one checked
 b), so a circuit of independent qubit groups costs what its widest group
 does; hadamard_test_probabilities serves a general preparation circuit.
 Only the measurement is random: each sample pair takes one uniform for the
-x branch, then one for the y branch, so a run is reproducible from the
-seed alone.
+x branch, then one for the y branch (luae_unguided first takes one for b),
+so a run is reproducible from the seed alone.
 """
 from __future__ import annotations
 
@@ -96,26 +96,23 @@ def luae_estimate(
 
 
 def luae_unguided(
-    circuit: Circuit, epsilon: float, delta: float, rng: np.random.Generator
+    circuit: Circuit, epsilon: float, delta: float, rng: UniformStream
 ) -> AverageEstimate:
     """Estimate the normalized trace of U: each sample pair re-draws a fresh
     uniform basis state b, then runs one Hadamard-test pair on it.
 
     The plus/minus-one bound covers the mixture, so the same Hoeffding
-    budget applies.  Draws come in b, x, y order per sample; the branch
-    biases of every distinct b come from one circuits.circuit_diagonal call,
-    which passes each independent qubit group once.  Circuits wider than
+    budget applies.  One rng.random((m, 3)) call draws every sample's row
+    (b, x, y), with b = floor(u * 2^n): for u = j * 2^-53 that is j >> (53 - n),
+    exact and uniform on [0, 2^n).  The branch biases of every distinct b
+    come from one circuits.circuit_diagonal call, which passes each
+    independent qubit group once.  Circuits wider than
     circuits.MAX_STATEVECTOR_QUBITS raise TooLarge before any draw.
     """
     m = samples_per_component(epsilon, delta)
     n = circuit.qubit_count
     check_statevector_width(n)
-    indices = np.empty(m, dtype=np.int64)
-    us = np.empty((m, 2))
-    for s in range(m):
-        indices[s] = rng.integers(0, 2**n)
-        us[s, 0] = rng.random()
-        us[s, 1] = rng.random()
-    distinct, where = np.unique(indices, return_inverse=True)
+    draws = rng.random((m, 3))
+    distinct, where = np.unique((draws[:, 0] * 2**n).astype(np.int64), return_inverse=True)
     lam = circuit_diagonal(circuit, distinct)[where]
-    return AverageEstimate(_plus_minus_mean(lam, us), m)
+    return AverageEstimate(_plus_minus_mean(lam, draws[:, 1:]), m)

@@ -4,9 +4,9 @@ Every subcommand reads plain-text circuit or Hamiltonian files, runs one
 operation end to end, and emits a deterministic report: JSON everywhere,
 CSV only for the trotter-bench table.  Floats are printed with 17
 significant digits so identical configurations produce byte-identical
-output.  `pes` and `lhes` derive one substream per sample from (seed,
-sample index), so their reports do not depend on batching; `luae` and
-`luae-u` draw from substream(seed, 0), and `decide` from master_rng(seed).
+output.  Every command that draws takes uniform k of its run from
+substream (seed, k) (seeding.master_rng), so its report does not depend on
+batching.
 
 Exit codes: 0 success, 1 parse or validation failure (an unreadable input
 or an unwritable output among them), 2 dimension or size failure, 3 oracle
@@ -68,7 +68,7 @@ _DEFERRED = (
     "luae_estimate", "luae_unguided", "mark_circuit", "master_rng",
     "parse_hamiltonian", "prepare_lhes", "prepare_pes", "quantum_lhes_oracle",
     "quantum_luae_oracle", "quantum_pes_oracle", "reduction_report", "scale_hamiltonian",
-    "serialize_hamiltonian", "substream", "substream_uniforms", "trotter_deviation",
+    "serialize_hamiltonian", "substream_uniforms", "trotter_deviation",
 )
 globals().update((name, _deferred(name)) for name in _DEFERRED)
 
@@ -312,7 +312,7 @@ def _cmd_lhes(args) -> int:
 def _cmd_luae(args) -> int:
     _, circuit = _load_input(args.file, "circuit")
     req = SamplingRequest(args.epsilon, args.delta, BasisLabel(args.b))
-    est = luae_estimate(circuit, req, substream(args.seed, 0))
+    est = luae_estimate(circuit, req, master_rng(args.seed))
     report = _base_report(args.seed, args.epsilon, args.delta)
     report["b"] = args.b
     report["m_samples"] = est.m_samples
@@ -322,7 +322,7 @@ def _cmd_luae(args) -> int:
 
 def _cmd_luae_u(args) -> int:
     _, circuit = _load_input(args.file, "circuit")
-    est = luae_unguided(circuit, args.epsilon, args.delta, substream(args.seed, 0))
+    est = luae_unguided(circuit, args.epsilon, args.delta, master_rng(args.seed))
     report = _base_report(args.seed, args.epsilon, args.delta)
     report["m_samples"] = est.m_samples
     report["estimate"] = {"re": est.lambda_hat.real, "im": est.lambda_hat.imag}

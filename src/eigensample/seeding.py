@@ -1,20 +1,19 @@
 """Deterministic random streams.
 
 Every sampling routine takes an explicit stream: any object with
-`.random(size=None)`, or a numpy Generator where a routine needs more than
-uniforms.  Batch callers (the CLI, long test loops) derive one independent
-substream per sample, keyed by (master seed, sample index), so results do
-not depend on how the loop is chunked or parallelized.
+`.random(size=None)`, such as a numpy Generator.  One rule keys every
+uniform a command draws: uniform k of a run under `seed` is the first
+uniform of substream (seed, k), numpy's `default_rng(SeedSequence((seed,
+k)))`.  It is a function of (seed, k) alone (a counter-based stream, as in
+Salmon et al., SC 2011), so results do not depend on how draws are batched.
 
-Both streams mirror the two algorithms behind numpy's `default_rng`:
+`master_rng(seed)` serves those uniforms in order, scalar and batch calls
+interleaved, and `substream_uniforms(seed, count)` returns the first count
+of them.  Both compute them in numpy integer arithmetic, SUBSTREAM_CHUNK
+indices per vectorized pass, bit for bit and without loading numpy.random:
 numpy's SeedSequence hash (entropy pool mixing and `generate_state`, stable
-since numpy 1.17) and the PCG64 XSL-RR generator (O'Neill 2014) seeded from
-its state.  `master_rng(seed)` steps PCG64 in Python integers, so its
-uniforms equal `default_rng(seed).random(...)` bit for bit without loading
-numpy.random.  `pes` and `lhes` read one uniform from each sample's
-substream, and `substream_uniforms` computes all of them in one vectorized
-pass, in numpy integer arithmetic, that is bit-identical to
-`substream(seed, i).random()`.
+since numpy 1.17), then one step of the PCG64 XSL-RR generator (O'Neill
+2014) seeded from its state.
 """
 from __future__ import annotations
 
@@ -28,8 +27,9 @@ from .errors import TooLarge
 # Largest sample count a run accepts: 32 MiB of uniforms for the batched
 # draws of pes and lhes, the Hoeffding pair budget of luae and luae-u.
 MAX_SAMPLES = 2**22
-# substream_uniforms encodes each sample index as one 32-bit entropy word.
-assert MAX_SAMPLES <= 2**32
+# Each uniform index is one 32-bit entropy word; luae-u reads 3 per sample.
+INDEX_LIMIT = 2**32
+assert 3 * MAX_SAMPLES < INDEX_LIMIT
 
 # Indices per vectorized pass, so temporaries stay bounded for any count.
 SUBSTREAM_CHUNK = 2**12
@@ -49,83 +49,78 @@ _PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
 _PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _U64 = {k: np.uint64(k) for k in (1, 11, 32, 58, 63, 64)}
-_PCG_MULT = int(_PCG_MULT_HI) << 64 | int(_PCG_MULT_LO)
-_MASK64 = 2**64 - 1
-_MASK128 = 2**128 - 1
 
 
 class UniformStream(Protocol):
     """Any object with `.random(size=None)`, numpy's Generator signature:
-    a Pcg64Stream, or a numpy Generator."""
+    master_rng's stream, or a numpy Generator."""
 
     def random(self, size=None): ...
 
 
-class Pcg64Stream:
-    """The uniform stream of `np.random.default_rng(seed)` in Python ints.
+class CounterStream:
+    """Uniforms 0, 1, 2, ... of the substreams of one seed, in order.
 
-    `.random(size=None)` equals `default_rng(seed).random(size)` bit for
-    bit, scalar and batch calls interleaved; a scalar call returns a float.
-    A negative seed raises numpy's ValueError.
+    `.random(size=None)` returns the next uniform as a float, or the next
+    prod(size) of them as an array of that shape.  Scalar calls are served
+    from blocks of SUBSTREAM_CHUNK uniforms; an index at or above
+    INDEX_LIMIT raises TooLarge.  A negative seed raises numpy's ValueError.
     """
 
-    __slots__ = ("_state", "_inc")
+    __slots__ = ("_words", "_next", "_block", "_block_start")
 
     def __init__(self, seed: int):
-        words = [np.full(1, w, dtype=np.uint32) for w in _seed_words(seed)]
-        s0, s1, s2, s3 = (int(word[0]) for word in _generate_state(words))
-        self._inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
-        # srandom: state = 0, step (state = inc), add s0:s1, step
-        self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT + self._inc) & _MASK128
-
-    def _next53(self) -> int:
-        """Step, then the top 53 bits of the XSL-RR output."""
-        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
-        xsl, rot = ((state >> 64) ^ state) & _MASK64, state >> 122
-        return (((xsl >> rot) | (xsl << (64 - rot))) & _MASK64) >> 11
+        self._words = [np.full(1, w, dtype=np.uint32) for w in _seed_words(seed)]
+        self._next = 0
+        self._block = np.empty(0)
+        self._block_start = 0
 
     def random(self, size=None):
-        if size is None:
-            return self._next53() * 2.0**-53
-        out = np.empty(size)  # a negative size raises numpy's ValueError
-        out.flat = [self._next53() * 2.0**-53 for _ in range(out.size)]
-        return out
+        start = self._next
+        count = 1 if size is None else int(np.prod(size))
+        if start + count > INDEX_LIMIT:
+            raise TooLarge(f"uniform index {start + count - 1} is beyond the "
+                           f"{INDEX_LIMIT} substreams of a seed")
+        if size is not None:
+            out = np.empty(size)  # a negative size raises numpy's ValueError
+            _first_uniforms(self._words, start, out.reshape(-1))
+            self._next = start + out.size
+            return out
+        if not self._block_start <= start < self._block_start + len(self._block):
+            block = np.empty(min(SUBSTREAM_CHUNK, INDEX_LIMIT - start))
+            self._block, self._block_start = _first_uniforms(self._words, start, block), start
+        self._next = start + 1
+        return float(self._block[start - self._block_start])
 
 
-def master_rng(seed: int) -> Pcg64Stream:
-    """The decide stream: `default_rng(seed)`'s uniforms (Pcg64Stream)."""
-    return Pcg64Stream(seed)
-
-
-def substream(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for sample `index` under `seed`."""
-    if index < 0:
-        raise ValueError("sample index must be nonnegative")
-    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+def master_rng(seed: int) -> CounterStream:
+    """The stream of every command's draws under `seed`: uniform k is the
+    first uniform of substream (seed, k)."""
+    return CounterStream(seed)
 
 
 def substream_uniforms(seed: int, count: int) -> np.ndarray:
-    """First uniform of each of the substreams 0..count-1 under `seed`.
+    """First uniform of each of the substreams 0..count-1 under `seed`:
+    `master_rng(seed).random(count)`.
 
-    Element i equals `substream(seed, i).random()` bit for bit.  Like the
-    per-sample loop, a zero count reads no seed; a negative seed otherwise
-    raises ValueError, as SeedSequence does.  Counts above MAX_SAMPLES
-    raise TooLarge.
+    A zero count reads no seed; a negative seed otherwise raises ValueError,
+    as SeedSequence does.  Counts above MAX_SAMPLES raise TooLarge.
     """
     count = operator.index(count)
     if count < 0:
         raise ValueError("sample count must be nonnegative")
     if count > MAX_SAMPLES:
         raise TooLarge(f"{count} samples exceed the cap of {MAX_SAMPLES}")
-    out = np.empty(count)
-    if count == 0:
-        return out
-    seed_words = [np.full(1, w, dtype=np.uint32) for w in _seed_words(seed)]
-    for start in range(0, count, SUBSTREAM_CHUNK):
-        stop = min(start + SUBSTREAM_CHUNK, count)
-        index = np.arange(start, stop, dtype=np.uint32)
-        state = _generate_state(seed_words + [index])
-        out[start:stop] = _pcg64_first_uniform(state)
+    return master_rng(seed).random(count) if count else np.empty(0)
+
+
+def _first_uniforms(seed_words: list[np.ndarray], start: int, out: np.ndarray) -> np.ndarray:
+    """Fill the 1-D `out` with the first uniform of the substreams start,
+    start + 1, ..., SUBSTREAM_CHUNK indices per vectorized pass."""
+    for lo in range(0, len(out), SUBSTREAM_CHUNK):
+        hi = min(lo + SUBSTREAM_CHUNK, len(out))
+        index = np.arange(start + lo, start + hi, dtype=np.uint32)
+        out[lo:hi] = _pcg64_first_uniform(_generate_state(seed_words + [index]))
     return out
 
 

@@ -28,7 +28,6 @@ from eigensample import (
     named_gate,
     prepare_lhes,
     serialize_hamiltonian,
-    substream,
 )
 from eigensample import cli, distributions
 from eigensample.circuits import (
@@ -209,10 +208,16 @@ def per_draw_sample(dist, rng):
     return dist.points[int(inverse_cdf(np.cumsum(dist.weights()), rng.random()))][0]
 
 
+def substream(seed, index):
+    """numpy's generator for substream (seed, index), the reference for
+    seeding's one stream rule: uniform k of a run under seed is
+    substream(seed, k).random()."""
+    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+
+
 def per_sample_uniforms(seed, count):
     """First uniform of each sample's own substream generator, one generator
-    at a time: the CLI's former loop, kept as the reference for
-    seeding.substream_uniforms."""
+    at a time: the reference for seeding.substream_uniforms and master_rng."""
     return np.array([substream(seed, i).random() for i in range(count)])
 
 

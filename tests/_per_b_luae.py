@@ -2,9 +2,10 @@
 
 The package reads every <b|U|b> it needs from circuits.circuit_diagonal and
 maps the branch uniforms to outcomes in one vectorized step.  These loops
-run one n-qubit Hadamard test per distinct b instead and draw in the same
-order as the package (unguided: b, then the x branch, then the y branch for
-each sample; guided: x, y pairs), so the two agree bit for bit.
+run one n-qubit Hadamard test per distinct b instead and draw the same
+uniforms in the same order as the package, one scalar call at a time
+(unguided: b, then the x branch, then the y branch for each sample, with
+b = floor(u * 2^n); guided: x, y pairs), so the two agree bit for bit.
 """
 import numpy as np
 
@@ -33,7 +34,7 @@ def luae_unguided_per_b(circuit, epsilon, delta, rng):
     x_total = 0.0
     y_total = 0.0
     for _ in range(m):
-        index = int(rng.integers(0, 2**n))
+        index = int(rng.random() * 2**n)
         if index not in cache:
             bits = format(index, f"0{n}b")
             cache[index] = hadamard_test_probabilities(circuit, basis_loader(BasisLabel(bits)))

@@ -15,10 +15,12 @@ from eigensample import (
     hadamard_test_probabilities,
     luae_estimate,
     luae_unguided,
+    master_rng,
     named_gate,
     samples_per_component,
+    substream_uniforms,
 )
-from eigensample import circuits
+from eigensample import averages, circuits
 from eigensample.circuits import _diagonal_pass, circuit_diagonal
 from eigensample.seeding import MAX_SAMPLES
 from _helpers import (
@@ -228,6 +230,29 @@ class TestUnguided:
             assert est.lambda_hat == ref.lambda_hat
             assert est.m_samples == ref.m_samples
 
+    def test_command_stream_matches_per_b_reference(self):
+        # master_rng's one batch call against the reference's scalar calls
+        circ = random_circuit(3, 12, np.random.default_rng(67))
+        est = luae_unguided(circ, 0.2, 0.05, master_rng(67))
+        assert est.lambda_hat == luae_unguided_per_b(circ, 0.2, 0.05, master_rng(67)).lambda_hat
+
+    @pytest.mark.parametrize("n", [1, 10, 24])
+    def test_b_is_the_top_bits_of_its_uniform(self, n, monkeypatch):
+        # b = floor(u * 2^n) = j >> (53 - n) for u = j * 2^-53: exact, and
+        # uniform on [0, 2^n) for every n up to the 24-qubit cap
+        seen = []
+
+        def diagonal(circuit, indices):
+            seen.append(indices)
+            return np.ones(len(indices), dtype=complex)
+
+        monkeypatch.setattr(averages, "circuit_diagonal", diagonal)
+        est = luae_unguided(Circuit(n, []), 0.2, 0.05, master_rng(n))
+        u = substream_uniforms(n, 3 * est.m_samples)[0::3]
+        j = (u * 2**53).astype(np.int64)
+        assert np.array_equal(j * 2.0**-53, u)
+        assert np.array_equal(seen[0], np.unique(j >> (53 - n)))
+
 
 def spy_on_diagonal(monkeypatch):
     """Record each circuit pass of circuits.circuit_diagonal, one per qubit
@@ -243,11 +268,12 @@ def spy_on_diagonal(monkeypatch):
 
 
 def drawn_indices(n, m, seed):
-    """The distinct basis indices luae_unguided draws: b, x, y per sample."""
+    """The distinct basis indices luae_unguided draws: b, x, y per sample,
+    b the top n of the 53 bits of its uniform."""
     rng = np.random.default_rng(seed)
     indices = []
     for _ in range(m):
-        indices.append(rng.integers(0, 2**n))
+        indices.append(int(rng.random() * 2**53) >> (53 - n))
         rng.random()
         rng.random()
     return np.unique(indices)

@@ -23,12 +23,12 @@ from eigensample import (
     exact_pes_oracle,
     luae_estimate,
     luae_unguided,
+    master_rng,
     named_gate,
     parse_circuit,
     parse_hamiltonian,
     prepare_lhes,
     prepare_pes,
-    substream,
 )
 from eigensample import seeding
 from eigensample.cli import iter_json, main, render_json
@@ -38,6 +38,7 @@ from _helpers import (
     random_circuit,
     recursive_render_json,
     serialize_circuit,
+    substream,
 )
 
 FILE_TEXTS = {
@@ -516,7 +517,7 @@ class TestEstimateCommands:
         est = luae_estimate(
             parse_circuit(FILE_TEXTS["x"]),
             SamplingRequest(0.2, 0.1, BasisLabel("0")),
-            substream(0, 0),
+            master_rng(0),
         )
         assert report["m_samples"] == est.m_samples == 738
         assert report["lambda_hat"]["re"] == est.lambda_hat.real
@@ -589,7 +590,7 @@ class TestEstimateCommands:
         assert code == 0
         report = json.loads(out)
         est = luae_unguided(
-            parse_circuit(FILE_TEXTS["zc"]), 0.2, 0.1, substream(0, 0)
+            parse_circuit(FILE_TEXTS["zc"]), 0.2, 0.1, master_rng(0)
         )
         assert report["m_samples"] == est.m_samples
         assert report["estimate"]["re"] == est.lambda_hat.real
@@ -1214,6 +1215,10 @@ FOOTPRINTS = {
     "verify": (("verify", "bell", "samples", "--b", "00"), HEAVY),
     "lhes": (("lhes", "zham", "--epsilon", "0.4", "--delta", "0.1", "--b", "1",
               "--samples", "5"), {"reductions", "averages"}),
+    "luae": (("luae", "x", "--epsilon", "0.2", "--delta", "0.1", "--b", "0"),
+             {"reductions", "hamiltonians"}),
+    "luae-u": (("luae-u", "x", "--epsilon", "0.2", "--delta", "0.1"),
+               {"reductions", "hamiltonians"}),
     **{f"decide-{route}-{oracle}": (
         ("decide", "x", "--x", "0", "--route", route, "--oracle", oracle), set())
        for route in ("lhes", "pes", "luae") for oracle in ("exact", "quantum")},
@@ -1245,8 +1250,8 @@ def numpy_loads_its_random():
 
 
 class TestImportFootprint:
-    """Each command loads only the modules it runs; no command but luae and
-    luae-u loads numpy.random."""
+    """Each command loads only the modules it runs, and none loads
+    numpy.random."""
 
     def test_package_import_loads_no_submodule(self):
         code = "import json, sys, eigensample; print(json.dumps(sorted(sys.modules)))"
@@ -1265,12 +1270,3 @@ class TestImportFootprint:
         if argv[0] == "check":
             assert ours == {"cli", "circuits", "linalg", "errors"}
         assert numpy_loads_its_random or "numpy.random" not in modules
-
-    @pytest.mark.parametrize("command", ["luae", "luae-u"])
-    def test_luae_keeps_numpy_generators(self, command, files, tmp_path):
-        argv = [command, files["x"], "--epsilon", "0.2", "--delta", "0.1"]
-        argv += ["--b", "0"] if command == "luae" else []
-        modules = loaded_modules(argv, tmp_path)
-        assert "numpy.random" in modules
-        assert "averages" in package_modules(modules)
-        assert not package_modules(modules) & {"reductions", "hamiltonians"}

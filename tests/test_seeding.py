@@ -1,8 +1,9 @@
-"""Reproducibility of the seeded random streams."""
+"""Reproducibility of the seeded random streams: uniform k of a run under a
+seed is the first uniform of numpy's substream (seed, k)."""
 import numpy as np
 import pytest
 
-from eigensample import TooLarge, master_rng, substream, substream_uniforms
+from eigensample import TooLarge, master_rng, substream_uniforms
 from eigensample import seeding
 from _helpers import per_sample_uniforms
 
@@ -26,16 +27,22 @@ class TestMasterRng:
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_equals_numpy_default_rng(self, seed):
-        # scalar and batch calls interleaved, numpy as the reference
-        ours, numpy_rng = master_rng(seed), np.random.default_rng(seed)
-        for size in (None, 0, 5, None, 1, 1000, None):
-            got, want = ours.random(size), numpy_rng.random(size)
+        # scalar and batch calls interleaved across several SUBSTREAM_CHUNK
+        # boundaries; uniform k is numpy's default_rng((seed, k)).random()
+        chunk = seeding.SUBSTREAM_CHUNK
+        sizes = (None, 0, 5, None, 1, chunk - 3, None, None, (2, 3), None, 2 * chunk, None)
+        ours = master_rng(seed)
+        got = []
+        for size in sizes:
+            draw = ours.random(size)
             if size is None:
-                assert type(got) is float
-                assert got == want
+                assert type(draw) is float
+                got.append(draw)
             else:
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert np.array_equal(got, want)
+                assert draw.dtype == np.float64 and draw.shape == np.empty(size).shape
+                got.extend(draw.reshape(-1))
+        assert len(got) > 3 * chunk
+        assert np.array_equal(got, per_sample_uniforms(seed, len(got)))
 
     def test_negative_seed_raises_numpy_message(self):
         with pytest.raises(ValueError) as numpy_error:
@@ -44,33 +51,46 @@ class TestMasterRng:
             master_rng(-1)
         assert str(ours.value) == str(numpy_error.value)
 
+    def test_index_limit(self, monkeypatch):
+        # every index is one 32-bit entropy word: index 2**32 is refused,
+        # by a batch call before it allocates, and by a scalar call
+        with pytest.raises(TooLarge):
+            master_rng(0).random(seeding.INDEX_LIMIT + 1)
+        stream = master_rng(3)
+        monkeypatch.setattr(seeding, "SUBSTREAM_CHUNK", 4)
+        stream._next = seeding.INDEX_LIMIT - 2
+        last = [stream.random(), stream.random()]
+        with pytest.raises(TooLarge):
+            stream.random()
+        with pytest.raises(TooLarge):
+            stream.random(1)
+        monkeypatch.undo()
+        assert last == [
+            np.random.default_rng(np.random.SeedSequence((3, seeding.INDEX_LIMIT - k))).random()
+            for k in (2, 1)
+        ]
+
+    def test_budgets_fit_the_index_words(self):
+        # luae-u reads three uniforms per sample pair
+        assert 3 * seeding.MAX_SAMPLES < seeding.INDEX_LIMIT == 2**32
+
 
 class TestSubstream:
+    """The (seed, index) keying of the substreams behind every uniform."""
+
     def test_reproducible_per_index(self):
-        a = substream(3, 12).random(50)
-        b = substream(3, 12).random(50)
-        assert np.array_equal(a, b)
+        assert substream_uniforms(3, 13)[12] == substream_uniforms(3, 50)[12]
 
     def test_indices_are_independent_streams(self):
-        draws = [substream(3, i).random(50) for i in range(5)]
-        for i in range(5):
-            for j in range(i + 1, 5):
-                assert not np.array_equal(draws[i], draws[j])
+        draws = substream_uniforms(3, 50)
+        assert len(np.unique(draws)) == 50
 
     def test_seed_separates_streams(self):
-        assert not np.array_equal(
-            substream(3, 0).random(50), substream(4, 0).random(50)
-        )
+        assert not np.array_equal(substream_uniforms(3, 50), substream_uniforms(4, 50))
 
     def test_index_is_not_a_seed_alias(self):
         # (seed, index) keying must not collide with (index, seed)
-        assert not np.array_equal(
-            substream(1, 2).random(50), substream(2, 1).random(50)
-        )
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            substream(0, -1)
+        assert substream_uniforms(1, 3)[2] != substream_uniforms(2, 2)[1]
 
 
 class TestSubstreamUniforms:
@@ -90,14 +110,13 @@ class TestSubstreamUniforms:
         with pytest.raises(ValueError):
             substream_uniforms(-1, 3)
         with pytest.raises(ValueError):
-            substream(-1, 0)
+            master_rng(-1)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             substream_uniforms(0, -1)
 
     def test_count_cap(self):
-        assert seeding.MAX_SAMPLES <= 2**32
         with pytest.raises(TooLarge):
             substream_uniforms(0, seeding.MAX_SAMPLES + 1)
 
