@@ -41,6 +41,7 @@ from .errors import (
     NotHermitian,
     ParseError,
     TermTooLarge,
+    TooLarge,
 )
 from .linalg import exp_i_hermitian, is_hermitian, operator_norm
 from .phase_estimation import (
@@ -103,7 +104,7 @@ class LocalHamiltonian:
                 raise ValueError(f"term qubit {bad[0]} out of range")
         bound = TERM_BOUND_COEFF * self.qubit_count**4
         if len(self.terms) > bound:
-            raise ValueError(f"{len(self.terms)} terms exceeds sanity bound {bound}")
+            raise TooLarge(f"{len(self.terms)} terms exceeds sanity bound {bound}")
 
 
 @dataclass

@@ -243,14 +243,15 @@ def eigenvalue_grids(clock_dim: int) -> tuple[np.ndarray, np.ndarray]:
 # decision procedures
 
 def _marked_input(base: Circuit, x: BasisLabel, kind: str) -> tuple[MarkedCircuit, str]:
-    """Marked circuit and zero-padded x, refusing a W above MAX_STATEVECTOR_QUBITS."""
-    bits = x.bits + "0" * (base.qubit_count - len(x.bits))
-    BasisLabel(bits).check_width(base.qubit_count, "base circuit", "x")
-    marked = mark_circuit(base, kind)
-    if marked.full.qubit_count > MAX_STATEVECTOR_QUBITS:
+    """Marked circuit and zero-padded x, refusing a W above MAX_STATEVECTOR_QUBITS
+    before x is padded to the base's width."""
+    width = base.qubit_count + 1 if kind == "lhes-copy" else base.qubit_count
+    if width > MAX_STATEVECTOR_QUBITS:
         raise TooLarge(f"the {kind} marking of a {base.qubit_count}-qubit base "
                        f"exceeds {MAX_STATEVECTOR_QUBITS} qubits")
-    return marked, bits
+    bits = x.bits + "0" * (base.qubit_count - len(x.bits))
+    BasisLabel(bits).check_width(base.qubit_count, "base circuit", "x")
+    return mark_circuit(base, kind), bits
 
 
 def lhes_epsilon(marked: MarkedCircuit) -> float:

@@ -613,6 +613,8 @@ def golden_inputs():
         "u1_word.txt": "qubits 1\nu1 0 1 0 0 0 0 0 zero 0\n",
         # one term above the sanity bound of a 1-qubit register
         "eleven_terms.txt": "qubits 1\n" + "term 1 0 1 0 0 0 0 0 -1 0\n" * 11,
+        # a base declared 10^8 qubits wide, refused before x is padded
+        "huge.txt": "qubits 100000000\nh 0\n",
     }
 
 
@@ -649,7 +651,6 @@ def _golden_commands():
         ["check", "term_no_k.txt"],
         ["check", "term_word_k.txt"],
         ["check", "u1_word.txt"],
-        ["check", "eleven_terms.txt"],
         ["check", "zham.txt", "--kind", "circuit"],
         ["lhes", "empty_ham.txt", "--epsilon", "0.4", "--delta", "0.1", "--b", "0"],
         ["pes", "bell.txt", *pes, "--b", "00", "--samples", "-1"],
@@ -668,6 +669,8 @@ def _golden_commands():
         ["decide", "wide25.txt", "--x", "0" * 25, "--route", "pes"],
         ["decide", "base45.txt", "--x", "0", "--route", "lhes", "--oracle", "quantum"],
         ["decide", "x.txt", "--x", "00", "--route", "luae"],
+        ["decide", "huge.txt", "--x", "0", "--route", "lhes"],
+        ["check", "eleven_terms.txt"],
     ]
     # CI's console runs on its wide bases; quantum lhes on base16.txt is left
     # out, as it takes seconds in-process

@@ -673,6 +673,19 @@ class TestDecideCommand:
         )
         assert json.loads(out)["accept"] is False
 
+    @pytest.mark.parametrize("route", ["lhes", "pes", "luae"])
+    def test_huge_register_refused_before_x_is_padded(self, route, files, capsys):
+        # padding x to the declared 10^8 qubits took 3-4 s before the width
+        # check; the marked width is now compared with the cap first
+        path = files["dir"] / "huge.txt"
+        path.write_text("qubits 100000000\nh 0\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(["decide", str(path), "--x", "0", "--route", route], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "TooLarge"
+
     def test_oracle_failure_exit_code(self, files, capsys, monkeypatch):
         def explode(*args, **kwargs):
             raise OracleFailure("no usable draws")

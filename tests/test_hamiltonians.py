@@ -77,6 +77,12 @@ class TestTerms:
         with pytest.raises(ValueError, match="range"):
             LocalHamiltonian(1, [LocalTerm((3,), Z)])
 
+    def test_term_count_bound_is_a_size_failure(self):
+        # 10 n^4 terms at most: one more on one qubit exits 2, not 1
+        LocalHamiltonian(1, [LocalTerm((0,), Z)] * 10)
+        with pytest.raises(TooLarge, match="11 terms exceeds sanity bound 10"):
+            LocalHamiltonian(1, [LocalTerm((0,), Z)] * 11)
+
 
 class TestParse:
     def test_two_term_example(self):
