@@ -17,6 +17,7 @@ since numpy 1.17), then one step of the PCG64 XSL-RR generator (O'Neill
 """
 from __future__ import annotations
 
+import math
 import operator
 from typing import Protocol
 
@@ -62,8 +63,9 @@ class CounterStream:
     """Uniforms 0, 1, 2, ... of the substreams of one seed, in order.
 
     `.random(size=None)` returns the next uniform as a float, or the next
-    prod(size) of them as an array of that shape.  Scalar calls are served
-    from blocks of SUBSTREAM_CHUNK uniforms; an index at or above
+    prod(size) of them as an array of that shape.  Calls of at most
+    SUBSTREAM_CHUNK uniforms, scalar calls among them, are served from
+    blocks of SUBSTREAM_CHUNK computed ahead; an index at or above
     INDEX_LIMIT raises TooLarge.  A negative seed raises numpy's ValueError.
     """
 
@@ -76,21 +78,23 @@ class CounterStream:
         self._block_start = 0
 
     def random(self, size=None):
-        start = self._next
-        count = 1 if size is None else int(np.prod(size))
+        shape = () if size is None else size if isinstance(size, tuple) else (size,)
+        start, count = self._next, math.prod(shape)
+        if min(shape, default=0) < 0:
+            raise ValueError("negative dimensions are not allowed")
         if start + count > INDEX_LIMIT:
             raise TooLarge(f"uniform index {start + count - 1} is beyond the "
                            f"{INDEX_LIMIT} substreams of a seed")
-        if size is not None:
-            out = np.empty(size)  # a negative size raises numpy's ValueError
-            _first_uniforms(self._words, start, out.reshape(-1))
-            self._next = start + out.size
-            return out
-        if not self._block_start <= start < self._block_start + len(self._block):
-            block = np.empty(min(SUBSTREAM_CHUNK, INDEX_LIMIT - start))
-            self._block, self._block_start = _first_uniforms(self._words, start, block), start
-        self._next = start + 1
-        return float(self._block[start - self._block_start])
+        if count > SUBSTREAM_CHUNK:
+            out = _first_uniforms(self._words, start, np.empty(count))
+        else:
+            if start + count > self._block_start + len(self._block):
+                block = np.empty(min(SUBSTREAM_CHUNK, INDEX_LIMIT - start))
+                self._block, self._block_start = _first_uniforms(self._words, start, block), start
+            offset = start - self._block_start
+            out = self._block[offset : offset + count].copy()
+        self._next = start + count
+        return float(out[0]) if size is None else out.reshape(shape)
 
 
 def master_rng(seed: int) -> CounterStream:

@@ -51,6 +51,26 @@ class TestMasterRng:
             master_rng(-1)
         assert str(ours.value) == str(numpy_error.value)
 
+    def test_small_calls_share_one_block(self, monkeypatch):
+        # the exact oracles draw one uniform per call: no call of at most
+        # SUBSTREAM_CHUNK uniforms runs a vectorized pass of its own
+        starts = []
+        first_uniforms = seeding._first_uniforms
+
+        def spy(words, start, out):
+            starts.append(start)
+            return first_uniforms(words, start, out)
+
+        monkeypatch.setattr(seeding, "_first_uniforms", spy)
+        stream = master_rng(4)
+        for _ in range(100):
+            stream.random(), stream.random(1), stream.random((2, 2))
+        assert starts == [0]
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            master_rng(0).random(-1)
+
     def test_index_limit(self, monkeypatch):
         # every index is one 32-bit entropy word: index 2**32 is refused,
         # by a batch call before it allocates, and by a scalar call
