@@ -72,7 +72,7 @@ class CounterStream:
     __slots__ = ("_words", "_next", "_block", "_block_start")
 
     def __init__(self, seed: int):
-        self._words = [np.full(1, w, dtype=np.uint32) for w in _seed_words(seed)]
+        self._words = _seed_words(seed)
         self._next = 0
         self._block = np.empty(0)
         self._block_start = 0
@@ -105,7 +105,7 @@ def master_rng(seed: int) -> CounterStream:
 
 def substream_uniforms(seed: int, count: int) -> np.ndarray:
     """First uniform of each of the substreams 0..count-1 under `seed`:
-    `master_rng(seed).random(count)`.
+    `master_rng(seed).random(count)`, with no block computed ahead.
 
     A zero count reads no seed; a negative seed otherwise raises ValueError,
     as SeedSequence does.  Counts above MAX_SAMPLES raise TooLarge.
@@ -115,7 +115,7 @@ def substream_uniforms(seed: int, count: int) -> np.ndarray:
         raise ValueError("sample count must be nonnegative")
     if count > MAX_SAMPLES:
         raise TooLarge(f"{count} samples exceed the cap of {MAX_SAMPLES}")
-    return master_rng(seed).random(count) if count else np.empty(0)
+    return _first_uniforms(_seed_words(seed), 0, np.empty(count)) if count else np.empty(0)
 
 
 def _first_uniforms(seed_words: list[np.ndarray], start: int, out: np.ndarray) -> np.ndarray:
@@ -131,8 +131,9 @@ def _first_uniforms(seed_words: list[np.ndarray], start: int, out: np.ndarray) -
 # ---------------------------------------------------------------------------
 # SeedSequence, vectorized over the last entropy word
 
-def _seed_words(seed) -> list[int]:
-    """The seed as little-endian 32-bit words; 0 is one zero word."""
+def _seed_words(seed) -> list[np.ndarray]:
+    """The seed as little-endian 32-bit words, each a one-element uint32
+    array that broadcasts against the index word; 0 is one zero word."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
@@ -140,7 +141,7 @@ def _seed_words(seed) -> list[int]:
     while seed >> 32:
         seed >>= 32
         words.append(seed & 0xFFFFFFFF)
-    return words
+    return [np.full(1, w, dtype=np.uint32) for w in words]
 
 
 def _hash_constants(value: int, mult: int):
