@@ -656,6 +656,14 @@ def _golden_commands():
         ["pes", "bell.txt", *pes, "--b", "00", "--samples", "-1"],
         ["pes", "bell.txt", *pes, "--b", "0x"],
         ["pes", "bell.txt", "--delta", "0.1", "--b", "00"],
+        # a negative seed, numpy's message, for every command that draws
+        ["pes", "bell.txt", *pes, "--b", "00", "--samples", "10", "--seed", "-1"],
+        ["lhes", "zham.txt", "--epsilon", "0.4", "--delta", "0.1", "--b", "1", "--seed", "-1"],
+        ["luae", "bell.txt", "--epsilon", "0.25", "--delta", "0.1", "--b", "00", "--seed", "-1"],
+        ["luae-u", "bell.txt", "--epsilon", "0.25", "--delta", "0.1", "--seed", "-1"],
+        ["decide", "x.txt", "--x", "0", "--route", "lhes", "--seed", "-1"],
+        # a negative seed with no draws asked for
+        ["pes", "bell.txt", *pes, "--b", "00", "--samples", "0", "--seed", "-1"],
         # exit 2: sizes refused before any dense or wide work
         ["spectrum", "wide13.txt", "--b", "0" * 13],
         ["pes", "wide13.txt", *pes, "--b", "0" * 13],
