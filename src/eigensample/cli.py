@@ -6,7 +6,8 @@ CSV only for the trotter-bench table.  Floats are printed with 17
 significant digits so identical configurations produce byte-identical
 output.  Every command that draws takes uniform k of its run from
 substream (seed, k) (seeding.master_rng), so its report does not depend on
-batching.
+batching; it builds that stream before it reads its input, so a negative
+seed fails before any work.
 
 Exit codes: 0 success, 1 parse or validation failure (an unreadable input
 or an unwritable output among them), 2 dimension or size failure, 3 oracle
@@ -68,7 +69,7 @@ _DEFERRED = (
     "luae_estimate", "luae_unguided", "mark_circuit", "master_rng",
     "parse_hamiltonian", "prepare_lhes", "prepare_pes", "quantum_lhes_oracle",
     "quantum_luae_oracle", "quantum_pes_oracle", "reduction_report", "scale_hamiltonian",
-    "serialize_hamiltonian", "substream_uniforms", "trotter_deviation",
+    "serialize_hamiltonian", "trotter_deviation",
 )
 globals().update((name, _deferred(name)) for name in _DEFERRED)
 
@@ -283,10 +284,11 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_pes(args) -> int:
     _check_samples(args)
+    rng = master_rng(args.seed)
     _, circuit = _load_input(args.file, "circuit")
     req = SamplingRequest(args.epsilon, args.delta, BasisLabel(args.b))
     prep = prepare_pes(circuit, req)
-    phis = prep.raw_outcomes(substream_uniforms(args.seed, args.samples)) / 2**prep.t
+    phis = prep.raw_outcomes(rng.random(args.samples)) / 2**prep.t
     report = _base_report(args.seed, args.epsilon, args.delta)
     report["b"] = args.b
     report["t"] = prep.t
@@ -296,10 +298,11 @@ def _cmd_pes(args) -> int:
 
 def _cmd_lhes(args) -> int:
     _check_samples(args)
+    rng = master_rng(args.seed)
     _, h = _load_input(args.file, "hamiltonian")
     req = SamplingRequest(args.epsilon, args.delta, BasisLabel(args.b))
     prep = prepare_lhes(h, req)
-    values = prep.eigenvalues(substream_uniforms(args.seed, args.samples))
+    values = prep.eigenvalues(rng.random(args.samples))
     report = _base_report(args.seed, args.epsilon, args.delta)
     report["b"] = args.b
     report["lambda_cap"] = prep.lambda_cap
@@ -310,9 +313,10 @@ def _cmd_lhes(args) -> int:
 
 
 def _cmd_luae(args) -> int:
+    rng = master_rng(args.seed)
     _, circuit = _load_input(args.file, "circuit")
     req = SamplingRequest(args.epsilon, args.delta, BasisLabel(args.b))
-    est = luae_estimate(circuit, req, master_rng(args.seed))
+    est = luae_estimate(circuit, req, rng)
     report = _base_report(args.seed, args.epsilon, args.delta)
     report["b"] = args.b
     report["m_samples"] = est.m_samples
@@ -321,8 +325,9 @@ def _cmd_luae(args) -> int:
 
 
 def _cmd_luae_u(args) -> int:
+    rng = master_rng(args.seed)
     _, circuit = _load_input(args.file, "circuit")
-    est = luae_unguided(circuit, args.epsilon, args.delta, master_rng(args.seed))
+    est = luae_unguided(circuit, args.epsilon, args.delta, rng)
     report = _base_report(args.seed, args.epsilon, args.delta)
     report["m_samples"] = est.m_samples
     report["estimate"] = {"re": est.lambda_hat.real, "im": est.lambda_hat.imag}
@@ -346,6 +351,7 @@ def _cmd_decide(args) -> int:
     """The route's decider and oracle factory, looked up on this module at
     each call so that a replaced name runs; the report's epsilon and delta
     are those of the request the decider hands the factory."""
+    rng = master_rng(args.seed)
     _, circuit = _load_input(args.file, "circuit")
     decide = globals()[f"decide_via_{args.route}"]
     factory = globals()[f"{args.oracle}_{args.route}_oracle"]
@@ -355,7 +361,7 @@ def _cmd_decide(args) -> int:
         requests.append(req)
         return factory(marked, req)
 
-    accept = decide(circuit, BasisLabel(args.x), recording, master_rng(args.seed))
+    accept = decide(circuit, BasisLabel(args.x), recording, rng)
     report = _base_report(args.seed, requests[0].epsilon, requests[0].delta)
     report["route"] = args.route
     report["oracle"] = args.oracle

@@ -7,10 +7,10 @@ uniform of substream (seed, k), numpy's `default_rng(SeedSequence((seed,
 k)))`.  It is a function of (seed, k) alone (a counter-based stream, as in
 Salmon et al., SC 2011), so results do not depend on how draws are batched.
 
-`master_rng(seed)` serves those uniforms in order, scalar and batch calls
-interleaved, and `substream_uniforms(seed, count)` returns the first count
-of them.  Both compute them in numpy integer arithmetic, SUBSTREAM_CHUNK
-indices per vectorized pass, bit for bit and without loading numpy.random:
+`master_rng(seed)`, the one entry point, serves those uniforms in order,
+scalar and batch calls interleaved.  It computes them in numpy integer
+arithmetic, SUBSTREAM_CHUNK indices per vectorized pass, bit for bit and
+without loading numpy.random:
 numpy's SeedSequence hash (entropy pool mixing and `generate_state`, stable
 since numpy 1.17), then one step of the PCG64 XSL-RR generator (O'Neill
 2014) seeded from its state.
@@ -63,10 +63,13 @@ class CounterStream:
     """Uniforms 0, 1, 2, ... of the substreams of one seed, in order.
 
     `.random(size=None)` returns the next uniform as a float, or the next
-    prod(size) of them as an array of that shape.  Calls of at most
-    SUBSTREAM_CHUNK uniforms, scalar calls among them, are served from
-    blocks of SUBSTREAM_CHUNK computed ahead; an index at or above
-    INDEX_LIMIT raises TooLarge.  A negative seed raises numpy's ValueError.
+    prod(size) of them as an array of that shape.  A call that runs past
+    the block computes a new one from the current index: max(count,
+    SUBSTREAM_CHUNK) uniforms, so small calls share a block and a large
+    call computes exactly its count.  The array returned is a view of the
+    block; a later call never serves those indices again.  An index at or
+    above INDEX_LIMIT raises TooLarge.  A negative seed raises numpy's
+    ValueError.
     """
 
     __slots__ = ("_words", "_next", "_block", "_block_start")
@@ -85,14 +88,11 @@ class CounterStream:
         if start + count > INDEX_LIMIT:
             raise TooLarge(f"uniform index {start + count - 1} is beyond the "
                            f"{INDEX_LIMIT} substreams of a seed")
-        if count > SUBSTREAM_CHUNK:
-            out = _first_uniforms(self._words, start, np.empty(count))
-        else:
-            if start + count > self._block_start + len(self._block):
-                block = np.empty(min(SUBSTREAM_CHUNK, INDEX_LIMIT - start))
-                self._block, self._block_start = _first_uniforms(self._words, start, block), start
-            offset = start - self._block_start
-            out = self._block[offset : offset + count].copy()
+        if start + count > self._block_start + len(self._block):
+            block = np.empty(min(max(count, SUBSTREAM_CHUNK), INDEX_LIMIT - start))
+            self._block, self._block_start = _first_uniforms(self._words, start, block), start
+        offset = start - self._block_start
+        out = self._block[offset : offset + count]
         self._next = start + count
         return float(out[0]) if size is None else out.reshape(shape)
 
@@ -101,21 +101,6 @@ def master_rng(seed: int) -> CounterStream:
     """The stream of every command's draws under `seed`: uniform k is the
     first uniform of substream (seed, k)."""
     return CounterStream(seed)
-
-
-def substream_uniforms(seed: int, count: int) -> np.ndarray:
-    """First uniform of each of the substreams 0..count-1 under `seed`:
-    `master_rng(seed).random(count)`, with no block computed ahead.
-
-    A zero count reads no seed; a negative seed otherwise raises ValueError,
-    as SeedSequence does.  Counts above MAX_SAMPLES raise TooLarge.
-    """
-    count = operator.index(count)
-    if count < 0:
-        raise ValueError("sample count must be nonnegative")
-    if count > MAX_SAMPLES:
-        raise TooLarge(f"{count} samples exceed the cap of {MAX_SAMPLES}")
-    return _first_uniforms(_seed_words(seed), 0, np.empty(count)) if count else np.empty(0)
 
 
 def _first_uniforms(seed_words: list[np.ndarray], start: int, out: np.ndarray) -> np.ndarray:

@@ -217,8 +217,22 @@ def substream(seed, index):
 
 def per_sample_uniforms(seed, count):
     """First uniform of each sample's own substream generator, one generator
-    at a time: the reference for seeding.substream_uniforms and master_rng."""
+    at a time: the reference for seeding.master_rng."""
     return np.array([substream(seed, i).random() for i in range(count)])
+
+
+class PerIndexStream:
+    """Reference for seeding.master_rng(seed): `.random(size=None)` builds
+    one numpy generator per index (substream) and counts what it serves."""
+
+    def __init__(self, seed):
+        self.seed, self.served = seed, 0
+
+    def random(self, size=None):
+        count = 1 if size is None else math.prod(size if isinstance(size, tuple) else (size,))
+        start, self.served = self.served, self.served + count
+        out = np.array([substream(self.seed, k).random() for k in range(start, self.served)])
+        return float(out[0]) if size is None else out.reshape(size)
 
 
 def cyclic_shift(n):

@@ -18,7 +18,6 @@ from eigensample import (
     master_rng,
     named_gate,
     samples_per_component,
-    substream_uniforms,
 )
 from eigensample import averages, circuits
 from eigensample.circuits import _diagonal_pass, circuit_diagonal
@@ -248,7 +247,7 @@ class TestUnguided:
 
         monkeypatch.setattr(averages, "circuit_diagonal", diagonal)
         est = luae_unguided(Circuit(n, []), 0.2, 0.05, master_rng(n))
-        u = substream_uniforms(n, 3 * est.m_samples)[0::3]
+        u = master_rng(n).random(3 * est.m_samples)[0::3]
         j = (u * 2**53).astype(np.int64)
         assert np.array_equal(j * 2.0**-53, u)
         assert np.array_equal(seen[0], np.unique(j >> (53 - n)))

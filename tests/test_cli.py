@@ -33,8 +33,8 @@ from eigensample import (
 from eigensample import seeding
 from eigensample.cli import iter_json, main, render_json
 from _helpers import (
+    PerIndexStream,
     grouped_circuit,
-    per_sample_uniforms,
     random_circuit,
     recursive_render_json,
     serialize_circuit,
@@ -489,8 +489,9 @@ class TestSamplingCommands:
     def test_reports_match_per_sample_reference(
         self, command, seed, files, capsys, monkeypatch
     ):
-        # the batched substream uniforms give the very report the per-sample
-        # generator loop gives, across a chunk boundary and for a two-word seed
+        # master_rng's batched uniforms give the very report a per-index
+        # numpy generator stream gives, across a chunk boundary and for a
+        # two-word seed
         if command == "pes":
             argv = ["pes", files["bell"], "--epsilon", "0.03125", "--b", "00"]
         else:
@@ -499,9 +500,16 @@ class TestSamplingCommands:
                  "--samples", str(seeding.SUBSTREAM_CHUNK + 5)]
         code, batched, _ = run_cli(argv, capsys)
         assert code == 0
-        monkeypatch.setattr(cli_module, "substream_uniforms", per_sample_uniforms)
+        streams = []
+
+        def reference_rng(seed):
+            streams.append(PerIndexStream(seed))
+            return streams[-1]
+
+        monkeypatch.setattr(cli_module, "master_rng", reference_rng)
         code, reference, _ = run_cli(argv, capsys)
         assert code == 0
+        assert [(s.seed, s.served) for s in streams] == [(seed, seeding.SUBSTREAM_CHUNK + 5)]
         assert batched == reference
 
 
@@ -1055,6 +1063,30 @@ class TestUsageErrors:
         "trotter-bench": ("trotter-bench", "zham", "--m", "4,8"),
         "reduce": ("reduce", "x"),
     }
+
+    # every command that draws, with --seed -1; pes asks for no draws
+    DRAWERS = {
+        "pes": ("pes", "bell", "--epsilon", "0.125", "--delta", "0.1", "--b", "00",
+                "--samples", "0"),
+        "lhes": ("lhes", "zham", "--epsilon", "0.4", "--delta", "0.1", "--b", "1"),
+        "luae": ("luae", "bell", "--epsilon", "0.25", "--delta", "0.1", "--b", "00"),
+        "luae-u": ("luae-u", "bell", "--epsilon", "0.25", "--delta", "0.1"),
+        "decide": ("decide", "x", "--x", "0", "--route", "lhes"),
+    }
+
+    @pytest.mark.parametrize("argv", DRAWERS.values(), ids=DRAWERS.keys())
+    def test_negative_seed_fails_before_any_work(self, argv, files, capsys, monkeypatch):
+        # the stream is built before the input is read, so nothing that
+        # reads, prepares or decides runs
+        called = []
+        for name in ("_load_input", "prepare_pes", "prepare_lhes", "luae_estimate",
+                     "luae_unguided", "decide_via_lhes", "decide_via_pes", "decide_via_luae"):
+            monkeypatch.setattr(cli_module, name, lambda *a, _name=name: called.append(_name))
+        code, out, err = run_cli([files.get(arg, arg) for arg in argv] + ["--seed", "-1"],
+                                 capsys)
+        assert (code, out, called) == (1, "", [])
+        assert json.loads(err) == {"error": "ValueError", "exit_code": 1,
+                                   "message": "expected non-negative integer"}
 
     @pytest.mark.parametrize("argv", WRITERS.values(), ids=WRITERS.keys())
     def test_out_in_a_missing_directory(self, argv, files, capsys):

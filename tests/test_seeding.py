@@ -3,7 +3,7 @@ seed is the first uniform of numpy's substream (seed, k)."""
 import numpy as np
 import pytest
 
-from eigensample import TooLarge, master_rng, substream_uniforms
+from eigensample import TooLarge, master_rng
 from eigensample import seeding
 from _helpers import per_sample_uniforms
 
@@ -67,6 +67,33 @@ class TestMasterRng:
             stream.random(), stream.random(1), stream.random((2, 2))
         assert starts == [0]
 
+    def test_large_call_computes_exactly_its_count(self, monkeypatch):
+        # a call above SUBSTREAM_CHUNK runs one pass of exactly its count
+        # from the current index, with no block computed ahead
+        calls = []
+        first_uniforms = seeding._first_uniforms
+
+        def spy(words, start, out):
+            calls.append((start, len(out)))
+            return first_uniforms(words, start, out)
+
+        monkeypatch.setattr(seeding, "_first_uniforms", spy)
+        stream = master_rng(6)
+        stream.random(3)
+        count = seeding.SUBSTREAM_CHUNK + 5
+        stream.random(count)
+        assert calls == [(0, seeding.SUBSTREAM_CHUNK), (3, count)]
+
+    def test_writing_into_a_draw_leaves_later_draws(self):
+        # a returned array is a view of the block; the indices it covers
+        # are never served again
+        stream = master_rng(12)
+        first = stream.random(5)
+        first[:] = -1.0
+        stream.random((2, 3))[...] = -1.0
+        rest = [stream.random(), *stream.random(4)]
+        assert rest == per_sample_uniforms(12, 16)[11:].tolist()
+
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             master_rng(0).random(-1)
@@ -99,54 +126,60 @@ class TestSubstream:
     """The (seed, index) keying of the substreams behind every uniform."""
 
     def test_reproducible_per_index(self):
-        assert substream_uniforms(3, 13)[12] == substream_uniforms(3, 50)[12]
+        assert master_rng(3).random(13)[12] == master_rng(3).random(50)[12]
 
     def test_indices_are_independent_streams(self):
-        draws = substream_uniforms(3, 50)
+        draws = master_rng(3).random(50)
         assert len(np.unique(draws)) == 50
 
     def test_seed_separates_streams(self):
-        assert not np.array_equal(substream_uniforms(3, 50), substream_uniforms(4, 50))
+        assert not np.array_equal(master_rng(3).random(50), master_rng(4).random(50))
 
     def test_index_is_not_a_seed_alias(self):
         # (seed, index) keying must not collide with (index, seed)
-        assert substream_uniforms(1, 3)[2] != substream_uniforms(2, 2)[1]
+        assert master_rng(1).random(3)[2] != master_rng(2).random(2)[1]
 
 
 class TestSubstreamUniforms:
+    """A batch call `master_rng(seed).random(count)`: the first count
+    uniforms of the seed."""
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_bit_identical_to_per_sample_generators(self, seed):
         count = seeding.SUBSTREAM_CHUNK + 3
         assert np.array_equal(
-            substream_uniforms(seed, count), per_sample_uniforms(seed, count)
+            master_rng(seed).random(count), per_sample_uniforms(seed, count)
         )
 
     def test_zero_count_is_empty(self):
-        out = substream_uniforms(5, 0)
+        out = master_rng(5).random(0)
         assert out.shape == (0,)
         assert out.dtype == np.float64
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError):
-            substream_uniforms(-1, 3)
-        with pytest.raises(ValueError):
-            master_rng(-1)
+        # refused when the stream is built, before any draw, at any width
+        for seed in (-1, -(2**70)):
+            with pytest.raises(ValueError):
+                master_rng(seed)
 
     def test_negative_count_rejected(self):
+        # a refused call leaves the stream where it was
+        stream = master_rng(0)
+        stream.random(2)
         with pytest.raises(ValueError):
-            substream_uniforms(0, -1)
-
-    def test_count_cap(self):
-        with pytest.raises(TooLarge):
-            substream_uniforms(0, seeding.MAX_SAMPLES + 1)
+            stream.random(-1)
+        assert stream.random() == per_sample_uniforms(0, 3)[2]
 
     def test_prefix_and_chunk_split(self, monkeypatch):
-        # a shorter run is a prefix of a longer one, and the split into
-        # vectorized chunks does not change any element
+        # a shorter run is a prefix of a longer one, and neither the block
+        # size nor the split into vectorized passes changes any element
         for seed in (9, 2**64 + 5):
-            whole = substream_uniforms(seed, 25)
-            assert np.array_equal(whole[:10], substream_uniforms(seed, 10))
+            whole = master_rng(seed).random(25)
+            assert np.array_equal(whole[:10], master_rng(seed).random(10))
             for chunk in (1, 7, 10, 25):
                 monkeypatch.setattr(seeding, "SUBSTREAM_CHUNK", chunk)
-                assert np.array_equal(substream_uniforms(seed, 25), whole)
+                assert np.array_equal(master_rng(seed).random(25), whole)
+                stream = master_rng(seed)
+                split = [stream.random(), *stream.random(9), *stream.random(15)]
+                assert np.array_equal(split, whole)
             monkeypatch.undo()
