@@ -676,7 +676,7 @@ def _golden_commands():
         ["luae", "bell.txt", "--epsilon", "0.25", "--delta", "0.1", "--b", "00", "--seed", "-1"],
         ["luae-u", "bell.txt", "--epsilon", "0.25", "--delta", "0.1", "--seed", "-1"],
         ["decide", "x.txt", "--x", "0", "--route", "lhes", "--seed", "-1"],
-        # a negative seed with no draws asked for
+        # a negative seed is refused even when no draws are asked for
         ["pes", "bell.txt", *pes, "--b", "00", "--samples", "0", "--seed", "-1"],
         # exit 2: sizes refused before any dense or wide work
         ["spectrum", "wide13.txt", "--b", "0" * 13],
