@@ -83,7 +83,6 @@ class MarkedCircuit:
     base: Circuit
     full: Circuit
     kind: str
-    r_qubit: int | None
 
 
 def mark_circuit(base: Circuit, kind: str) -> MarkedCircuit:
@@ -96,10 +95,10 @@ def mark_circuit(base: Circuit, kind: str) -> MarkedCircuit:
         ]
         shifted = Circuit(base.qubit_count + 1, forward)
         gates = forward + [named_gate("cnot", 1, 0)] + invert_circuit(shifted).gates
-        return MarkedCircuit(base, Circuit(base.qubit_count + 1, gates), kind, 0)
+        return MarkedCircuit(base, Circuit(base.qubit_count + 1, gates), kind)
     if kind == "pe-reflect":
         gates = base.gates + [named_gate("z", 0)] + invert_circuit(base).gates
-        return MarkedCircuit(base, Circuit(base.qubit_count, gates), kind, None)
+        return MarkedCircuit(base, Circuit(base.qubit_count, gates), kind)
     raise ValueError(f"unknown marking kind {kind!r}")
 
 
@@ -436,5 +435,5 @@ def reduction_report(marked: MarkedCircuit) -> dict:
         },
     }
     if marked.kind == "lhes-copy":
-        report["flag_qubit"] = marked.r_qubit
+        report["flag_qubit"] = 0
     return report

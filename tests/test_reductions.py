@@ -98,7 +98,7 @@ class TestMarking:
         base = Circuit(2, [named_gate("h", 0), named_gate("s", 1)])
         marked = mark_circuit(base, "lhes-copy")
         assert marked.kind == "lhes-copy"
-        assert marked.r_qubit == 0
+        assert reduction_report(marked)["flag_qubit"] == 0
         assert marked.full.qubit_count == 3
         names = [(g.name, g.support) for g in marked.full.gates]
         assert names == [
@@ -119,7 +119,7 @@ class TestMarking:
         rng = np.random.default_rng(81)
         base = haar_base(82)
         marked = mark_circuit(base, "pe-reflect")
-        assert marked.r_qubit is None
+        assert "flag_qubit" not in reduction_report(marked)
         u = circuit_unitary(base)
         z0 = np.kron(np.diag([1.0, -1.0]), np.eye(2))
         expected = u.conj().T @ z0 @ u
