@@ -14,6 +14,20 @@ SEEDS = (0, 1, 3, 11, 2**32 - 1, 2**32, 2**64 + 5, 10**22, 2**127 - 1)
 STREAM_SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**99 + 12345)
 
 
+def spy_on_first_uniforms(monkeypatch):
+    """Record each block that seeding._first_uniforms computes, as (first
+    index, length)."""
+    calls = []
+    first_uniforms = seeding._first_uniforms
+
+    def spy(words, start, out):
+        calls.append((start, len(out)))
+        return first_uniforms(words, start, out)
+
+    monkeypatch.setattr(seeding, "_first_uniforms", spy)
+    return calls
+
+
 class TestMasterRng:
     def test_same_seed_same_stream(self):
         a = master_rng(7).random(100)
@@ -54,30 +68,16 @@ class TestMasterRng:
     def test_small_calls_share_one_block(self, monkeypatch):
         # the exact oracles draw one uniform per call: no call of at most
         # SUBSTREAM_CHUNK uniforms runs a vectorized pass of its own
-        starts = []
-        first_uniforms = seeding._first_uniforms
-
-        def spy(words, start, out):
-            starts.append(start)
-            return first_uniforms(words, start, out)
-
-        monkeypatch.setattr(seeding, "_first_uniforms", spy)
+        calls = spy_on_first_uniforms(monkeypatch)
         stream = master_rng(4)
         for _ in range(100):
             stream.random(), stream.random(1), stream.random((2, 2))
-        assert starts == [0]
+        assert calls == [(0, seeding.SUBSTREAM_CHUNK)]
 
     def test_large_call_computes_exactly_its_count(self, monkeypatch):
         # a call above SUBSTREAM_CHUNK runs one pass of exactly its count
         # from the current index, with no block computed ahead
-        calls = []
-        first_uniforms = seeding._first_uniforms
-
-        def spy(words, start, out):
-            calls.append((start, len(out)))
-            return first_uniforms(words, start, out)
-
-        monkeypatch.setattr(seeding, "_first_uniforms", spy)
+        calls = spy_on_first_uniforms(monkeypatch)
         stream = master_rng(6)
         stream.random(3)
         count = seeding.SUBSTREAM_CHUNK + 5
